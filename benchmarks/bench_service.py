@@ -38,6 +38,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import time
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -54,6 +55,10 @@ from repro.workloads.driver import load_store
 BASELINE_PATH = os.path.join(
     os.path.dirname(__file__), "baselines", "service.json"
 )
+
+#: How long after the last client op the maintenance thread may still take
+#: to finish the rebalance before the "drives to completion" gate fails.
+REBALANCE_DEADLINE_S = 10.0
 
 
 @dataclass(frozen=True)
@@ -130,6 +135,11 @@ def run_service_bench(
     )
     service.begin_rebalance(to_shards)
     report = run_loadgen(service, workload, clients=clients)
+    # The gate is "the background rebalance completes", not "before the
+    # last client op": a short read-only run ends within a few ticks.
+    deadline = time.monotonic() + REBALANCE_DEADLINE_S
+    while not service.rebalance_done and time.monotonic() < deadline:
+        time.sleep(service.config.maintenance_interval)
     rebalance_completed = service.rebalance_done
     service.close()
     stats = service.stats()
@@ -156,7 +166,7 @@ def run_service_bench(
         invariant_checks=stats.invariant_checks,
         invariant_violations=stats.invariant_violations
         + len(service.violations),
-        rebalance_completed=rebalance_completed or service.rebalance_done,
+        rebalance_completed=rebalance_completed,
         wall_seconds=report.wall_seconds,
         p50_ms=report.p50_ms,
         p99_ms=report.p99_ms,

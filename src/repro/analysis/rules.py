@@ -86,6 +86,8 @@ def _attribute_refs(module: Module, owner: str) -> Set[str]:
 #: Write-site pattern → the CopyLocation member whose tracking it requires.
 _CACHE_ATTR = re.compile(r"cache$")
 _LOG_ATTRS = frozenset({"_log", "log", "replication_log"})
+#: The log as a class of its own: its ``append`` method *is* the write.
+_LOG_CLASS = re.compile(r"ReplicationLog$")
 _WAL_ATTRS = frozenset({"wal", "_wal"})
 _IMPORT_CALLS = frozenset(
     {"import_batch", "import_items", "import_encoded_batch", "import_items_encoded"}
@@ -102,7 +104,8 @@ class CopySiteRule(Rule):
 
     1. **Write sites need tracking** (module-local).  A module containing
        a secondary write — a cache-entry assignment (``*.cache[k] = v``),
-       a replication-log append (``_append_log`` / ``*._log.append``), a
+       a replication-log append (``_append_log`` / ``*._log.append`` / the
+       ``append`` method a ``*ReplicationLog`` class defines), a
        value-carrying WAL append (``*.wal.append(..., payload=...)``), a
        migration import (``import_batch`` / ``import_items`` and their
        encoded variants) — or a WAL-retention *probe* (``log_holds`` /
@@ -159,6 +162,10 @@ class CopySiteRule(Rule):
                         yield node, "CACHE", (
                             "cache-entry assignment writes a value copy"
                         )
+            elif isinstance(node, ast.ClassDef) and _LOG_CLASS.search(node.name):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.FunctionDef) and stmt.name == "append":
+                        yield stmt, "LOG", "replication-log append writes a value copy"
             elif isinstance(node, ast.Call):
                 name = _call_name(node)
                 base = _attr_base_name(node.func)

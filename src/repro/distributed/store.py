@@ -89,8 +89,7 @@ harness in :mod:`repro.workloads.driver` and ``python -m repro rebalance
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
-from enum import Enum
+from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
@@ -121,6 +120,7 @@ from repro.distributed.faults import (
     ReplicaDownError,
     ShardUnavailableError,
 )
+from repro.distributed.replication_log import SCRUBBED, ReplicationLog, _OpType
 from repro.distributed.ring import DEFAULT_VNODES, HashRing, hash_range_of
 from repro.lsm.cache import SharedBlockCache
 from repro.lsm.compaction import EMPTY_COMPACTION_STATS, CompactionStats
@@ -133,22 +133,6 @@ TABLE = "replicated_data"
 #: Read consistency levels: any single node / a majority of the shard's
 #: nodes / every node in the shard.
 CONSISTENCY_LEVELS = ("one", "quorum", "all")
-
-
-class _OpType(Enum):
-    PUT = "put"
-    UPDATE = "update"
-    DELETE = "delete"
-
-
-@dataclass(frozen=True)
-class _LogEntry:
-    seqno: int
-    op: _OpType
-    key: Any
-    value: Any
-    ready_at: int  # model time when a replica may apply it
-    scrubbed: bool = False  # value redacted by a grounded erase
 
 
 # CopyLocation historically declared here; it now lives in
@@ -394,13 +378,17 @@ class _Shard:
         #: cycles (a re-used name would alias audit trails and cache
         #: namespaces of two different physical machines).
         self._replica_seq = n_replicas
-        self._log: List[_LogEntry] = []
-        self._seqno = 0
+        self._log = ReplicationLog()
 
     # ------------------------------------------------------------- internals
     @property
     def _now(self) -> int:
         return self._cost.clock.now
+
+    @property
+    def _seqno(self) -> int:
+        """The primary's seqno: entries logged so far."""
+        return len(self._log)
 
     def nodes(self) -> Iterator[_Node]:
         """Every node with physical storage: the primary plus live
@@ -415,10 +403,7 @@ class _Shard:
         return [node for node in self.replicas if not node.down]
 
     def _append_log(self, op: _OpType, key: Any, value: Any) -> None:
-        self._seqno += 1
-        self._log.append(
-            _LogEntry(self._seqno, op, key, value, self._now + self._lag)
-        )
+        self._log.append(op, key, value, self._now + self._lag)
         self._cost.charge_log_append()
 
     def _apply_backlog(
@@ -433,26 +418,24 @@ class _Shard:
         if node.down:
             return 0  # crashed machine: nothing to apply onto
         applied = 0
-        for entry in self._log:
-            if entry.seqno <= node.applied_seqno:
-                continue
-            if upto is not None and entry.seqno > upto:
-                break
-            if not force and entry.ready_at > self._now:
+        for op, key, value, ready_at in self._log.replay(
+            node.applied_seqno, upto
+        ):
+            if not force and ready_at > self._now:
                 break  # later entries are even younger
-            if entry.scrubbed and entry.op is not _OpType.DELETE:
+            if value is SCRUBBED:
                 pass  # value redacted by erase; the delete entry follows
-            elif entry.op is _OpType.PUT:
-                node.backend.insert(entry.key, entry.value)
-            elif entry.op is _OpType.UPDATE:
-                node.backend.update(entry.key, entry.value)
+            elif op is _OpType.PUT:
+                node.backend.insert(key, value)
+            elif op is _OpType.UPDATE:
+                node.backend.update(key, value)
             else:
                 try:
-                    node.backend.delete(entry.key)
+                    node.backend.delete(key)
                 except TupleNotFoundError:
                     pass  # never replicated in the first place
-                node.cache.pop(entry.key, None)
-            node.applied_seqno = entry.seqno
+                node.cache.pop(key, None)
+            node.applied_seqno += 1
             applied += 1
         return applied
 
@@ -631,11 +614,7 @@ class _Shard:
         for node in self.nodes():
             present.update(k for k, _live in node.backend.forensic_scan())
             present.update(node.cache)
-        present.update(
-            e.key
-            for e in self._log
-            if e.op is not _OpType.DELETE and not e.scrubbed
-        )
+        present.update(self._log.valued_keys())
         return sorted(present, key=repr)
 
     def holds_any(self, keys: Sequence[Any]) -> List[Any]:
@@ -652,13 +631,7 @@ class _Shard:
             for k in wanted - found:
                 if node.log_holds(k):
                     found.add(k)
-        for entry in self._log:
-            if (
-                entry.key in wanted
-                and entry.op is not _OpType.DELETE
-                and not entry.scrubbed
-            ):
-                found.add(entry.key)
+        found |= wanted & self._log.valued_keys()
         return sorted(found, key=repr)
 
     def decommission(self) -> None:
@@ -671,9 +644,7 @@ class _Shard:
         for node in self.nodes():
             node.cache.clear()
             node.backend.reclaim()
-        for i, entry in enumerate(self._log):
-            if entry.op is not _OpType.DELETE and not entry.scrubbed:
-                self._log[i] = replace(entry, value=None, scrubbed=True)
+        self._log.scrub_all()
 
     def holds_nothing(self) -> bool:
         """Whether the shard retains no value anywhere (decommission check)."""
@@ -681,9 +652,7 @@ class _Shard:
             stats = node.backend.stats()
             if stats.live_entries or stats.dead_entries or node.cache:
                 return False
-        return not any(
-            e.op is not _OpType.DELETE and not e.scrubbed for e in self._log
-        )
+        return not self._log.valued_keys()
 
     # -------------------------------------------------------------- forensics
     def copies_of(self, key: Any) -> List[Tuple[CopyLocation, str]]:
@@ -708,43 +677,11 @@ class _Shard:
             # open encoded-export batches, and typed WAL row-image sites.
             for loc, site in node.backend.copy_locations(key):
                 found.append((loc, f"{node.name}[{site}]"))
-        if self._log_holds_value(key):
+        if self._log.holds_value(key):
             found.append((CopyLocation.LOG, self.primary.name))
         return found
 
-    def _log_holds_value(self, key: Any) -> bool:
-        return any(
-            e.key == key and e.op is not _OpType.DELETE and not e.scrubbed
-            for e in self._log
-        )
-
-    def _scrub_log(self, key: Any) -> int:
-        """Redact the value from every log entry for ``key``.
-
-        Safe only once every replica has applied those entries (the erase
-        barrier force-applies first); scrubbed PUT/UPDATE entries become
-        no-ops on replay.
-        """
-        scrubbed = 0
-        for i, entry in enumerate(self._log):
-            # DELETE entries never carried a value — nothing to redact.
-            if (
-                entry.key == key
-                and entry.op is not _OpType.DELETE
-                and not entry.scrubbed
-            ):
-                self._log[i] = replace(entry, value=None, scrubbed=True)
-                scrubbed += 1
-        return scrubbed
-
     # ---------------------------------------------------------------- erasure
-    def _reclaim_node(self, node: _Node) -> int:
-        """One reclamation pass; returns the dead entries it made
-        unrecoverable (and scrubs the node's WAL as a side effect)."""
-        dead = node.backend.stats().dead_entries
-        node.backend.reclaim()
-        return dead
-
     def _delete_everywhere(self, key: Any) -> Tuple[int, int]:
         """Logical deletes + cache invalidation on every node (no reclaim).
 
@@ -782,7 +719,7 @@ class _Shard:
             nodes_deleted += 1
         self.primary.cache.pop(key, None)
         self.primary.backend.scrub_exports([key])
-        vacuumed = self._reclaim_node(self.primary)
+        vacuumed = self.primary.backend.reclaim()
         # Down replicas are skipped: a crash-stopped machine holds nothing
         # physical to erase, and its eventual revival bootstraps from the
         # log this erase is about to scrub — so it comes back clean too.
@@ -793,11 +730,11 @@ class _Shard:
                 nodes_deleted += 1
             node.cache.pop(key, None)
             node.backend.scrub_exports([key])
-            vacuumed += self._reclaim_node(node)
+            vacuumed += node.backend.reclaim()
         # Every replica is now caught up past the key's log entries, so the
         # values they carried can be redacted — the log is a copy location
         # (§1) and must not outlive the erase.
-        scrubbed = self._scrub_log(key)
+        scrubbed = self._log.scrub(key)
         return DistributedEraseReport(
             key=key,
             nodes_deleted=nodes_deleted,
@@ -831,9 +768,9 @@ class _Shard:
         vacuumed = 0
         reclaims = 0
         for node in self.nodes():
-            vacuumed += self._reclaim_node(node)
+            vacuumed += node.backend.reclaim()
             reclaims += 1
-        scrubbed = sum(self._scrub_log(key) for key in keys)
+        scrubbed = sum(self._log.scrub(key) for key in keys)
         return nodes_deleted, caches, vacuumed, scrubbed, reclaims
 
     def replication_backlog(self, replica: int) -> int:
@@ -842,7 +779,7 @@ class _Shard:
             raise ReplicaDownError(
                 f"replica {node.name!r} is down (crash-stopped)"
             )
-        return sum(1 for e in self._log if e.seqno > node.applied_seqno)
+        return max(0, len(self._log) - node.applied_seqno)
 
     # ----------------------------------------------------- replica elasticity
     def _make_replica_node(self, name: Optional[str] = None) -> _Node:

@@ -479,18 +479,23 @@ class LSMEngine:
         )
         return outs[0] if outs else SSTable([], self._payload_bytes, self._now())
 
-    def full_compaction(self) -> None:
+    def full_compaction(self) -> int:
         """Merge every run and drop all tombstones — the LSM grounding of
         *physical* deletion (paired with a flush so the memtable empties).
 
         Always synchronous, whatever the scheduler mode: the grounded erase
         verb *is* the reclamation, and deferring it would leave the §1
         retention hazard open after the erase reported success.
+
+        Returns the entries dropped — every shadowed value and tombstone
+        the store held, whether the final merge removed it or a tier merge
+        the flush triggered on the way.
         """
+        held = len(self._memtable) + sum(len(run) for run in self.runs())
         self.flush()
         tables = [(i, tuple(level)) for i, level in enumerate(self._levels) if level]
         if not tables:
-            return
+            return 0
         target = self.compaction_policy.full_compaction_target(self._levels)
         self.execute_compaction(
             CompactionTask(
@@ -505,6 +510,7 @@ class LSMEngine:
         # clear any stale deferred request so no queued plan re-runs later.
         self.scheduler.pending = False
         self.scheduler.deferred_requests = 0
+        return held - sum(len(run) for run in self.runs())
 
     # -------------------------------------------------------------- forensics
     def physically_present(self, key: Any) -> bool:

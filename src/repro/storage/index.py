@@ -103,11 +103,34 @@ class BTreeIndex:
 
     # -------------------------------------------------------------- internals
     def _find_leaf(self, key: Any) -> _Leaf:
+        """The leftmost leaf that can hold ``key``.  An insert goes to the
+        rightmost one (:meth:`_find_leaf_path`), so a key's dead and live
+        entries can sit either side of a leaf split: lookups start here and
+        follow ``next``."""
         node = self._root
         while isinstance(node, _Internal):
-            i = bisect_right(node.keys, key)
+            i = bisect_left(node.keys, key)
             node = node.children[i]
         return node
+
+    def _find_live(self, key: Any) -> Tuple[Optional[_Entry], int]:
+        """The live entry for ``key`` (or None) and the dead entries for
+        it stepped over on the way."""
+        leaf: Optional[_Leaf] = self._find_leaf(key)
+        i = bisect_left(leaf.keys, key)
+        dead = 0
+        while leaf is not None:
+            keys = leaf.keys
+            while i < len(keys) and keys[i] == key:
+                entry = leaf.entries[i]
+                if entry.live:
+                    return entry, dead
+                dead += 1
+                i += 1
+            if i < len(keys):
+                break  # a larger key: the run of duplicates ended
+            leaf, i = leaf.next, 0
+        return None, dead
 
     def _find_leaf_path(self, key: Any) -> Tuple[_Leaf, List[Tuple[_Internal, int]]]:
         node = self._root
@@ -166,41 +189,29 @@ class BTreeIndex:
 
     def mark_dead(self, key: Any) -> bool:
         """Lazily delete the live entry for ``key`` (stays until cleanup)."""
-        leaf = self._find_leaf(key)
-        i = bisect_left(leaf.keys, key)
-        while i < len(leaf.keys) and leaf.keys[i] == key:
-            if leaf.entries[i].live:
-                leaf.entries[i].live = False
-                self._live -= 1
-                self._dead += 1
-                return True
-            i += 1
-        return False
+        entry, _dead = self._find_live(key)
+        if entry is None:
+            return False
+        entry.live = False
+        self._live -= 1
+        self._dead += 1
+        return True
 
     def update_tid(self, key: Any, tid: TID) -> bool:
         """Repoint the live entry (used when a tuple moves)."""
-        leaf = self._find_leaf(key)
-        i = bisect_left(leaf.keys, key)
-        while i < len(leaf.keys) and leaf.keys[i] == key:
-            if leaf.entries[i].live:
-                leaf.entries[i].tid = tid
-                return True
-            i += 1
-        return False
+        entry, _dead = self._find_live(key)
+        if entry is None:
+            return False
+        entry.tid = tid
+        return True
 
     # ----------------------------------------------------------------- reads
     def probe(self, key: Any) -> ProbeResult:
         """Point lookup; reports depth and dead entries stepped over."""
-        leaf = self._find_leaf(key)
-        i = bisect_left(leaf.keys, key)
-        dead = 0
-        while i < len(leaf.keys) and leaf.keys[i] == key:
-            entry = leaf.entries[i]
-            if entry.live:
-                return ProbeResult(entry.tid, self._height, dead)
-            dead += 1
-            i += 1
-        return ProbeResult(None, self._height, dead)
+        entry, dead = self._find_live(key)
+        return ProbeResult(
+            entry.tid if entry is not None else None, self._height, dead
+        )
 
     def get(self, key: Any) -> Optional[TID]:
         return self.probe(key).tid

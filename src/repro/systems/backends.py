@@ -266,20 +266,23 @@ class StorageBackend(ABC):
         without reclaiming physical space."""
 
     @abstractmethod
-    def _reclaim(self) -> None:
+    def _reclaim(self) -> int:
         """Engine-specific reclamation (VACUUM / full compaction / shred
-        sweep) — wrapped by :meth:`reclaim`, which counts the passes."""
+        sweep) — wrapped by :meth:`reclaim`, which counts the passes.
+        Returns the dead entries the pass made unrecoverable."""
 
     @abstractmethod
     def _reclaim_full(self) -> None:
         """The strongest reclamation the engine offers — wrapped by
         :meth:`reclaim_full`."""
 
-    def reclaim(self) -> None:
+    def reclaim(self) -> int:
         """Make logically deleted values physically unrecoverable — the
-        second half of the "delete" grounding."""
+        second half of the "delete" grounding.  Returns how many dead
+        entries the pass removed: what ``stats().dead_entries`` read just
+        before it, counted by the pass itself instead of a second scan."""
         self.reclaim_count += 1
-        self._reclaim()
+        return self._reclaim()
 
     def reclaim_full(self) -> None:
         """The strongest reclamation (VACUUM FULL / full compaction / shred
@@ -571,8 +574,8 @@ class PsqlBackend(StorageBackend):
     def delete(self, unit_id: Any) -> None:
         self.engine.delete(self.table, unit_id)
 
-    def _reclaim(self) -> None:
-        self.engine.vacuum(self.table)
+    def _reclaim(self) -> int:
+        return self.engine.vacuum(self.table)
 
     def _reclaim_full(self) -> None:
         self.engine.vacuum_full(self.table)
@@ -761,8 +764,8 @@ class LsmBackend(StorageBackend):
     def delete(self, unit_id: Any) -> None:
         self.engine.delete(unit_id)
 
-    def _reclaim(self) -> None:
-        self.engine.full_compaction()
+    def _reclaim(self) -> int:
+        return self.engine.full_compaction()
 
     def _reclaim_full(self) -> None:
         self.engine.full_compaction()
@@ -1167,16 +1170,22 @@ class CryptoShredBackend(StorageBackend):
         entry.live = False
         self._cost.charge_tuple_cpu()
 
-    def _reclaim(self) -> None:
+    def _reclaim(self) -> int:
         """Shred the keys of every dead entry (graveyard included) —
         crypto-erase, one batched key-table write for the whole sweep.
 
         The pass sweeps the catalog to find dead entries (the analogue of
-        VACUUM's heap scan), so batching erases amortizes it.
+        VACUUM's heap scan), so batching erases amortizes it.  Returns the
+        victims that were still recoverable (ciphertext and key both left).
         """
         self._cost.charge_tuple_cpu(len(self._entries) + len(self._graveyard))
         victims = [e for e in self._entries.values() if not e.live]
         victims.extend(e for _uid, e in self._graveyard)
+        recoverable = sum(
+            1
+            for e in victims
+            if e.sectors > 0 and not self._vault.is_shredded(e.key_id)
+        )
         self._shred_batch(victims)
         # Shredded graveyard placements leave the scan set for good — only
         # their (unrecoverable) ciphertext sectors keep occupying disk.
@@ -1184,6 +1193,7 @@ class CryptoShredBackend(StorageBackend):
             self._residue_bytes += entry.sectors * SECTOR
             self._residue_slots.append(entry)
         self._graveyard.clear()
+        return recoverable
 
     def _reclaim_full(self) -> None:
         """Shred dead entries' keys, release their ciphertext space, and

@@ -85,6 +85,15 @@ class TestFixtures:
         findings = run_rules(path)
         assert not findings, f"{path.name} should be clean: {findings}"
 
+    def test_replication_log_class_append_is_a_log_write_site(self):
+        """The log as its own class: the ``append`` it defines is the
+        write, wherever the class lives."""
+        bad = FIXTURES / "g01_log_class_bad.py"
+        assert [(f.rule, f.line) for f in run_rules(bad)] == [
+            ("G01", line) for line in expected_lines(bad)["G01"]
+        ]
+        assert not run_rules(FIXTURES / "g01_log_class_ok.py")
+
     def test_findings_carry_location_and_symbol(self):
         findings = run_rules(FIXTURES / "g06_bad.py")
         assert all(isinstance(f, Finding) for f in findings)
@@ -138,11 +147,12 @@ class TestAnalyzeCli:
 
 class TestStoreMutationsCaught:
     """The acceptance criterion: removing a tracked copy-site registration
-    or an audit emission from distributed/store.py must fail the linter."""
+    or an audit emission from distributed/store.py (or the replication
+    log's own module) must fail the linter."""
 
-    def _mutated_findings(self, tmp_path, drop_containing):
+    def _mutated_findings(self, tmp_path, drop_containing, module="store.py"):
         source = (
-            package_root() / "distributed" / "store.py"
+            package_root() / "distributed" / module
         ).read_text().splitlines()
         mutated = []
         dropped = 0
@@ -155,7 +165,7 @@ class TestStoreMutationsCaught:
             else:
                 mutated.append(line)
         assert dropped, f"nothing matched {drop_containing!r}"
-        mutant = tmp_path / "store.py"
+        mutant = tmp_path / module
         mutant.write_text("\n".join(mutated) + "\n")
         return run_rules(mutant)
 
@@ -173,6 +183,15 @@ class TestStoreMutationsCaught:
         findings = self._mutated_findings(tmp_path, registration)
         assert any(f.rule == rule_id for f in findings), (
             f"linter blind to removal of {registration!r}"
+        )
+
+    def test_removing_the_log_class_site_fails(self, tmp_path):
+        findings = self._mutated_findings(
+            tmp_path, "location = CopyLocation.LOG", "replication_log.py"
+        )
+        assert any(f.rule == "G01" for f in findings)
+        assert not run_rules(
+            package_root() / "distributed" / "replication_log.py"
         )
 
     @pytest.mark.parametrize(

@@ -7,6 +7,8 @@ Engine-specific forensics (psql WAL row images, LSM SSTable copy sites)
 keep their own dedicated classes.
 """
 
+import sys
+
 import pytest
 
 from repro.config import BackendConfig
@@ -261,6 +263,54 @@ class TestReplicationLogRetention:
         assert store.read("b") == 2
         advance(clock, 60_000)
         assert store.read("b", replica=0) == 2
+
+
+class CountingKey(int):
+    """An int key that counts the ``__eq__`` / ``__hash__`` calls made
+    from the distributed layer's own code — deterministic where a timing
+    would not be."""
+
+    FILES = ("store.py", "replication_log.py")
+    calls = 0
+
+    def _count(self):
+        if sys._getframe(2).f_code.co_filename.endswith(self.FILES):
+            CountingKey.calls += 1
+
+    def __eq__(self, other):
+        self._count()
+        return int(self) == int(other)
+
+    def __hash__(self):
+        self._count()
+        return int.__hash__(self)
+
+
+class TestEraseCostIgnoresShardHistory:
+    """The replication log answers per key: an erase compares the victim
+    with the victim's own entries, however many other writes the shard
+    has seen.  On lsm — whose verify enumerates copy sites inside the
+    engine — that makes the distributed layer's whole share of an erase
+    independent of history; the list-scan log compared the victim with
+    every entry ever appended, three times per erase."""
+
+    @staticmethod
+    def comparisons_during_erase(foreign_writes):
+        store, _ = make_store(backend="lsm", n_replicas=1)
+        victim = CountingKey(0)
+        store.put(victim, "secret")
+        for i in range(1, foreign_writes + 1):
+            store.put(CountingKey(i), ("v", i))
+        store.update(victim, "still secret")
+        CountingKey.calls = 0
+        report = store.erase_all_copies(victim)
+        assert report.verified_clean and report.log_values_scrubbed == 2
+        return CountingKey.calls
+
+    def test_same_comparisons_after_8x_the_foreign_writes(self):
+        few = self.comparisons_during_erase(40)
+        assert few == self.comparisons_during_erase(320)
+        assert few < 40  # hashes of the victim itself, no scan
 
 
 class TestWalCopyLocation:
