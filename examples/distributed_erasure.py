@@ -37,7 +37,7 @@ def main() -> None:
     # The user invokes erasure; the naive grounding deletes at the primary.
     store.naive_delete("user-1234/location")
     print("\nAfter the naive primary-only DELETE:")
-    for location, node in store.lingering_copies("user-1234/location"):
+    for location, node in store.copies_of("user-1234/location"):
         print(f"  STILL PRESENT: {location} @ {node}")
     served = store.read("user-1234/location", replica=0)
     print(f"  replica 0 still serves the value: {served!r}")

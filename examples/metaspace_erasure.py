@@ -24,7 +24,7 @@ from repro import (
     table1,
 )
 from repro.bench.experiments import ErasureConfig, run_erasure_config
-from repro.bench.reporting import render_fig4a, render_table1
+from repro.bench.reporting import render_table1
 
 
 def show_groundings() -> None:

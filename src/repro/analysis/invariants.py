@@ -44,7 +44,7 @@ rebalance-under-erasure scenario.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set
 
 from repro.distributed.antientropy import range_digests
 from repro.distributed.faults import FaultError
@@ -198,9 +198,7 @@ def _check_destructive_audited(world: World) -> List[str]:
         elif not report.verified_clean:
             violations.append(
                 f"erase of key {key!r} did not verify clean: "
-                f"{world.store.lingering_copies(key)!r}"
-                if hasattr(world.store, "lingering_copies")
-                else f"erase of key {key!r} did not verify clean"
+                f"{world.store.copies_of(key)!r}"
             )
     if world.driver is not None:
         moved = world.driver.rebalance.keys_moved - world.moved_at_attach

@@ -90,11 +90,8 @@ _LOG_ATTRS = frozenset({"_log", "log", "replication_log"})
 _LOG_CLASS = re.compile(r"ReplicationLog$")
 _WAL_ATTRS = frozenset({"wal", "_wal"})
 _IMPORT_CALLS = frozenset(
-    {"import_batch", "import_items", "import_encoded_batch", "import_items_encoded"}
+    {"import_batch", "import_encoded_batch", "import_items_encoded"}
 )
-#: Probes that ask whether a WAL/recovery log still retains a value: the
-#: caller provably knows about that retention site, so it must report it.
-_WAL_PROBES = frozenset({"log_holds", "log_holds_value"})
 
 
 class CopySiteRule(Rule):
@@ -106,14 +103,11 @@ class CopySiteRule(Rule):
        a secondary write — a cache-entry assignment (``*.cache[k] = v``),
        a replication-log append (``_append_log`` / ``*._log.append`` / the
        ``append`` method a ``*ReplicationLog`` class defines), a
-       value-carrying WAL append (``*.wal.append(..., payload=...)``), a
-       migration import (``import_batch`` / ``import_items`` and their
-       encoded variants) — or a WAL-retention *probe* (``log_holds`` /
-       ``log_holds_value``: a caller asking whether a WAL still retains a
-       value provably knows about that site) — must reference the matching
-       ``CopyLocation`` member (``CACHE`` / ``LOG`` / ``WAL`` /
-       ``MIGRATION``) somewhere in the same module, i.e. the tracking
-       lives next to the copy-producing code.
+       value-carrying WAL append (``*.wal.append(..., payload=...)``) or
+       a migration import (``import_batch`` and the encoded variants) —
+       must reference the matching ``CopyLocation`` member (``CACHE`` /
+       ``LOG`` / ``WAL`` / ``MIGRATION``) somewhere in the same module,
+       i.e. the tracking lives next to the copy-producing code.
     2. **Declared members need consumers** (package-scope).  Every member
        the ``CopyLocation`` enum declares must be referenced outside the
        enum body *somewhere in the package* — a declared-but-never-
@@ -181,10 +175,6 @@ class CopySiteRule(Rule):
                     yield node, "WAL", "value-carrying WAL append writes a value copy"
                 elif name in _IMPORT_CALLS:
                     yield node, "MIGRATION", "migration batch import writes a value copy"
-                elif name in _WAL_PROBES:
-                    yield node, "WAL", (
-                        "WAL-retention probe sees a value copy"
-                    )
 
     @staticmethod
     def _is_cache_subscript(target: ast.expr) -> bool:

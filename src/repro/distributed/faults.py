@@ -27,9 +27,9 @@ the victim's PUT/UPDATE entries were redacted by the erase and replay as
 no-ops, while its DELETEs still apply.  A *partitioned* shard keeps its
 state but is unreachable from the router: serving-path operations fail
 fast and nothing mutates until :meth:`FaultInjector.heal`.  Forensic
-surfaces (``copies_of``, ``lingering_copies``, the invariant registry's
-independent scans) deliberately bypass partitions — they model the
-compliance auditor's global view, not a client's.
+surfaces (``copies_of``, the invariant registry's independent scans)
+deliberately bypass partitions — they model the compliance auditor's
+global view, not a client's.
 
 This is the *infrastructure* fault layer.  The compliance-misbehaviour
 injection suite (``tests/integration/test_failure_injection.py``) is a

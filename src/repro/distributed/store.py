@@ -44,9 +44,8 @@ queries over it:
 
 * where do copies of X live right now? (:meth:`ReplicatedStore.copies_of`)
 * did the naive primary-only delete actually remove X? (it did not —
-  :meth:`lingering_copies` lists replicas still holding it, caches still
-  serving it, dead data not yet reclaimed on any node, and logs still
-  carrying the value);
+  ``copies_of`` still lists replicas holding it, caches serving it, dead
+  data not yet reclaimed on any node, and logs carrying the value);
 * run the *grounded* distributed erase and verify nothing lingers
   (:meth:`erase_all_copies`), or amortize a whole Art. 17 stream with
   :meth:`erase_many`, which fans the deletions out per shard and runs **one
@@ -133,11 +132,6 @@ TABLE = "replicated_data"
 #: Read consistency levels: any single node / a majority of the shard's
 #: nodes / every node in the shard.
 CONSISTENCY_LEVELS = ("one", "quorum", "all")
-
-
-# CopyLocation historically declared here; it now lives in
-# repro.core.locations (one enum every storage layer can import without
-# cycles) and is re-exported above, unchanged, for existing importers.
 
 
 @dataclass
@@ -314,27 +308,28 @@ class _Node:
         self.backend = None  # type: ignore[assignment]
         self.engine = None
 
-    def heap_holds(self, key: Any) -> bool:
-        """Live *or dead* physical entries count — retention is physical."""
-        return any(k == key for k, _live in self.backend.forensic_scan())
+    def secondary_copies(self, key: Any) -> List[Tuple[CopyLocation, str]]:
+        """The node's read-cache entry for the key plus the backend's own
+        typed secondary sites (block cache, WAL, open export batches)."""
+        found = [(CopyLocation.CACHE, self.name)] if key in self.cache else []
+        for loc, site in self.backend.copy_locations(key):
+            found.append((loc, f"{self.name}[{site}]"))
+        return found
 
-    def heap_sites(self, key: Any) -> List[str]:
-        """Named physical sites holding the key's value.
-
-        Engines that can enumerate their physical layout (LSM: memtable +
-        per-level SSTables) report one site per copy, so ``copies_of``
-        reflects every pre-compaction SSTable copy until a rewrite removes
-        it; engines without that granularity report one anonymous site when
-        the heap holds the key at all.
-        """
-        sites = getattr(self.backend, "copy_sites", None)
-        if sites is not None:
-            return sites(key)
-        return [""] if self.heap_holds(key) else []
-
-    def log_holds(self, key: Any) -> bool:
-        """Whether the node's WAL still retains the key's row image."""
-        return self.backend.log_holds_value(key)
+    def copies_of(
+        self, key: Any, role: CopyLocation
+    ) -> List[Tuple[CopyLocation, str]]:
+        """Every copy this machine holds.  The backend's primary-storage
+        sites come first, under the node's ``role`` — live *or dead*
+        entries count, retention is physical, and LSM names one site per
+        memtable/SSTable copy so a pre-compaction copy stays listed until
+        a rewrite removes it — then the secondary sites."""
+        found = [
+            (role, f"{self.name}[{site}]" if site else self.name)
+            for site in self.backend.copy_sites(key)
+        ]
+        found.extend(self.secondary_copies(key))
+        return found
 
 
 class _Shard:
@@ -569,22 +564,6 @@ class _Shard:
             key=repr,
         )
 
-    def export_items(
-        self, predicate: Callable[[Any], bool]
-    ) -> List[Tuple[Any, Any]]:
-        """Live ``(key, value)`` pairs selected by ``predicate``, via the
-        primary's bulk export hook."""
-        return self.primary.backend.export_range(predicate)
-
-    def import_items(self, items: Sequence[Tuple[Any, Any]]) -> int:
-        """Destination side of a migration: bulk-import at the primary and
-        log the PUTs so replicas pick the keys up through replication."""
-        items = list(items)
-        count = self.primary.backend.import_batch(items)
-        for key, value in items:
-            self._append_log(_OpType.PUT, key, value)
-        return count
-
     def open_export_encoded(
         self, predicate: Callable[[Any], bool], name: str = "export"
     ) -> ExportBatch:
@@ -618,19 +597,18 @@ class _Shard:
         return sorted(present, key=repr)
 
     def holds_any(self, keys: Sequence[Any]) -> List[Any]:
-        """Subset of ``keys`` still physically present anywhere on the shard
-        — one forensic pass per node instead of one per key (the batch
-        verification the migration's per-batch grounding uses)."""
+        """Subset of ``keys`` with any copy ``copies_of`` would report on
+        the shard — one forensic pass per node for the primary-storage
+        sites instead of one per key (the batch verification the
+        migration's per-batch grounding uses), then each node's secondary
+        sites for the keys still unaccounted for."""
         wanted: Set[Any] = set(keys)
         found: Set[Any] = set()
         for node in self.nodes():
-            for k, _live in node.backend.forensic_scan():
-                if k in wanted:
-                    found.add(k)
-            found |= wanted & set(node.cache)
-            for k in wanted - found:
-                if node.log_holds(k):
-                    found.add(k)
+            found.update(
+                k for k, _live in node.backend.forensic_scan() if k in wanted
+            )
+            found.update(k for k in wanted - found if node.secondary_copies(k))
         found |= wanted & self._log.valued_keys()
         return sorted(found, key=repr)
 
@@ -656,111 +634,44 @@ class _Shard:
 
     # -------------------------------------------------------------- forensics
     def copies_of(self, key: Any) -> List[Tuple[CopyLocation, str]]:
-        found: List[Tuple[CopyLocation, str]] = []
-        for node in self.nodes():
-            role = (
-                CopyLocation.PRIMARY
-                if node is self.primary
-                else CopyLocation.REPLICA
-            )
-            for site in node.heap_sites(key):
-                name = node.name if not site else f"{node.name}[{site}]"
-                found.append((role, name))
-            if key in node.cache:
-                found.append((CopyLocation.CACHE, node.name))
-            # Backends that type their own recovery-log sites report them
-            # through copy_locations below; the probe-based fallback would
-            # double-count the same log segment for those.
-            if not node.backend.reports_typed_wal_sites and node.log_holds(key):
-                found.append((CopyLocation.WAL, node.name))
-            # Backend-level secondary sites: shared-block-cache entries,
-            # open encoded-export batches, and typed WAL row-image sites.
-            for loc, site in node.backend.copy_locations(key):
-                found.append((loc, f"{node.name}[{site}]"))
+        found = self.primary.copies_of(key, CopyLocation.PRIMARY)
+        for node in self.live_replicas():
+            found.extend(node.copies_of(key, CopyLocation.REPLICA))
         if self._log.holds_value(key):
             found.append((CopyLocation.LOG, self.primary.name))
         return found
 
     # ---------------------------------------------------------------- erasure
-    def _delete_everywhere(self, key: Any) -> Tuple[int, int]:
-        """Logical deletes + cache invalidation on every node (no reclaim).
-
-        Returns ``(nodes_deleted, caches_invalidated)``.  Replicas must be
-        force-applied past the key's log entries *before* calling.
-        """
-        nodes_deleted = 0
-        caches = 0
-        for node in self.nodes():
-            if key in node.cache:
-                caches += 1
-            if node is self.primary:
-                if node.backend.exists(key):
-                    node.backend.delete(key)
-                    self._append_log(_OpType.DELETE, key, None)
-                    nodes_deleted += 1
-            elif node.backend.exists(key):
-                # The hot path of a batch erase: the erase barrier only
-                # caught replicas up to pre-batch entries, so this batch's
-                # DELETEs have not replicated yet — delete directly.
-                node.backend.delete(key)
-                nodes_deleted += 1
-            node.cache.pop(key, None)
-            node.backend.scrub_exports([key])
-        return nodes_deleted, caches
-
-    def erase_all_copies(self, key: Any) -> DistributedEraseReport:
-        """The grounded distributed erase: track and delete every copy."""
-        # Count cache copies before the erase barrier touches them.
-        caches = sum(1 for node in self.nodes() if key in node.cache)
-        nodes_deleted = 0
-        if self.primary.backend.exists(key):
-            self.primary.backend.delete(key)
-            self._append_log(_OpType.DELETE, key, None)
-            nodes_deleted += 1
-        self.primary.cache.pop(key, None)
-        self.primary.backend.scrub_exports([key])
-        vacuumed = self.primary.backend.reclaim()
-        # Down replicas are skipped: a crash-stopped machine holds nothing
-        # physical to erase, and its eventual revival bootstraps from the
-        # log this erase is about to scrub — so it comes back clean too.
-        for node in self.live_replicas():
-            self._apply_backlog(node, force=True)
-            if node.backend.exists(key):  # pragma: no cover - safety
-                node.backend.delete(key)
-                nodes_deleted += 1
-            node.cache.pop(key, None)
-            node.backend.scrub_exports([key])
-            vacuumed += node.backend.reclaim()
-        # Every replica is now caught up past the key's log entries, so the
-        # values they carried can be redacted — the log is a copy location
-        # (§1) and must not outlive the erase.
-        scrubbed = self._log.scrub(key)
-        return DistributedEraseReport(
-            key=key,
-            nodes_deleted=nodes_deleted,
-            caches_invalidated=caches,
-            dead_tuples_vacuumed=vacuumed,
-            verified_clean=not self.copies_of(key),
-            log_values_scrubbed=scrubbed,
-            shard=self.index,
-        )
-
     def erase_many(self, keys: Sequence[Any]) -> Tuple[int, int, int, int, int]:
-        """Batch grounded erase within the shard: every key is logically
+        """The grounded erase within the shard: every key is logically
         deleted on every node, then each node reclaims **once**.
 
         Returns ``(nodes_deleted, caches, vacuumed, scrubbed, reclaims)``.
         """
-        # Erase barrier first: replicas catch up past every victim's
-        # entries so the deletes and the log scrub are safe.
+        # Count cache copies before the erase barrier touches them: the
+        # DELETEs it replays evict replica cache entries.
+        wanted = set(keys)
+        caches = sum(len(wanted & node.cache.keys()) for node in self.nodes())
+        # Erase barrier: replicas catch up past every victim's entries so
+        # the deletes and the log scrub are safe.  Down replicas are
+        # skipped: a crash-stopped machine holds nothing physical to erase,
+        # and its eventual revival bootstraps from the log this erase is
+        # about to scrub — so it comes back clean too.
         for node in self.live_replicas():
             self._apply_backlog(node, force=True)
         nodes_deleted = 0
-        caches = 0
         for key in keys:
-            d, c = self._delete_everywhere(key)
-            nodes_deleted += d
-            caches += c
+            for node in self.nodes():
+                # Replicas delete directly too: the barrier only caught
+                # them up to pre-batch entries, so this batch's DELETEs
+                # have not replicated yet.
+                if node.backend.exists(key):
+                    node.backend.delete(key)
+                    nodes_deleted += 1
+                    if node is self.primary:
+                        self._append_log(_OpType.DELETE, key, None)
+                node.cache.pop(key, None)
+                node.backend.scrub_exports([key])
         # Force the just-appended DELETE entries onto the replicas too, so
         # no replica resurrects a victim later.
         for node in self.live_replicas():
@@ -770,6 +681,9 @@ class _Shard:
         for node in self.nodes():
             vacuumed += node.backend.reclaim()
             reclaims += 1
+        # Every replica is now caught up past the victims' log entries, so
+        # the values they carried can be redacted — the log is a copy
+        # location (§1) and must not outlive the erase.
         scrubbed = sum(self._log.scrub(key) for key in keys)
         return nodes_deleted, caches, vacuumed, scrubbed, reclaims
 
@@ -1477,9 +1391,8 @@ class ReplicatedStore:
         """Fail fast if any shard a serving-path operation must touch is
         partitioned.  Erase paths call this for *every* involved shard
         before mutating anything, so a partial erase cannot be mistaken
-        for a grounded one.  Forensic surfaces (``copies_of``,
-        ``lingering_copies``) never call it — the compliance auditor's
-        view is global, not routed."""
+        for a grounded one.  Forensic surfaces (``copies_of``) never call
+        it — the compliance auditor's view is global, not routed."""
         injector = self._fault_injector
         if injector is None:
             return
@@ -1912,46 +1825,25 @@ class ReplicatedStore:
             found.append((CopyLocation.MIGRATION, f"shard-{src}→shard-{dst}"))
         return found
 
-    def lingering_copies(self, key: Any) -> List[Tuple[CopyLocation, str]]:
-        """Copies surviving a delete — the §1 compliance hazard."""
-        return self.copies_of(key)
-
     # ---------------------------------------------------------------- erasure
     def erase_all_copies(self, key: Any) -> DistributedEraseReport:
         """The grounded distributed erase: track and delete every copy on
         the key's shard — primary, replicas, caches, replication log, and
         each node's WAL — then verify via the tracker.  Mid-rebalance the
-        erase covers *both* owning shards and cancels the key's move."""
-        rebalance = self._rebalance
-        if rebalance is None:
-            sid = self.shard_of(key)
-            self._check_reachable(sid)
-            return self._shards[sid].erase_all_copies(key)
-        old, new = rebalance.owners(key)
-        # Both owners must be reachable *before* anything mutates — a
-        # half-erased key (one owner grounded, one frozen behind a
-        # partition) must never be reported as erased at all.
-        self._check_reachable(old, new)
-        rebalance.cancel(key)
-        report = self._shards[new].erase_all_copies(key)
-        if old != new:
-            other = self._shards[old].erase_all_copies(key)
-            report = DistributedEraseReport(
-                key=key,
-                nodes_deleted=report.nodes_deleted + other.nodes_deleted,
-                caches_invalidated=(
-                    report.caches_invalidated + other.caches_invalidated
-                ),
-                dead_tuples_vacuumed=(
-                    report.dead_tuples_vacuumed + other.dead_tuples_vacuumed
-                ),
-                verified_clean=not self.copies_of(key),
-                log_values_scrubbed=(
-                    report.log_values_scrubbed + other.log_values_scrubbed
-                ),
-                shard=new,
-            )
-        return report
+        erase covers *both* owning shards and cancels the key's move.
+        A batch of one: :meth:`erase_many` is the algorithm."""
+        batch = self.erase_many([key])
+        return DistributedEraseReport(
+            key=key,
+            nodes_deleted=batch.nodes_deleted,
+            caches_invalidated=batch.caches_invalidated,
+            dead_tuples_vacuumed=batch.dead_tuples_vacuumed,
+            verified_clean=batch.verified_clean,
+            log_values_scrubbed=batch.log_values_scrubbed,
+            # The erase cancelled any move of the key, so it now routes
+            # to its ring-new owner.
+            shard=self.shard_of(key),
+        )
 
     def erase_many(self, keys: Sequence[Any]) -> BatchEraseReport:
         """Batch grounded erase: fan the victims out per shard, delete every

@@ -432,10 +432,6 @@ class RelationalEngine:
             scrubbed += self.wal.scrub_key(table, key)
         return scrubbed
 
-    def wal_holds_value(self, table: str, key: Any) -> bool:
-        """Whether the WAL still retains a recoverable row image of the key."""
-        return self.wal.holds_payload_for(table, key)
-
     def wal_copy_sites(self, table: str, key: Any) -> List[Tuple[CopyLocation, str]]:
         """The key's WAL row-image copy sites, typed: ``[]`` or one
         ``(CopyLocation.WAL, "wal/<table>")`` entry.  INSERT/UPDATE records

@@ -197,12 +197,6 @@ class StorageBackend(ABC):
     #: the crypto-shredding retrofit flips it.
     supports_sanitize: bool = False
 
-    #: Whether :meth:`copy_locations` already includes the engine's
-    #: recovery-log row images as typed ``CopyLocation.WAL`` sites.  The
-    #: distributed layer skips its probe-based WAL fallback for backends
-    #: that declare this, so the same log segment is never double-counted.
-    reports_typed_wal_sites: bool = False
-
     def __init__(self) -> None:
         #: Reclamation passes run (VACUUM / full compaction / key-shred
         #: sweeps) — the profile runners report these per Figure 4.
@@ -446,40 +440,35 @@ class StorageBackend(ABC):
         keeps one (the P_SYS erase grounding).  Returns records purged."""
         return 0
 
-    def log_holds_value(self, unit_id: Any) -> bool:
-        """Whether the engine's recovery log still retains a recoverable
-        copy of the unit's value — a tracked copy location (§1)."""
-        return False
-
     # -------------------------------------------------------------- forensics
-    def cache_sites(self, unit_id: Any) -> List[str]:
-        """Names of cache locations still holding a real copy of the
-        unit's value — engines with a (possibly shared) block cache report
-        them so a distributed ``copies_of`` can list the cache as a
-        :class:`CopyLocation` ``CACHE`` site.  Empty by default."""
-        return []
+    @abstractmethod
+    def copy_sites(self, unit_id: Any) -> List[str]:
+        """Names of the primary-storage sites still holding a recoverable
+        value for the unit, live or dead — heap tuples, memtable and
+        SSTables, unshredded sector slots.  Engines that cannot tell their
+        copies apart report one anonymous ``""`` site."""
 
     def copy_locations(self, unit_id: Any) -> List[Tuple[CopyLocation, str]]:
-        """The backend-level secondary copy sites for a unit: every cache
-        entry holding a real value and every open export batch carrying
-        its blob.  The distributed layer merges these into ``copies_of``;
-        ``erase_all_copies`` is only "verified clean" once this is empty.
+        """The unit's typed secondary copy sites: every open export batch
+        carrying its blob, plus whatever the engine adds (block-cache
+        entries, recovery-log row images).  The distributed layer merges
+        these into ``copies_of``; ``erase_all_copies`` is only "verified
+        clean" once this and :meth:`copy_sites` are both empty.
         """
-        sites: List[Tuple[CopyLocation, str]] = [
-            (CopyLocation.CACHE, site) for site in self.cache_sites(unit_id)
-        ]
-        sites.extend(
+        return [
             (CopyLocation.MIGRATION, batch.name)
             for batch in self._export_batches
             if batch.holds(unit_id)
-        )
-        return sites
+        ]
 
-    @abstractmethod
     def physically_present(self, unit_id: Any) -> bool:
         """Whether a disk inspection would still recover the unit's value
         from *any* physical location the engine controls (heap, runs,
         recovery log)."""
+        return bool(self.copy_sites(unit_id)) or any(
+            loc is CopyLocation.WAL
+            for loc, _site in self.copy_locations(unit_id)
+        )
 
     @abstractmethod
     def forensic_scan(self) -> List[Tuple[Any, bool]]:
@@ -519,10 +508,6 @@ class PsqlBackend(StorageBackend):
     """
 
     name = "psql"
-
-    #: WAL row images report as typed ``CopyLocation.WAL`` sites through
-    #: :meth:`copy_locations` (see :meth:`RelationalEngine.wal_copy_sites`).
-    reports_typed_wal_sites = True
 
     def __init__(
         self,
@@ -583,14 +568,10 @@ class PsqlBackend(StorageBackend):
     def purge_history(self, unit_id: Any) -> int:
         return self.engine.wal.purge_key(self.table, unit_id)
 
-    def log_holds_value(self, unit_id: Any) -> bool:
-        return self.engine.wal_holds_value(self.table, unit_id)
-
     def copy_locations(self, unit_id: Any) -> List[Tuple[CopyLocation, str]]:
-        """Cache and migration sites plus the engine's typed WAL row-image
-        sites: an unscrubbed INSERT/UPDATE row image reports directly as a
-        ``CopyLocation.WAL`` entry, so consumers no longer need the untyped
-        ``log_holds_value`` side channel to see the log copy."""
+        """Migration sites plus the engine's typed WAL row-image sites: an
+        unscrubbed INSERT/UPDATE row image is a ``CopyLocation.WAL`` entry
+        until the reclaim-time scrub redacts it."""
         sites = super().copy_locations(unit_id)
         sites.extend(self.engine.wal_copy_sites(self.table, unit_id))
         return sites
@@ -613,14 +594,12 @@ class PsqlBackend(StorageBackend):
         return sorted(out, key=lambda kv: repr(kv[0]))
 
     # -------------------------------------------------------------- forensics
-    def physically_present(self, unit_id: Any) -> bool:
-        if any(
-            key == unit_id for key, _live in self.engine.forensic_scan(self.table)
-        ):
-            return True
-        # The WAL keeps row images replayable until scrubbed/recycled — a
-        # disk inspection of the log segments recovers them just the same.
-        return self.engine.wal_holds_value(self.table, unit_id)
+    def copy_sites(self, unit_id: Any) -> List[str]:
+        """One anonymous heap site while any tuple version of the unit,
+        live or dead, is still on a page (a sequential scan, like the disk
+        inspection it stands for)."""
+        held = any(key == unit_id for key, _live in self.forensic_scan())
+        return [""] if held else []
 
     def forensic_scan(self) -> List[Tuple[Any, bool]]:
         return self.engine.forensic_scan(self.table)
@@ -809,11 +788,12 @@ class LsmBackend(StorageBackend):
         return count
 
     # -------------------------------------------------------------- forensics
-    def cache_sites(self, unit_id: Any) -> List[str]:
-        return [site for _loc, site in self.engine.cache_copy_sites(unit_id)]
-
-    def physically_present(self, unit_id: Any) -> bool:
-        return self.engine.physically_present(unit_id)
+    def copy_locations(self, unit_id: Any) -> List[Tuple[CopyLocation, str]]:
+        """The engine's (possibly shared) block-cache entry for the unit,
+        then the migration sites."""
+        sites = self.engine.cache_copy_sites(unit_id)
+        sites.extend(super().copy_locations(unit_id))
+        return sites
 
     def copy_sites(self, unit_id: Any) -> List[str]:
         """Every physical site still holding a real value for the unit —
@@ -1345,26 +1325,24 @@ class CryptoShredBackend(StorageBackend):
         return count
 
     # -------------------------------------------------------------- forensics
-    def physically_present(self, unit_id: Any) -> bool:
-        """Recoverable ⟺ ciphertext sectors remain *and* the key survives.
+    def copy_sites(self, unit_id: Any) -> List[str]:
+        """Recoverable ⟺ ciphertext sectors remain *and* the key survives —
+        one anonymous site while the unit's catalog entry or a graveyard
+        placement of it still qualifies.
 
         After a key shred the sectors may still sit on disk, but without
         the master key a forensic scan sees only noise — that asymmetry is
         the whole point of the crypto-shredding grounding.
         """
-        entry = self._entries.get(unit_id)
-        if (
-            entry is not None
-            and entry.sectors > 0
-            and not self._vault.is_shredded(entry.key_id)
-        ):
-            return True
-        return any(
-            uid == unit_id
+        entries = [self._entries.get(unit_id)]
+        entries.extend(e for uid, e in self._graveyard if uid == unit_id)
+        held = any(
+            e is not None
             and e.sectors > 0
             and not self._vault.is_shredded(e.key_id)
-            for uid, e in self._graveyard
+            for e in entries
         )
+        return [""] if held else []
 
     def forensic_scan(self) -> List[Tuple[Any, bool]]:
         out = [

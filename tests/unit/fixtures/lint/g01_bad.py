@@ -21,7 +21,3 @@ class LeakyNode:
     def migrate(self, items):
         # expect: G01 — migration import without a MIGRATION site
         self.backend.import_batch(items)
-
-    def lingering(self, key):
-        # expect: G01 — WAL-retention probe without a WAL site
-        return self.backend.log_holds_value(key)

@@ -23,8 +23,9 @@ class TrackedNode:
             found.append((CopyLocation.CACHE, self.name))
         if self.log_holds_entries(key):
             found.append((CopyLocation.LOG, self.name))
-        if self.backend.log_holds_value(key):
-            found.append((CopyLocation.WAL, self.name))
+        for loc, site in self.backend.copy_locations(key):
+            if loc is CopyLocation.WAL:
+                found.append((loc, f"{self.name}[{site}]"))
         if self.in_flight(key):
             found.append((CopyLocation.MIGRATION, self.name))
         return found

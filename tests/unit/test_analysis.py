@@ -150,10 +150,10 @@ class TestStoreMutationsCaught:
     or an audit emission from distributed/store.py (or the replication
     log's own module) must fail the linter."""
 
-    def _mutated_findings(self, tmp_path, drop_containing, module="store.py"):
-        source = (
-            package_root() / "distributed" / module
-        ).read_text().splitlines()
+    def _mutated_findings(
+        self, tmp_path, drop_containing, module="distributed/store.py"
+    ):
+        source = (package_root() / module).read_text().splitlines()
         mutated = []
         dropped = 0
         for line in source:
@@ -165,29 +165,33 @@ class TestStoreMutationsCaught:
             else:
                 mutated.append(line)
         assert dropped, f"nothing matched {drop_containing!r}"
-        mutant = tmp_path / module
+        mutant = tmp_path / Path(module).name
         mutant.write_text("\n".join(mutated) + "\n")
         return run_rules(mutant)
 
     @pytest.mark.parametrize(
-        "registration, rule_id",
+        "registration, module",
         [
-            ("CopyLocation.CACHE, node.name", "G01"),
-            ("CopyLocation.WAL, node.name", "G01"),
-            ("CopyLocation.LOG, self.primary.name", "G01"),
+            ("CopyLocation.CACHE, self.name", "distributed/store.py"),
+            ("CopyLocation.LOG, self.primary.name", "distributed/store.py"),
+            # The WAL site is the engine's own to report, next to the
+            # value-carrying append that creates it.
+            ("CopyLocation.WAL, self.wal.site_name", "storage/engine.py"),
         ],
     )
     def test_removing_copy_site_registration_fails(
-        self, tmp_path, registration, rule_id
+        self, tmp_path, registration, module
     ):
-        findings = self._mutated_findings(tmp_path, registration)
-        assert any(f.rule == rule_id for f in findings), (
+        findings = self._mutated_findings(tmp_path, registration, module)
+        assert any(f.rule == "G01" for f in findings), (
             f"linter blind to removal of {registration!r}"
         )
 
     def test_removing_the_log_class_site_fails(self, tmp_path):
         findings = self._mutated_findings(
-            tmp_path, "location = CopyLocation.LOG", "replication_log.py"
+            tmp_path,
+            "location = CopyLocation.LOG",
+            "distributed/replication_log.py",
         )
         assert any(f.rule == "G01" for f in findings)
         assert not run_rules(

@@ -204,6 +204,57 @@ class TestPsqlSpecific:
         assert not b.physically_present("k")
 
 
+class TestCopySiteProtocol:
+    """Every holder of a unit's value answers exactly one of the two keyed
+    questions — ``copy_sites`` (primary storage) or ``copy_locations``
+    (typed secondary sites) — exactly once."""
+
+    SECONDARY = {
+        "psql": [CopyLocation.MIGRATION, CopyLocation.WAL],
+        "lsm": [CopyLocation.CACHE, CopyLocation.MIGRATION],
+        "crypto-shred": [CopyLocation.MIGRATION],
+    }
+
+    @staticmethod
+    def _loaded(name):
+        # lsm: a small memtable, so the values sit in SSTables.
+        opts = {"memtable_capacity": 4} if name == "lsm" else {}
+        b = make_backend(name, make_cost(), **opts)
+        b.insert_many((f"k{i}", ("payload", i)) for i in range(8))
+        return b
+
+    @pytest.mark.parametrize("name", sorted(BACKENDS))
+    def test_each_holder_reports_once_and_one_erase_clears_all(self, name):
+        b = self._loaded(name)
+        b.read("k3")  # lsm: the SSTable read plants a block-cache entry
+        with b.open_export(lambda k: k == "k3", name="out") as batch:
+            assert len(b.copy_sites("k3")) == 1
+            secondary = b.copy_locations("k3")
+            assert [loc for loc, _site in secondary] == self.SECONDARY[name]
+            assert (CopyLocation.MIGRATION, "out") in secondary
+            assert b.physically_present("k3")
+            b.erase("k3")
+            assert b.copy_sites("k3") == []
+            assert b.copy_locations("k3") == []
+            assert not b.physically_present("k3")
+            assert not batch.holds("k3")
+        assert len(b.copy_sites("k0")) == 1  # the neighbours are untouched
+
+    @pytest.mark.parametrize("name", sorted(BACKENDS))
+    def test_physical_presence_is_primary_storage_or_wal(self, name):
+        """A dead-but-unreclaimed copy is present; a copy riding only a
+        cache or an export batch is the tracker's business, not the
+        disk's."""
+        b = self._loaded(name)
+        with b.open_export(lambda k: k == "k3", name="out"):
+            b.delete("k3")
+            assert b.copy_sites("k3") and b.physically_present("k3")
+            b.reclaim()  # no scrub_exports: the batch keeps its blob
+            assert b.copy_sites("k3") == []
+            assert b.copy_locations("k3") == [(CopyLocation.MIGRATION, "out")]
+            assert not b.physically_present("k3")
+
+
 class TestLsmSpecific:
     def test_restore_unflagged_raises(self):
         b = LsmBackend(make_cost())
@@ -506,10 +557,12 @@ class TestWalCopyTracking:
     pass scrubs them.
     """
 
+    WAL_SITE = (CopyLocation.WAL, "wal/data_units")
+
     def test_insert_payload_lands_in_wal(self):
         b = PsqlBackend(make_cost())
         b.insert("k", "secret")
-        assert b.log_holds_value("k")
+        assert self.WAL_SITE in b.copy_locations("k")
         assert b.physically_present("k")
 
     def test_delete_alone_leaves_wal_copy(self):
@@ -518,14 +571,14 @@ class TestWalCopyTracking:
         b = PsqlBackend(make_cost())
         b.insert("k", "secret")
         b.delete("k")
-        assert b.log_holds_value("k")
+        assert self.WAL_SITE in b.copy_locations("k")
         assert b.physically_present("k")
 
     def test_grounded_erase_scrubs_wal(self):
         b = PsqlBackend(make_cost())
         b.insert("k", "secret")
         b.erase("k")  # delete + reclaim
-        assert not b.log_holds_value("k")
+        assert self.WAL_SITE not in b.copy_locations("k")
         assert not b.physically_present("k")
 
     def test_wal_only_copy_counts_as_physical_presence(self):
@@ -540,7 +593,7 @@ class TestWalCopyTracking:
         b.engine._wal_scrub_pending.clear()
         b.engine.vacuum(b.table)
         assert not any(key == "k" for key, _l in b.forensic_scan())
-        assert b.log_holds_value("k")
+        assert self.WAL_SITE in b.copy_locations("k")
         assert b.physically_present("k")  # the tracker refuses to lie
         b.engine.wal.checkpoint()  # segment recycling drops the image
         assert not b.physically_present("k")
@@ -550,7 +603,7 @@ class TestWalCopyTracking:
         b.insert("k", "secret")
         b.delete("k")
         b.reclaim_full()
-        assert not b.log_holds_value("k")
+        assert self.WAL_SITE not in b.copy_locations("k")
 
     def test_update_images_scrubbed_with_delete(self):
         b = PsqlBackend(make_cost())
@@ -558,7 +611,7 @@ class TestWalCopyTracking:
         b.update("k", "v2")
         b.delete("k")
         b.reclaim()
-        assert not b.log_holds_value("k")
+        assert self.WAL_SITE not in b.copy_locations("k")
 
     def test_reinsert_cancels_pending_scrub(self):
         """Regression: delete + re-insert + vacuum must NOT redact the
@@ -570,7 +623,7 @@ class TestWalCopyTracking:
         b.insert("k", "v2")
         b.reclaim()
         assert b.read("k") == "v2"
-        assert b.log_holds_value("k")  # the live row's image survives
+        assert self.WAL_SITE in b.copy_locations("k")  # the live row's image survives
         assert b.physically_present("k")
 
 

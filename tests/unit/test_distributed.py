@@ -115,7 +115,7 @@ class TestCaching:
     def test_read_after_grounded_erase_does_not_replant_cache(self, backend):
         """Regression: a negative read must never cache — a miss after a
         grounded erase would otherwise replant a CACHE entry that
-        copies_of/lingering_copies report as a copy of the erased key."""
+        copies_of reports as a copy of the erased key."""
         store, clock = make_store(backend=backend)
         store.put("pii", "sensitive")
         advance(clock, 60_000)
@@ -140,7 +140,7 @@ class TestNaiveDeleteHazard:
     def test_replicas_and_caches_linger_after_primary_delete(self, backend):
         store, _clock = self._seed(backend)
         store.naive_delete("pii")
-        lingering = store.lingering_copies("pii")
+        lingering = store.copies_of("pii")
         locations = {loc for loc, _name in lingering}
         # replica live copies + cache entries survive on every backend;
         # psql additionally retains the primary's dead tuple.
@@ -191,10 +191,10 @@ class TestGroundedDistributedErase:
         advance(clock, 60_000)
         store.read("pii", replica=0)
         store.naive_delete("pii")
-        assert store.lingering_copies("pii")
+        assert store.copies_of("pii")
         report = store.erase_all_copies("pii")
         assert report.verified_clean
-        assert store.lingering_copies("pii") == []
+        assert store.copies_of("pii") == []
 
     def test_erase_unknown_key_is_clean_noop(self, backend):
         store, _ = make_store(backend=backend)
@@ -218,7 +218,7 @@ class TestReplicationLogRetention:
         store, _ = make_store(backend=backend)
         store.put("pii", "sensitive")
         store.naive_delete("pii")
-        locations = {loc for loc, _name in store.lingering_copies("pii")}
+        locations = {loc for loc, _name in store.copies_of("pii")}
         assert CopyLocation.LOG in locations
 
     def test_erase_all_copies_scrubs_log(self, backend):
@@ -327,7 +327,7 @@ class TestWalCopyLocation:
         store, _ = make_store()
         store.put("pii", "sensitive")
         store.naive_delete("pii")
-        locations = {loc for loc, _name in store.lingering_copies("pii")}
+        locations = {loc for loc, _name in store.copies_of("pii")}
         assert CopyLocation.WAL in locations
 
     def test_erase_all_copies_scrubs_node_wals(self):
@@ -431,7 +431,59 @@ class TestBatchErase:
         report = store.erase_many(victims)
         assert report.log_values_scrubbed >= len(victims)
         for key in victims:
-            assert not store.lingering_copies(key)
+            assert not store.copies_of(key)
+
+
+class TestEraseReportParity:
+    """``erase_all_copies(k)`` is ``erase_many([k])``: one code path, one
+    set of report semantics.  Before the merge the single-key path left
+    replica deletes (log replay) out of ``nodes_deleted`` and the batch
+    path counted caches after the barrier had already evicted some."""
+
+    FIELDS = (
+        "nodes_deleted",
+        "caches_invalidated",
+        "dead_tuples_vacuumed",
+        "log_values_scrubbed",
+        "verified_clean",
+    )
+
+    def _warm(self, backend, replicas):
+        store, clock = make_store(backend=backend, n_replicas=replicas)
+        store.put("pii", "v1")
+        store.update("pii", "v2")
+        store.put("other", "keep")
+        advance(clock, 60_000)
+        store.read("pii")
+        for replica in range(replicas):
+            store.read("pii", replica=replica)
+        return store
+
+    @pytest.mark.parametrize("replicas", [0, 2])
+    @pytest.mark.parametrize("naive_first", [False, True])
+    def test_single_and_batch_of_one_report_the_same(
+        self, backend, replicas, naive_first
+    ):
+        single, batch = self._warm(backend, replicas), self._warm(backend, replicas)
+        if naive_first:
+            # The DELETE is logged but not yet applicable: replicas lag,
+            # and every cache still holds the value.
+            single.naive_delete("pii")
+            batch.naive_delete("pii")
+        one = single.erase_all_copies("pii")
+        many = batch.erase_many(["pii"])
+        for field in self.FIELDS:
+            assert getattr(one, field) == getattr(many, field), field
+        # Counted before the erase barrier's DELETE replay evicts them.
+        assert one.caches_invalidated == 1 + replicas
+        # After a naive delete the barrier's replay is what removes the
+        # replicas' rows, so no node is left for the erase to delete.
+        assert one.nodes_deleted == (0 if naive_first else 1 + replicas)
+        assert one.log_values_scrubbed == 2
+        assert one.verified_clean
+        for store in (single, batch):
+            assert store.copies_of("pii") == []
+            assert store.read("other") == "keep"
 
 
 class TestBackendParametrization:
@@ -444,7 +496,7 @@ class TestBackendParametrization:
         advance(clock, 60_000)
         store.read("pii", replica=0)
         store.naive_delete("pii")
-        assert store.lingering_copies("pii")  # every engine retains copies
+        assert store.copies_of("pii")  # every engine retains copies
         report = store.erase_all_copies("pii")
         assert report.verified_clean, backend
         assert store.copies_of("pii") == []

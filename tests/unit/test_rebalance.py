@@ -121,7 +121,7 @@ class TestResize:
         owner_before = {key: store.shard_of(key) for key in victims}
         for key in victims:
             store.naive_delete(key)
-            assert store.lingering_copies(key)  # the §1 hazard is armed
+            assert store.copies_of(key)  # the §1 hazard is armed
         report = store.resize(3)
         assert report.verified_clean
         assert report.keys_grounded_residue > 0
@@ -138,7 +138,7 @@ class TestResize:
         for key in set(victims) - set(relocated):
             # Owner unchanged: the residues stay where routing still finds
             # them — the ordinary naive-delete hazard, erasable later.
-            assert store.lingering_copies(key)
+            assert store.copies_of(key)
             assert store.erase_all_copies(key).verified_clean
 
     def test_key_dying_between_plan_and_batch_is_grounded(self, backend):
@@ -250,6 +250,26 @@ class TestMigrationCopyTracking:
             (loc, name) for loc, name in store.copies_of(victim)
         )
         assert sites[CopyLocation.MIGRATION] == f"shard-{src}→shard-{dst}"
+
+    def test_holds_any_sees_backend_secondary_sites(self, backend):
+        """Regression: the per-batch "grounded clean" check kept its own
+        site enumeration and never asked ``copy_locations``, so a value
+        surviving only in an open export batch passed it while
+        ``copies_of`` still reported the copy."""
+        store, _clock = make_store(backend=backend, n_replicas=0)
+        store.put("pii", "sensitive")
+        shard = store._shards[0]
+        with shard.open_export_encoded(lambda k: True, name="out"):
+            # Ground the heap, WAL and replication-log copies by hand and
+            # skip scrub_exports: only the batch still carries the value.
+            shard.primary.backend.delete("pii")
+            shard.primary.backend.reclaim()
+            shard._log.scrub("pii")
+            assert store.copies_of("pii") == [
+                (CopyLocation.MIGRATION, "primary[out]")
+            ]
+            assert shard.holds_any(["pii", "ghost"]) == ["pii"]
+        assert shard.holds_any(["pii"]) == []
 
 
 class TestEraseMidRebalance:
