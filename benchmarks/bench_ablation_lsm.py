@@ -6,13 +6,22 @@ varies the size-tiered threshold (laziness) and measures (a) simulated
 completion time and (b) how long deleted personal data stayed on disk —
 the compliance hazard a "deletion means physical removal" grounding must
 bound.
+
+The second test is the Figure-4(c)-style row for the two physical LSM
+groundings: "delete" (tombstone + victim compaction — rewrite the runs
+holding the victim) against "strong delete" (tombstone cascade + full
+compaction — rewrite every run), simulated time per erase over growing
+record counts.  Both leave no copy site; they differ in what they pay for.
 """
+
+import random
 
 from conftest import emit, once, scaled
 
 from repro.lsm.engine import LSMEngine
 from repro.sim.clock import SimClock
 from repro.sim.costs import CostBook, CostModel
+from repro.systems.backends import LsmBackend
 from repro.workloads.base import OpKind
 from repro.workloads.gdprbench import erasure_study_workload
 
@@ -84,3 +93,77 @@ def test_lsm_compaction_vs_retention(once):
         row["unpurged"] > 0 or row["mean_retention_s"] > 0
         for row in results.values()
     )
+
+
+GROUNDINGS = ("delete", "strong delete")
+
+
+def _erase_cost(grounding: str, record_count: int, n_erases: int):
+    clock = SimClock()
+    backend = LsmBackend(
+        CostModel(clock, CostBook()),
+        memtable_capacity=256,  # caps a leveled table, whatever the scale
+        compaction="leveled",
+    )
+    for key in range(record_count):
+        backend.insert(key, (key, "payload"))
+    rng = random.Random(11)
+    for key in rng.sample(range(record_count), record_count // 4):
+        backend.update(key, (key, "updated"))  # shadowed versions to find
+    engine = backend.engine
+    rewrites_before = engine.compaction_count
+    residue = 0
+    t0 = clock.now
+    for key in rng.sample(range(record_count), n_erases):
+        backend.erase_many([key], strong=grounding == "strong delete")
+        residue += len(backend.copy_sites(key)) + len(backend.copy_locations(key))
+        residue += int(backend.physically_present(key))
+    return {
+        "erase_us": (clock.now - t0) / n_erases,
+        "residue": residue,
+        "tables": engine.run_count,
+        "rewrites_per_erase": (engine.compaction_count - rewrites_before) / n_erases,
+    }
+
+
+def test_lsm_delete_vs_strong_delete(once):
+    record_counts = tuple(
+        scaled(n, minimum=2_000) for n in (20_000, 40_000, 60_000, 80_000, 100_000)
+    )
+    n_erases = 10
+
+    def sweep():
+        return {
+            n: {g: _erase_cost(g, n, n_erases) for g in GROUNDINGS}
+            for n in record_counts
+        }
+
+    results = once(sweep)
+    lines = [
+        "LSM erase groundings vs record count (simulated us per erase)",
+        f"{'records':>8} | {'delete (victim)':>16} | {'strong (full)':>14} | "
+        f"{'ratio':>6} | {'tables':>6} | {'rewritten/erase':>15}",
+    ]
+    for n, row in results.items():
+        victim, full = row["delete"], row["strong delete"]
+        lines.append(
+            f"{n:>8} | {victim['erase_us']:>16.0f} | {full['erase_us']:>14.0f} | "
+            f"{full['erase_us'] / victim['erase_us']:>6.1f} | "
+            f"{victim['tables']:>6} | {victim['rewrites_per_erase']:>15.2f}"
+        )
+    emit("ablation_lsm_groundings", "\n".join(lines))
+
+    for n, row in results.items():
+        # Both groundings verify clean; the cheaper one pays for the
+        # victim's runs only.
+        assert row["delete"]["residue"] == row["strong delete"]["residue"] == 0
+        assert row["delete"]["erase_us"] < row["strong delete"]["erase_us"], n
+        assert row["delete"]["rewrites_per_erase"] < row["delete"]["tables"], n
+    sizes = sorted(results)
+    if sizes[-1] > sizes[0]:
+        def growth(g):
+            return results[sizes[-1]][g]["erase_us"] - results[sizes[0]][g]["erase_us"]
+
+        # Full compaction scales with the shard; victim compaction with
+        # the (capped) tables the victim sits in.
+        assert growth("strong delete") > growth("delete")

@@ -11,7 +11,7 @@ then batch-erase half of them.  Reported per (backend, interpretation):
   (the §1 retention hazard — by design N/2 for the reversible grounding,
   0 for the physical ones);
 * the physical-retention window: simulated time between a unit's logical
-  delete and the batch's reclamation pass (VACUUM / full compaction /
+  delete and the batch's reclamation pass (VACUUM / victim compaction /
   key shred).
 
 The crypto-shred backend additionally runs the **permanently delete** row —
@@ -1070,6 +1070,14 @@ def run_mid_slice_erase(
         backend.erase(victim)
         copies_left += len(backend.copy_locations(victim))
         present += int(backend.physically_present(victim))
+    # An lsm erase rewrites the victim's runs and leaves the backlog queued:
+    # the slices that drain it afterwards must not bring a victim back.
+    while backend.maintain(max_bytes=slice_budget_bytes):
+        pass
+    for victim in victims:
+        copies_left += len(backend.copy_sites(victim))
+        copies_left += len(backend.copy_locations(victim))
+        present += int(backend.physically_present(victim))
     return MidSliceEraseResult(
         backend=backend_name,
         erases=len(victims),
@@ -1343,7 +1351,7 @@ def run_compaction_policy(
     The write phase is where the policies differ: size-tiered re-merges the
     accumulated big run over and over, leveled rewrites a bounded slice of
     the tree per merge.  The erase phase is where they must NOT differ:
-    tombstone + full compaction leaves zero physical copies either way.
+    tombstone + victim compaction leaves zero physical copies either way.
     """
     cost = CostModel(SimClock(), CostBook())
     backend = LsmBackend(
@@ -1356,8 +1364,8 @@ def run_compaction_policy(
         backend.update(f"u{i:07d}", (i, "rewritten"))
     t1 = cost.clock.now
     engine = backend.engine
-    # Snapshot the write-phase counters before the erase's full compaction
-    # adds its (policy-independent) everything-rewrite to both columns.
+    # Snapshot the write-phase counters before the erase's victim
+    # compaction adds its rewrites to both columns.
     flushes = engine.flush_count
     compactions = engine.compaction_count
     levels = engine.level_count

@@ -835,8 +835,15 @@ def check_invariants(results: Sequence[ShardingRunResult]) -> None:
         assert r.batch_reclamations == r.shards_touched * (N_REPLICAS + 1), r
         assert r.batch_reclamations <= r.per_key_reclamations, r
         if r.batch_reclamations < r.per_key_reclamations:
-            # Strictly fewer passes must mean strictly less work.
-            assert r.batch_seconds < r.per_key_seconds, r
+            # Fewer passes never mean more work, and strictly less wherever
+            # a pass has a fixed cost (VACUUM's trigger overhead, the shred
+            # sweep's key-table write).  An lsm victim compaction pays per
+            # victim entry only: with every victim still in the memtable
+            # the batch and the per-key loop tie.
+            if r.backend == "lsm":
+                assert r.batch_seconds <= r.per_key_seconds, r
+            else:
+                assert r.batch_seconds < r.per_key_seconds, r
     by_backend: dict = {}
     for r in results:
         by_backend.setdefault(r.backend, []).append(r)

@@ -54,7 +54,7 @@ def _erasure_scenario(
     ``backend`` selects the grounding substrate: "psql" reproduces the
     paper's Table-1 column verbatim; "lsm" executes the same
     interpretations through their LSM system-actions (flag write,
-    tombstone + full compaction) and must exhibit the identical property
+    tombstone + victim compaction) and must exhibit the identical property
     profile — the point of grounding portability; "crypto-shred" is the
     retrofit whose key-shredding system-actions make even "permanently
     delete" executable, filling the paper's "Not supported" cell.

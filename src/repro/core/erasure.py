@@ -38,15 +38,15 @@ paper's Figure 2 promises (asserted by
 Erasure                 LSM system-action(s)
 ====================== ============================================
 reversibly inaccessible flag write (overwrite with flagged value)
-delete                  tombstone + full compaction
+delete                  tombstone + victim compaction
 strong delete           tombstone cascade + full compaction
 permanently delete      Not supported
 ====================== ============================================
 
 The tombstone alone is *not* a grounding of "delete": it leaves shadowed
 values physically recoverable in older runs (the §1 retention hazard the
-LSM engine's retention records quantify); only the paired full compaction
-makes the value unrecoverable.
+LSM engine's retention records quantify); only the paired compaction (of the
+victim's runs, or of every run — VACUUM / VACUUM FULL) makes it unrecoverable.
 
 "Not supported" is a statement about the *engine*, not the interpretation:
 the paper's §1 remedy is retrofitting.  The crypto-shredding backend
@@ -204,7 +204,7 @@ BACKEND_SYSTEM_ACTIONS: Dict[str, Dict[ErasureInterpretation, Tuple[Tuple[str, .
     },
     "lsm": {
         ErasureInterpretation.REVERSIBLY_INACCESSIBLE: (("flag write",), True),
-        ErasureInterpretation.DELETED: (("tombstone", "full compaction"), True),
+        ErasureInterpretation.DELETED: (("tombstone", "victim compaction"), True),
         ErasureInterpretation.STRONGLY_DELETED: (
             ("tombstone cascade", "full compaction"),
             True,

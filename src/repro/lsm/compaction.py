@@ -104,9 +104,9 @@ class CompactionTask:
 class CompactionEvent:
     """What one executed merge did — the auditable record.
 
-    ``dropped_keys`` are the keys whose tombstones were garbage-collected:
-    the instant their "delete" grounding physically completed.  The system
-    layer turns each into a grounded system-action in the audit timeline.
+    ``dropped_keys`` are the keys whose tombstones were garbage-collected (a
+    victim compaction: whose entries this site gave up) — the instant their
+    "delete" grounding completed here; each becomes an audit-timeline action.
     """
 
     policy: str
@@ -310,7 +310,7 @@ class CompactionScheduler:
     ``"deferred"`` only marks work pending — the owner invokes
     :meth:`drain` between operations, optionally with a ``max_bytes``
     budget (see the module docstring's throttling model).  Grounded erases
-    (full compaction) always run synchronously regardless of mode: the
+    (victim / full compaction) always run synchronously regardless of mode: the
     erase verb *is* the reclamation."""
 
     MODES = ("sync", "deferred")

@@ -60,6 +60,7 @@ from typing import (
     Iterator,
     List,
     Optional,
+    Set,
     Tuple,
     Union,
 )
@@ -118,8 +119,6 @@ class LSMEngine:
         self._cost = cost
         self._payload_bytes = payload_bytes
         self._memtable = Memtable(memtable_capacity)
-        self._memtable_capacity = memtable_capacity
-        self._tier_threshold = tier_threshold
         self.compaction_policy = make_compaction_policy(
             compaction,
             tier_threshold=tier_threshold,
@@ -131,6 +130,9 @@ class LSMEngine:
         self._levels: List[List[SSTable]] = [[]]
         self._seqno = 0
         self._retention: Dict[Any, RetentionRecord] = {}
+        # Deleted keys no reclamation has reached yet: the records still to
+        # watch for purging, and :meth:`victim_compaction`'s victim set.
+        self._unreclaimed: Set[Any] = set()
         self.flush_count = 0
         self.compaction_count = 0
         # Write-amplification accounting: logical bytes/entries frozen out
@@ -176,6 +178,7 @@ class LSMEngine:
         self._block_cache.invalidate(self._cache_token, key)
         # A re-insert after deletion ends that key's retention question.
         self._retention.pop(key, None)
+        self._unreclaimed.discard(key)
         if self._memtable.is_full:
             self.flush()
 
@@ -187,6 +190,7 @@ class LSMEngine:
         self._memtable.put_encoded(key, blob, self._seqno)
         self._block_cache.invalidate(self._cache_token, key)
         self._retention.pop(key, None)
+        self._unreclaimed.discard(key)
         if self._memtable.is_full:
             self.flush()
 
@@ -202,6 +206,7 @@ class LSMEngine:
         self._memtable.put_encoded(key, TOMBSTONE_BLOB, self._seqno)
         self._block_cache.invalidate(self._cache_token, key)
         self._retention[key] = RetentionRecord(key, self._now())
+        self._unreclaimed.add(key)
         if self._memtable.is_full:
             self.flush()
 
@@ -372,18 +377,8 @@ class LSMEngine:
             self.compaction_count += 1
             self.trivial_moves += 1
             self._emit_compaction(
-                CompactionEvent(
-                    policy=self.compaction_policy.name,
-                    reason=f"{task.reason} [trivial move]",
-                    target_level=task.target_level,
-                    input_tables=1,
-                    input_entries=len(table),
-                    output_entries=len(table),
-                    output_bytes=table.size_bytes,
-                    tombstones_dropped=0,
-                    dropped_keys=(),
-                    timestamp=self._now(),
-                )
+                f"{task.reason} [trivial move]", task.target_level,
+                1, len(table), len(table), table.size_bytes,
             )
             return victims
         # The merge moves raw encoded blobs between runs — values are
@@ -419,23 +414,31 @@ class LSMEngine:
         self.entries_compacted += len(merged)
         self.bytes_compacted += sum(t.size_bytes for t in outs)
         self._update_retention()
+        self._emit_compaction(
+            task.reason, task.target_level, len(victims), total, len(merged),
+            sum(t.size_bytes for t in outs), dropped_keys=dropped_keys,
+            tombstones_dropped=len(dropped_keys),
+        )
+        return outs
+
+    def _emit_compaction(
+        self, reason: str, target_level: int, input_tables: int,
+        input_entries: int, output_entries: int, output_bytes: int,
+        dropped_keys: Iterable[Any] = (), tombstones_dropped: int = 0,
+    ) -> None:
+        """Record one rewrite and fan it out to the audit subscribers."""
         event = CompactionEvent(
             policy=self.compaction_policy.name,
-            reason=task.reason,
-            target_level=task.target_level,
-            input_tables=len(victims),
-            input_entries=total,
-            output_entries=len(merged),
-            output_bytes=sum(t.size_bytes for t in outs),
-            tombstones_dropped=len(dropped_keys),
+            reason=reason,
+            target_level=target_level,
+            input_tables=input_tables,
+            input_entries=input_entries,
+            output_entries=output_entries,
+            output_bytes=output_bytes,
+            tombstones_dropped=tombstones_dropped,
             dropped_keys=tuple(dropped_keys),
             timestamp=self._now(),
         )
-        self._emit_compaction(event)
-        return outs
-
-    def _emit_compaction(self, event: CompactionEvent) -> None:
-        """Record the merge and fan it out to the audit subscribers."""
         self.compaction_events.append(event)
         for listener in self._compaction_listeners:
             listener(event)
@@ -481,7 +484,7 @@ class LSMEngine:
 
     def full_compaction(self) -> int:
         """Merge every run and drop all tombstones — the LSM grounding of
-        *physical* deletion (paired with a flush so the memtable empties).
+        "strong delete" (paired with a flush so the memtable empties).
 
         Always synchronous, whatever the scheduler mode: the grounded erase
         verb *is* the reclamation, and deferring it would leave the §1
@@ -510,7 +513,54 @@ class LSMEngine:
         # clear any stale deferred request so no queued plan re-runs later.
         self.scheduler.pending = False
         self.scheduler.deferred_requests = 0
+        self._unreclaimed.clear()
         return held - sum(len(run) for run in self.runs())
+
+    def victim_compaction(self) -> int:
+        """The LSM grounding of "delete": drop every entry — value *or*
+        tombstone — of every deleted key no reclamation has reached yet, out
+        of the memtable and out of exactly the tables holding one, rewritten
+        in place (:meth:`SSTable.without_keys`).  Other tables keep their
+        ``table_id``; other keys' shadowed versions wait for the policy.  A
+        victim's tombstone may go because every older version goes with it.
+        Synchronous; one event per site that held a victim; returns entries removed."""
+        victims = sorted(self._unreclaimed)
+        buffered = {
+            key: blob
+            for key in victims
+            if (blob := self._memtable.drop(key)) is not None
+        }
+        if buffered:
+            for _key in buffered:
+                self._cost.charge_memtable_op()
+            left = len(self._memtable)
+            tombstones = sum(blob == TOMBSTONE_BLOB for blob in buffered.values())
+            self._emit_compaction(
+                "victim compaction (memtable)", 0, 0, left + len(buffered), left, 0,
+                dropped_keys=buffered, tombstones_dropped=tombstones,
+            )
+        removed = len(buffered)
+        for level_no, level in enumerate(self._levels):
+            for pos, table in enumerate(level):
+                out, keys, tombstones = table.without_keys(victims)
+                if not keys:
+                    continue
+                self._cost.charge_compaction(len(table))
+                level[pos] = out
+                removed += len(keys)
+                written = out.size_bytes if len(out) else 0
+                self.compaction_count += 1
+                self.entries_compacted += len(out)
+                self.bytes_compacted += written
+                self._emit_compaction(
+                    f"victim compaction (sst-{table.table_id})", level_no, 1,
+                    len(table), len(out), written,
+                    dropped_keys=keys, tombstones_dropped=tombstones,
+                )
+            level[:] = [table for table in level if len(table)]
+        self._update_retention()
+        self._unreclaimed.clear()
+        return removed
 
     # -------------------------------------------------------------- forensics
     def physically_present(self, key: Any) -> bool:
@@ -549,8 +599,9 @@ class LSMEngine:
 
     def _update_retention(self) -> None:
         now = self._now()
-        for record in self._retention.values():
-            if record.purged_at is None and not self.physically_present(record.key):
+        for key in self._unreclaimed:
+            record = self._retention[key]
+            if record.purged_at is None and not self.physically_present(key):
                 record.purged_at = now
 
     def retention_records(self) -> List[RetentionRecord]:

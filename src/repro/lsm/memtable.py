@@ -62,6 +62,13 @@ class Memtable:
         self._data[key] = (seqno, blob)
         self._encoded_bytes += len(blob)
 
+    def drop(self, key: Any) -> Optional[bytes]:
+        """Forget ``key``'s entry; returns the blob it held, if any."""
+        _seqno, blob = self._data.pop(key, (0, None))
+        if blob is not None:
+            self._encoded_bytes -= len(blob)
+        return blob
+
     def get(self, key: Any) -> Optional[Tuple[int, Any]]:
         """``(seqno, value)`` — value may be TOMBSTONE; None if absent."""
         found = self._data.get(key)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from struct import Struct
-from typing import Any, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro import codec
 from repro.lsm.bloom import BloomFilter, BloomHashCache, HashPair
@@ -107,6 +107,48 @@ class SSTable:
         self._view = memoryview(self._block)
         self._offsets = offsets
         self._bloom = BloomFilter.from_keys(keys, cache=hash_cache)
+
+    def without_keys(
+        self, keys: Iterable[Any]
+    ) -> Tuple["SSTable", List[Any], int]:
+        """``(run, keys dropped, tombstones among them)``: this run minus
+        every entry for ``keys`` — ``self`` when it holds none.  The packed
+        block and the offsets are spliced around the dropped entries (no
+        per-entry repack) and the Bloom filter is carried forward: a filter
+        over a superset of the keys has no false negatives."""
+        old, n = self._offsets, len(self._keys)
+        drop = sorted(
+            i
+            for i, key in ((bisect_left(self._keys, key), key) for key in keys)
+            if i < n and self._keys[i] == key
+        )
+        if not drop:
+            return self, [], 0
+        table = SSTable.__new__(SSTable)
+        table.table_id = SSTable._next_id
+        SSTable._next_id += 1
+        table.created_at = self.created_at
+        table._keys = self._keys[:]
+        table._seqnos = self._seqnos[:]
+        for i in reversed(drop):
+            del table._keys[i], table._seqnos[i]
+        parts = [_U32.pack(n - len(drop))]
+        offsets = old[: drop[0]]
+        kept_from = 4  # first block byte not yet copied
+        shift = 0  # bytes cut so far
+        for i, upto in zip(drop, drop[1:] + [n]):
+            start, end = old[i]
+            parts.append(self._view[kept_from : start - 4])
+            kept_from = end
+            shift += end - start + 4
+            offsets.extend([(s - shift, e - shift) for s, e in old[i + 1 : upto]])
+        parts.append(self._view[kept_from:])
+        table._block = b"".join(parts)
+        table._view = memoryview(table._block)
+        table._offsets = offsets
+        table._bloom = self._bloom
+        dropped = [self._keys[i] for i in drop]
+        return table, dropped, sum(1 for i in drop if self._is_tombstone(i))
 
     # ------------------------------------------------------------------ blobs
     def blob_at(self, i: int) -> bytes:

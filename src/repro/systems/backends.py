@@ -3,7 +3,7 @@
 The paper's grounding schema (Figure 2) maps a chosen interpretation of a
 concept to *engine-specific* system-actions: "reversibly inaccessible" is a
 flag-column write in PSQL but a flagged-value overwrite in an LSM store;
-"delete" is DELETE+VACUUM in PSQL but tombstone + full compaction in an LSM
+"delete" is DELETE+VACUUM in PSQL but tombstone + victim compaction in an LSM
 store.  :class:`StorageBackend` is the seam where those mappings plug into
 the system layer: :class:`~repro.systems.database.CompliantDatabase`, the
 §4.2 :class:`~repro.systems.profiles.ComplianceProfile` runners, and the
@@ -20,7 +20,7 @@ Three backends ground the evaluation:
   DELETE+VACUUM, DELETE+VACUUM FULL; "permanently delete" unsupported);
 * :class:`LsmBackend` — wraps :class:`~repro.lsm.engine.LSMEngine`, grounding
   "reversibly inaccessible" as a flag write (overwrite with a flagged value),
-  "delete" as tombstone + full compaction, and "strong delete" as a tombstone
+  "delete" as tombstone + victim compaction, and "strong delete" as a tombstone
   cascade + full compaction ("permanently delete" unsupported);
 * :class:`CryptoShredBackend` — vault-keyed packed sector groups
   (:mod:`repro.crypto.vault` + :mod:`repro.crypto.sectors`): every value
@@ -48,7 +48,7 @@ permanently delete       ×   ×    ×    Not supported
 Erasure (lsm)            system-action(s)
 ======================= ==============================================
 reversibly inaccessible  flag write (overwrite with flagged value)
-delete                   tombstone + full compaction
+delete                   tombstone + victim compaction
 strong delete            tombstone cascade + full compaction
 permanently delete       Not supported
 ======================= ==============================================
@@ -198,7 +198,7 @@ class StorageBackend(ABC):
     supports_sanitize: bool = False
 
     def __init__(self) -> None:
-        #: Reclamation passes run (VACUUM / full compaction / key-shred
+        #: Reclamation passes run (VACUUM / victim compaction / key-shred
         #: sweeps) — the profile runners report these per Figure 4.
         self.reclaim_count = 0
         self.reclaim_full_count = 0
@@ -261,7 +261,7 @@ class StorageBackend(ABC):
 
     @abstractmethod
     def _reclaim(self) -> int:
-        """Engine-specific reclamation (VACUUM / full compaction / shred
+        """Engine-specific reclamation (VACUUM / victim compaction / shred
         sweep) — wrapped by :meth:`reclaim`, which counts the passes.
         Returns the dead entries the pass made unrecoverable."""
 
@@ -637,11 +637,11 @@ class LsmBackend(StorageBackend):
     * "reversibly inaccessible" ↦ *flag write*: overwrite the key with a
       :class:`FlaggedPayload`-wrapped value — invertible, and the value stays
       physically present (same Inv/II profile as PSQL's flag column);
-    * "delete" ↦ *tombstone + full compaction*: the tombstone alone leaves
+    * "delete" ↦ *tombstone + victim compaction*: the tombstone alone leaves
       shadowed values in older runs (the §1 retention hazard); the paired
-      full compaction drops them and the tombstone;
+      compaction rewrites the runs holding a deleted key, without its entries;
     * "strong delete" ↦ *tombstone cascade + full compaction*: tombstone the
-      unit and its identifying descendants, then compact once.
+      unit and its identifying descendants, then rewrite every run once.
 
     Keys are upserted (LSM put semantics); the facade's model layer enforces
     unit-id uniqueness.
@@ -650,7 +650,7 @@ class LsmBackend(StorageBackend):
     the size-tiered default — or "leveled", or a policy instance);
     ``compaction_mode`` selects the scheduler ("sync" runs merges inside
     the flush, "deferred" queues them for :meth:`maintain`).  Either way
-    the grounded erase (``reclaim`` = full compaction) stays synchronous.
+    the grounded erase (``reclaim`` / ``reclaim_full``) stays synchronous.
 
     ``block_cache`` injects a :class:`SharedBlockCache` so several
     namespaces (a :class:`BackendGroup`) or co-located shards pool one
@@ -744,7 +744,7 @@ class LsmBackend(StorageBackend):
         self.engine.delete(unit_id)
 
     def _reclaim(self) -> int:
-        return self.engine.full_compaction()
+        return self.engine.victim_compaction()
 
     def _reclaim_full(self) -> None:
         self.engine.full_compaction()

@@ -16,7 +16,7 @@ grounding registered for that backend's engine in the
 inaccessible" flips the retrofit flag column, "delete" runs DELETE+VACUUM,
 "strong delete" runs DELETE+VACUUM FULL and cascades over the provenance
 graph.  With ``backend="lsm"`` the same interpretations ground as a flag
-write, tombstone + full compaction, and tombstone cascade + full compaction.
+write, tombstone + victim compaction, and tombstone cascade + full compaction.
 On both native engines "permanently delete" raises — neither has a
 system-action for drive sanitization.  ``backend="crypto-shred"`` is the
 retrofit the paper's §1 calls for: per-unit key volumes make "permanently
@@ -440,7 +440,7 @@ class CompliantDatabase:
 
         Physical interpretations batch their reclamation: every victim is
         logically deleted first, then the backend reclaims once (one VACUUM
-        / full compaction for the whole batch) — how a real deployment
+        / compaction pass for the whole batch) — how a real deployment
         grounds high-volume Art. 17 streams without per-request rewrites.
         """
         interpretation = interpretation or self.default_erasure
@@ -718,7 +718,7 @@ class CompliantDatabase:
         """The unit's Figure-3 erasure timeline, from the action history.
 
         Detail strings are backend-specific ("DELETE+VACUUM" on psql,
-        "tombstone+full compaction" on lsm, "logical delete+key shred" on
+        "tombstone+victim compaction" on lsm, "logical delete+key shred" on
         crypto-shred); milestones are detected by the physical-delete
         markers any backend records.
         """

@@ -79,7 +79,7 @@ class PBase(ComplianceProfile):
     def _erase(self, key: int) -> None:
         """The Table-1 "delete" grounding on the active backend: logical
         delete plus the periodic reclamation pass (DELETE+VACUUM on psql,
-        tombstone+full compaction on lsm, logical delete+key shred on
+        tombstone+victim compaction on lsm, logical delete+key shred on
         crypto-shred)."""
         self.data.delete(key)
         self._maybe_reclaim()

@@ -20,7 +20,7 @@ erase grounding        delete (grounded,   delete (reclamation    strong delete
 Erase groundings are **resolved from the** :class:`GroundingRegistry`: each
 profile declares the interpretation it claims (Figure 2 step 2) and the
 registry supplies the system-actions registered for the active backend —
-DELETE+VACUUM on psql, tombstone+full compaction on lsm, logical delete+key
+DELETE+VACUUM on psql, tombstone+victim compaction on lsm, logical delete+key
 shred on crypto-shred.  The profile executes them through the
 backend-neutral :class:`StorageBackend` verbs (``delete`` / ``reclaim`` /
 ``reclaim_full``), so the full Figure-4 profile × workload grid runs on
@@ -254,7 +254,7 @@ class ComplianceProfile:
     def _maybe_reclaim(self) -> None:
         """Run the grounding's reclamation half on the profile's schedule —
         the second system-action of the selected erase grounding (VACUUM /
-        full compaction / key shred, depending on the backend)."""
+        victim or full compaction / key shred, depending on the backend)."""
         if self.maintenance == "never":
             return
         self._deletes_since_maintenance += 1

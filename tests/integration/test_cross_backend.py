@@ -85,7 +85,7 @@ def test_system_actions_differ_per_backend():
     psql = {r.interpretation: r.system_actions for r in table1(backend="psql")}
     lsm = {r.interpretation: r.system_actions for r in table1(backend="lsm")}
     assert psql[ErasureInterpretation.DELETED] == ("DELETE", "VACUUM")
-    assert lsm[ErasureInterpretation.DELETED] == ("tombstone", "full compaction")
+    assert lsm[ErasureInterpretation.DELETED] == ("tombstone", "victim compaction")
     assert psql[ErasureInterpretation.STRONGLY_DELETED] == (
         "DELETE",
         "VACUUM FULL",

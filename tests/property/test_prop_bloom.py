@@ -163,6 +163,10 @@ class DrainEraseMachine(RuleBasedStateMachine):
     The throttled-compaction contract: a unit erased while merge work is
     still queued must be gone — model-visible reads agree, no copy sites,
     no forensic residue — no matter how little of the backlog has drained.
+    Both groundings race the slices: "delete" (victim compaction, which
+    rewrites only the victim's runs and leaves the backlog queued) and
+    "strong delete" (full compaction).  Neither may leave so much as a
+    tombstone for a later slice to merge.
     """
 
     def __init__(self):
@@ -205,6 +209,13 @@ class DrainEraseMachine(RuleBasedStateMachine):
             del self.model[key]
             self.erased.add(key)
 
+    @rule(key=st.integers(min_value=0, max_value=24))
+    def erase_strong(self, key):
+        if key in self.model:
+            self.backend.erase_many([key], strong=True)
+            del self.model[key]
+            self.erased.add(key)
+
     @invariant()
     def gets_agree(self):
         for key in range(0, 25, 5):
@@ -216,9 +227,14 @@ class DrainEraseMachine(RuleBasedStateMachine):
 
     @invariant()
     def erased_units_leave_no_residue(self):
+        engine = self.backend.engine
+        buffered = dict(engine.memtable_entries())
         for key in self.erased:
             assert self.backend.copy_locations(key) == []
+            assert self.backend.copy_sites(key) == []
             assert not self.backend.physically_present(key)
+            assert key not in buffered
+            assert all(run.get_encoded(key) is None for run in engine.runs())
 
 
 TestDrainEraseMachine = DrainEraseMachine.TestCase

@@ -7,6 +7,8 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from repro.lsm.engine import LSMEngine
 from repro.sim.clock import SimClock
 from repro.sim.costs import CostBook, CostModel
+from repro.storage.errors import TupleNotFoundError
+from repro.systems.backends import LsmBackend
 
 
 def make_engine(memtable_capacity=8, tier_threshold=3):
@@ -61,6 +63,114 @@ TestLSMMachine = LSMMachine.TestCase
 TestLSMMachine.settings = settings(
     max_examples=30, stateful_step_count=40, deadline=None
 )
+
+
+KEYS = st.integers(min_value=0, max_value=15)
+
+
+class ReclaimMachine(RuleBasedStateMachine):
+    """Both lsm reclamations against a dict model: after ``reclaim`` (victim
+    compaction) or ``reclaim_full`` no deleted key has a copy site — or any
+    entry, tombstone included — on the node, every live key still reads its
+    latest value, and no later flush, merge, maintenance slice or full
+    compaction brings a reclaimed key back."""
+
+    COMPACTION = "size"
+    MODE = "sync"
+
+    def __init__(self):
+        super().__init__()
+        self.backend = LsmBackend(
+            CostModel(SimClock(), CostBook()),
+            memtable_capacity=4,
+            tier_threshold=3,
+            compaction=self.COMPACTION,
+            compaction_mode=self.MODE,
+        )
+        self.model = {}
+        self.deleted = set()  # tombstoned, no reclamation yet
+        self.gone = set()  # reclaimed while deleted, not written since
+
+    @rule(key=KEYS, value=st.integers(min_value=0, max_value=10**6))
+    def put(self, key, value):
+        if key in self.model:
+            self.backend.update(key, value)
+        else:
+            self.backend.insert(key, value)
+        self.model[key] = value
+        self.deleted.discard(key)
+        self.gone.discard(key)
+
+    @rule(key=KEYS)
+    def delete(self, key):
+        if key in self.model:
+            self.backend.delete(key)
+            del self.model[key]
+            self.deleted.add(key)
+
+    @rule()
+    def flush(self):
+        self.backend.engine.flush()
+
+    @rule(max_bytes=st.sampled_from([1, 256, 4096]))
+    def maintain_slice(self, max_bytes):
+        self.backend.maintain(max_bytes=max_bytes)
+
+    def _reclaimed(self):
+        for key in self.deleted:
+            assert self.backend.copy_sites(key) == []
+        self.gone |= self.deleted
+        self.deleted.clear()
+
+    @rule()
+    def reclaim(self):
+        before = self.backend.stats().dead_entries
+        removed = self.backend.reclaim()
+        assert removed == before - self.backend.stats().dead_entries
+        self._reclaimed()
+
+    @rule()
+    def reclaim_full(self):
+        self.backend.reclaim_full()
+        assert self.backend.stats().dead_entries == 0
+        self._reclaimed()
+
+    @invariant()
+    def live_keys_read_their_latest_value(self):
+        for key in range(16):
+            try:
+                got = self.backend.read(key)
+            except TupleNotFoundError:
+                got = None
+            assert got == self.model.get(key)
+
+    @invariant()
+    def reclaimed_keys_never_come_back(self):
+        engine = self.backend.engine
+        buffered = dict(engine.memtable_entries())
+        for key in self.gone:
+            assert self.backend.copy_sites(key) == []
+            assert key not in buffered
+            assert all(run.get_encoded(key) is None for run in engine.runs())
+
+
+def _reclaim_machine(compaction, mode):
+    machine = type(
+        f"ReclaimMachine_{compaction}_{mode}",
+        (ReclaimMachine,),
+        {"COMPACTION": compaction, "MODE": mode},
+    )
+    case = machine.TestCase
+    case.settings = settings(
+        max_examples=25, stateful_step_count=50, deadline=None
+    )
+    return case
+
+
+TestReclaimSizeSync = _reclaim_machine("size", "sync")
+TestReclaimSizeDeferred = _reclaim_machine("size", "deferred")
+TestReclaimLeveledSync = _reclaim_machine("leveled", "sync")
+TestReclaimLeveledDeferred = _reclaim_machine("leveled", "deferred")
 
 
 @given(

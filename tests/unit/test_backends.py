@@ -111,10 +111,13 @@ class TestCommonContract:
 
 
 class TestReclaimReportsItsOwnCount:
-    """``reclaim()`` returns the dead entries it removed — the number
-    ``stats().dead_entries`` showed just before, without the second
+    """``reclaim()`` returns the dead entries it removed — the drop in
+    ``stats().dead_entries`` across the pass, without the second
     decode-everything scan the distributed erase used to pay for it.
-    ``dead_tuples_vacuumed`` and the batch totals are sums of it."""
+    ``dead_tuples_vacuumed`` and the batch totals are sums of it.  On psql
+    and crypto-shred the pass removes every dead entry; the lsm victim
+    compaction removes the deleted keys' entries and leaves other keys'
+    update-shadowed versions to the compaction policy."""
 
     MAKERS = {
         "psql": lambda: PsqlBackend(make_cost()),
@@ -138,9 +141,11 @@ class TestReclaimReportsItsOwnCount:
             key = rng.randrange(60)
             if roll < 0.02:
                 dead = b.stats().dead_entries
-                assert b.reclaim() == dead
-                assert b.stats().dead_entries == 0
-                reclaims += dead > 0
+                removed = b.reclaim()
+                assert removed == dead - b.stats().dead_entries
+                if b.name != "lsm":
+                    assert removed == dead
+                reclaims += removed > 0
             elif key not in live:
                 b.insert(key, ("v", key, step))
                 live.add(key)
@@ -289,7 +294,8 @@ class TestLsmSpecific:
         b.reclaim()
         assert not b.physically_present("k")
 
-    def test_shadowed_versions_visible_to_forensics_until_compaction(self):
+    @staticmethod
+    def two_versions_of_k():
         b = LsmBackend(make_cost(), memtable_capacity=2, tier_threshold=10)
         b.insert("k", "v1")
         b.insert("pad1", 1)  # flush: run holds v1
@@ -297,9 +303,42 @@ class TestLsmSpecific:
         b.insert("pad2", 2)  # flush: run holds v2
         entries = [key for key, _live in b.forensic_scan() if key == "k"]
         assert len(entries) == 2  # both physical versions visible
-        b.reclaim()
+        return b
+
+    def test_shadowed_versions_visible_to_forensics_until_full_compaction(self):
+        b = self.two_versions_of_k()
+        b.reclaim_full()
         entries = [key for key, _live in b.forensic_scan() if key == "k"]
         assert len(entries) == 1
+
+    def test_reclaim_drops_the_victims_versions_and_nothing_else(self):
+        """The "delete" grounding is a victim compaction: every version and
+        the tombstone of the erased key leave every site; another key's
+        shadowed version, and every table that never held the victim,
+        stay exactly as they were."""
+        b = self.two_versions_of_k()
+        b.insert("o", "o1")
+        b.insert("pad3", 3)  # flush: run holds o1 (and never held k)
+        b.update("o", "o2")
+        b.insert("pad4", 4)  # flush: run holds o2
+        b.delete("k")
+        b.insert("pad5", 5)  # flush: run holds k's tombstone
+        holders = {
+            run.table_id
+            for run in b.engine.runs()
+            if run.get_encoded("k") is not None
+        }
+        assert len(holders) == 3  # v1, v2, tombstone
+        others = {r.table_id for r in b.engine.runs()} - holders
+        assert b.reclaim() == 3
+        assert b.copy_sites("k") == []
+        assert all(r.get_encoded("k") is None for r in b.engine.runs())
+        assert "k" not in dict(b.engine.memtable_entries())
+        tables = {r.table_id for r in b.engine.runs()}
+        assert others <= tables and not holders & tables
+        scan = b.forensic_scan()
+        assert sorted(live for key, live in scan if key == "o") == [False, True]
+        assert b.read("o") == "o2" and b.read("pad1") == 1
 
     def test_block_cache_serves_repeat_reads_cheaply(self):
         cost = make_cost()

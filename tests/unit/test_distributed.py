@@ -313,6 +313,64 @@ class TestEraseCostIgnoresShardHistory:
         assert few < 40  # hashes of the victim itself, no scan
 
 
+class TestEraseRewritesOnlyTheVictimsRuns:
+    """The lsm "delete" grounding is a victim compaction: an erase rewrites
+    the tables that held the victim on each node — however many other runs
+    the node has — and every other table keeps its ``table_id``."""
+
+    @staticmethod
+    def tables_rewritten_by_erase(foreign_writes):
+        store, _ = make_store(
+            backend=BackendConfig(
+                backend="lsm", memtable_capacity=8, tier_threshold=1000
+            ),
+            n_replicas=1,
+        )
+        store.put(0, "secret")
+        for i in range(1, foreign_writes + 1):
+            store.put(i, ("v", i))
+            if i == foreign_writes // 2:
+                store.update(0, "still secret")
+        engines = [n.backend.engine for n in (store.primary, *store.replicas)]
+        report = store.erase_all_copies(0)  # the barrier replays the replica
+        assert report.verified_clean
+        rewritten = 0
+        for engine in engines:
+            events = [
+                e for e in engine.compaction_events
+                if e.reason.startswith("victim compaction (sst-")
+            ]
+            assert all(e.dropped_keys == (0,) for e in events)
+            # Two versions in two runs; the tombstone never left the memtable.
+            assert len(events) == 2 and engine.run_count > 2
+            assert all(r.get_encoded(0) is None for r in engine.runs())
+            rewritten += len(events)
+        return rewritten, sum(e.run_count for e in engines)
+
+    def test_same_rewrites_after_8x_the_foreign_writes(self):
+        few, few_runs = self.tables_rewritten_by_erase(40)
+        many, many_runs = self.tables_rewritten_by_erase(320)
+        assert few == many == 4
+        assert many_runs > 4 * few_runs
+
+    def test_untouched_tables_keep_their_ids(self):
+        store, _ = make_store(
+            backend=BackendConfig(
+                backend="lsm", memtable_capacity=4, tier_threshold=1000
+            ),
+            n_replicas=0,
+        )
+        for i in range(40):
+            store.put(i, ("v", i))
+        engine = store.primary.backend.engine
+        before = {r.table_id: r.get_encoded(17) is not None for r in engine.runs()}
+        assert sum(before.values()) == 1
+        assert store.erase_all_copies(17).verified_clean
+        after = {r.table_id for r in engine.runs()}
+        assert {t for t, held in before.items() if not held} <= after
+        assert not {t for t, held in before.items() if held} & after
+
+
 class TestWalCopyLocation:
     """The node-level WAL is one storage layer below the replication log —
     the same retention hazard, tracked the same way (psql keeps a WAL)."""

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import codec
 from repro.lsm.bloom import BloomFilter, BloomHashCache, hash_pair
 from repro.lsm.engine import LSMEngine
 from repro.lsm.memtable import TOMBSTONE, Memtable
@@ -110,6 +111,17 @@ class TestMemtable:
         mt.put("b", 2, 2)
         assert mt.tombstone_count() == 1
 
+    def test_drop_forgets_the_entry_and_its_bytes(self):
+        mt = Memtable(8)
+        mt.put("a", "value", 1)
+        mt.put("b", TOMBSTONE, 2)
+        kept = Memtable(8)
+        kept.put("b", TOMBSTONE, 2)
+        assert mt.drop("a") == codec.encode("value")
+        assert mt.drop("a") is None
+        assert "a" not in mt and len(mt) == 1
+        assert mt.encoded_bytes == kept.encoded_bytes
+
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
             Memtable(0)
@@ -153,6 +165,35 @@ class TestSSTable:
         run = self._run()
         assert run.physically_contains_value("a")
         assert not run.physically_contains_value("b")  # tombstone, not value
+
+    @pytest.mark.parametrize("drop", [
+        ["a"], ["e"], ["c"], ["a", "b"], ["b", "d"], ["a", "c", "e"],
+        ["e", "a", "zz"], ["a", "b", "c", "d", "e"],
+    ])
+    def test_without_keys_splices_like_a_rebuild(self, drop):
+        entries = [
+            ("a", 1, "va"), ("b", 2, TOMBSTONE), ("c", 3, ("long", "value", 3)),
+            ("d", 4, ""), ("e", 5, "ve"),
+        ]
+        run = self._run(entries)
+        out, dropped, tombstones = run.without_keys(drop)
+        kept = [e for e in entries if e[0] not in drop]
+        rebuilt = self._run(kept) if kept else SSTable([], 70, 0)
+        assert dropped == sorted(set(drop) & set("abcde"))
+        assert tombstones == ("b" in drop)
+        assert list(out.entries()) == kept
+        assert out.packed_block == rebuilt.packed_block
+        assert out._offsets == rebuilt._offsets
+        assert out.table_id != run.table_id and out.created_at == run.created_at
+        for key, seqno, value in kept:
+            assert out.might_contain(key)  # carried filter: no false negatives
+            assert out.get(key) == (seqno, value)
+        assert all(out.get(key) is None for key in drop)
+        assert list(run.entries()) == entries  # the source run is immutable
+
+    def test_without_keys_returns_self_when_it_holds_none(self):
+        run = self._run()
+        assert run.without_keys(["zz", "0"]) == (run, [], 0)
 
 
 class TestLSMEngineBasics:
@@ -313,6 +354,86 @@ class TestRetention:
         eng.flush()       # value never hits a run without its tombstone...
         # the tombstone shadows within the same run: value was overwritten
         assert not eng.physically_present("k")
+
+
+class TestVictimCompaction:
+    """The "delete" grounding: drop the deleted keys' entries from the
+    memtable and from exactly the runs holding one."""
+
+    @staticmethod
+    def three_sites():
+        eng, clock = make_engine(memtable_capacity=2, tier_threshold=10)
+        eng.put("pii", "v1")
+        eng.put("f1", 1)   # run A: pii=v1, f1
+        eng.put("pii", "v2")
+        eng.put("f2", 2)   # run B: pii=v2, f2
+        eng.put("f3", 3)
+        eng.put("f4", 4)   # run C: never holds pii
+        eng.delete("pii")  # tombstone stays in the memtable
+        return eng, clock
+
+    def test_drops_every_version_and_the_tombstone(self):
+        eng, clock = self.three_sites()
+        untouched = [r.table_id for r in eng.runs() if r.get_encoded("pii") is None]
+        before = clock.now
+        assert eng.victim_compaction() == 3
+        spent = clock.now - before
+        assert eng.copy_sites("pii") == [] and eng.tombstone_count == 0
+        assert all(r.get_encoded("pii") is None for r in eng.runs())
+        assert [r.table_id for r in eng.runs() if r.table_id in untouched] == untouched
+        assert eng.run_count == 3 and eng.get("f1") == 1 and eng.get("f2") == 2
+        # Simulated cost: the two rewritten 2-entry runs + one memtable op.
+        book = CostBook()
+        assert spent == 4 * book.compaction_per_entry + book.memtable_op
+        assert eng.victim_compaction() == 0  # nothing left to reclaim
+
+    def test_one_event_per_site_names_the_victim(self):
+        eng, _ = self.three_sites()
+        seen = []
+        eng.add_compaction_listener(seen.append)
+        eng.victim_compaction()
+        assert [e.reason.split("(")[1][:3] for e in seen] == ["mem", "sst", "sst"]
+        assert all(e.dropped_keys == ("pii",) for e in seen)
+        assert [e.tombstones_dropped for e in seen] == [1, 0, 0]
+        assert [e.input_entries - e.output_entries for e in seen] == [1, 1, 1]
+
+    def test_retention_record_purged_and_out_of_the_loop(self):
+        eng, clock = self.three_sites()
+        clock.charge(5_000)
+        eng.victim_compaction()
+        (record,) = eng.retention_records()
+        assert record.window >= 5_000 and eng.unpurged_deletions() == []
+        assert not eng._unreclaimed  # later flushes and merges skip it
+
+    def test_emptied_table_leaves_its_level(self):
+        eng, _ = make_engine(memtable_capacity=2, tier_threshold=10)
+        eng.put("a", 1)
+        eng.put("b", 2)  # run 1 holds exactly the two victims
+        eng.put("c", 3)
+        eng.delete("a")  # run 2: c and a's tombstone
+        eng.delete("b")  # b's tombstone stays buffered
+        assert eng.run_count == 2
+        assert eng.victim_compaction() == 4
+        assert eng.run_count == 1 and [len(run) for run in eng.runs()] == [1]
+        assert eng.get("c") == 3 and eng.get("a") is None and eng.get("b") is None
+
+    def test_leaves_other_keys_garbage_and_the_backlog_alone(self):
+        eng, _ = make_engine(
+            memtable_capacity=2, compaction="leveled", compaction_mode="deferred"
+        )
+        for i in range(12):
+            eng.put(f"k{i % 4}", i)  # six queued runs of update-shadowed versions
+        eng.delete("k0")
+        queued = eng.scheduler.queue_depth
+        entries = sum(len(r) for r in eng.runs())
+        k0_entries = sum(r.get_encoded("k0") is not None for r in eng.runs())
+        assert eng.scheduler.pending and queued > 0 and k0_entries == 3
+        eng.victim_compaction()
+        assert eng.scheduler.pending and eng.scheduler.queue_depth == queued
+        assert sum(len(r) for r in eng.runs()) == entries - k0_entries
+        eng.run_pending_compactions()
+        assert eng.get("k0") is None and eng.copy_sites("k0") == []
+        assert [eng.get(f"k{i}") for i in (1, 2, 3)] == [9, 10, 11]
 
 
 class TestCosts:

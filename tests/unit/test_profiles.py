@@ -57,7 +57,7 @@ class TestGroundingResolution:
 
     @pytest.mark.parametrize("backend,expected", [
         ("psql", ("DELETE", "VACUUM")),
-        ("lsm", ("tombstone", "full compaction")),
+        ("lsm", ("tombstone", "victim compaction")),
         ("crypto-shred", ("logical delete", "key shred")),
     ])
     def test_pbase_resolves_the_delete_grounding(self, backend, expected):
