@@ -11,7 +11,7 @@ Shape assertions (the paper's findings):
 * on a deletion-only control workload the relationship flips.
 """
 
-from conftest import emit, once, scaled
+from conftest import SCALE, emit, once, scaled
 
 from repro.bench.experiments import (
     ErasureConfig,
@@ -34,8 +34,11 @@ def test_fig4a(once):
         > finals[ErasureConfig.DELETE]
         > finals[ErasureConfig.DELETE_VACUUM]
     ), finals
-    # VACUUM FULL is the outlier implementation — an order of magnitude.
-    assert finals[ErasureConfig.DELETE_VACUUM_FULL] > 5 * finals[ErasureConfig.DELETE]
+    # VACUUM FULL is the outlier implementation — an order of magnitude.  A
+    # paper-scale statement: each rewrite costs per tuple of a 100k-row
+    # table, which a smoke-scale table does not have.
+    if SCALE >= 1:
+        assert finals[ErasureConfig.DELETE_VACUUM_FULL] > 5 * finals[ErasureConfig.DELETE]
     # every series is monotone in transaction count
     for config, points in series.items():
         seconds = [p.seconds for p in points]

@@ -6,10 +6,10 @@ Semantics follow PostgreSQL where the paper's evaluation depends on them:
 * ``UPDATE`` is out-of-place (new version + dead old version — MVCC), so
   updates create bloat just like deletes;
 * ``DELETE`` only marks tuples and index entries dead;
-* ``VACUUM`` prunes dead tuples and index entries; space becomes reusable,
-  the file does not shrink;
-* ``VACUUM FULL`` rewrites the heap compactly and rebuilds the index under
-  an exclusive lock;
+* ``VACUUM`` prunes dead tuples and deletes dead index entries where they
+  sit; space becomes reusable, neither the file nor the index tree shrinks;
+* ``VACUUM FULL`` rewrites the heap compactly and rebuilds the index — the
+  only REINDEX — under an exclusive lock;
 * the retrofit system-action "add new attribute" (Table 1) is
   :meth:`RelationalEngine.set_flag` — the reversible-inaccessibility flag.
 
@@ -390,7 +390,8 @@ class RelationalEngine:
 
     # --------------------------------------------------------------- vacuums
     def vacuum(self, table: str) -> int:
-        """VACUUM: prune dead tuples + dead index entries.
+        """VACUUM: prune dead tuples + dead index entries, visiting only the
+        pages and leaves that hold one — work, like the charge, per dead tuple.
 
         Reclamation is the second half of the grounded "delete", so it also
         scrubs the WAL row images of every key deleted since the last pass —

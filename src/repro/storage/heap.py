@@ -4,8 +4,8 @@ The heap implements the three erasure-relevant physical behaviours the paper
 benchmarks (Figure 4a):
 
 * ``mark_dead`` (DELETE): out-of-place delete, bloat accumulates;
-* ``vacuum`` (VACUUM): prunes dead tuples in place — space becomes reusable
-  but the file does **not** shrink, and tuple ids stay stable;
+* ``vacuum`` (VACUUM): prunes the pages holding dead tuples, in place — space
+  is reusable but the file does **not** shrink, and tuple ids stay stable;
 * ``rewrite`` (VACUUM FULL): compacts live tuples into fresh pages — the
   file shrinks, every tuple id changes (indexes must be rebuilt).
 
@@ -15,7 +15,7 @@ amortized without scanning the whole file.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Tuple
+from typing import Any, Dict, Iterator, List, Set, Tuple
 
 from repro.storage.page import PAGE_SIZE, TUPLE_OVERHEAD, Page, TupleSlot
 
@@ -30,6 +30,9 @@ class HeapFile:
         self.name = name
         self._pages: List[Page] = []
         self._free_map: List[int] = []  # page numbers believed to have room
+        # PostgreSQL's visibility map, inverted: the pages VACUUM must visit.
+        self._dirty: Set[int] = set()
+        self._live = self._dead = 0
 
     # ------------------------------------------------------------ statistics
     @property
@@ -38,11 +41,11 @@ class HeapFile:
 
     @property
     def live_tuples(self) -> int:
-        return sum(p.live_count for p in self._pages)
+        return self._live
 
     @property
     def dead_tuples(self) -> int:
-        return sum(p.dead_count for p in self._pages)
+        return self._dead
 
     @property
     def live_bytes(self) -> int:
@@ -60,8 +63,8 @@ class HeapFile:
     @property
     def dead_fraction(self) -> float:
         """Dead share of occupied tuples — the bloat statistic reads pay for."""
-        total = self.live_tuples + self.dead_tuples
-        return self.dead_tuples / total if total else 0.0
+        total = self._live + self._dead
+        return self._dead / total if total else 0.0
 
     # --------------------------------------------------------------- mutation
     def insert(self, key: Any, payload: Any, payload_size: int) -> TID:
@@ -73,6 +76,7 @@ class HeapFile:
                 slot_no = page.insert(key, payload, payload_size)
                 if not page.fits(payload_size):
                     self._free_map.pop()
+                self._live += 1
                 return (page_no, slot_no)
             self._free_map.pop()
         page = Page(len(self._pages))
@@ -80,11 +84,15 @@ class HeapFile:
         slot_no = page.insert(key, payload, payload_size)
         if page.fits(payload_size):
             self._free_map.append(page.page_no)
+        self._live += 1
         return (page.page_no, slot_no)
 
     def mark_dead(self, tid: TID) -> None:
         page_no, slot_no = tid
         self._pages[page_no].mark_dead(slot_no)
+        self._dirty.add(page_no)
+        self._live -= 1
+        self._dead += 1
 
     def fetch(self, tid: TID) -> TupleSlot:
         page_no, slot_no = tid
@@ -97,18 +105,20 @@ class HeapFile:
 
     # --------------------------------------------------------------- vacuums
     def vacuum(self) -> int:
-        """VACUUM: prune dead tuples everywhere; file size unchanged.
+        """VACUUM: prune the pages holding dead tuples; file size unchanged.
 
         Returns the number of tuples reclaimed.  Pages that regained room
-        rejoin the free-space map.
+        rejoin the free-space map — in page order, which fixes where every
+        later insert lands.
         """
         reclaimed = 0
-        for page in self._pages:
-            got = page.prune()
-            if got:
-                reclaimed += got
-                if page.page_no not in self._free_map and page.free_bytes > TUPLE_OVERHEAD:
-                    self._free_map.append(page.page_no)
+        for page_no in sorted(self._dirty):
+            page = self._pages[page_no]
+            reclaimed += page.prune()
+            if page_no not in self._free_map and page.free_bytes > TUPLE_OVERHEAD:
+                self._free_map.append(page_no)
+        self._dirty.clear()
+        self._dead -= reclaimed
         return reclaimed
 
     def rewrite(self) -> Dict[Any, Tuple[TID, TupleSlot]]:
@@ -123,6 +133,8 @@ class HeapFile:
         ]
         self._pages = []
         self._free_map = []
+        self._dirty.clear()
+        self._live = self._dead = 0
         mapping: Dict[Any, Tuple[TID, TupleSlot]] = {}
         for slot in survivors:
             tid = self.insert(slot.key, slot.payload, slot.payload_size)

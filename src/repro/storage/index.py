@@ -4,8 +4,9 @@ A from-scratch B+-tree: internal nodes route by separator keys; leaves hold
 ``key → TID`` entries and are chained for range scans.  Deletion is lazy,
 matching PostgreSQL: ``mark_dead`` leaves the entry in the leaf (index
 bloat!) and only :meth:`cleanup` — invoked by VACUUM — physically removes
-dead entries (by bulk-rebuilding the leaf level, which is also how the
-engine implements the index rebuild after VACUUM FULL).
+dead entries, in place: it edits the leaves that hold one and unlinks a leaf
+it empties; nothing merges and the tree never gets shorter.  Repacking is
+:meth:`rebuild`, the index pass of VACUUM FULL only.
 
 ``probe`` returns the traversal depth and the number of dead entries the
 search had to step over, so the engine can charge honest costs.
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, Iterator, List, Optional, Set, Tuple
 
 from repro.storage.heap import TID
 
@@ -78,6 +79,7 @@ class BTreeIndex:
         self._height = 1
         self._live = 0
         self._dead = 0
+        self._dead_keys: Set[Any] = set()  # keys with a dead entry: cleanup's work list
 
     # ------------------------------------------------------------ statistics
     @property
@@ -195,6 +197,7 @@ class BTreeIndex:
         entry.live = False
         self._live -= 1
         self._dead += 1
+        self._dead_keys.add(key)
         return True
 
     def update_tid(self, key: Any, tid: TID) -> bool:
@@ -246,15 +249,42 @@ class BTreeIndex:
 
     # ----------------------------------------------------------- maintenance
     def cleanup(self) -> int:
-        """Physically remove dead entries (VACUUM's index pass).
+        """Physically remove dead entries (VACUUM's index pass), in place.
 
-        Implemented as a bulk rebuild of the tree from live entries; returns
-        the number of dead entries removed.
+        Work is per key that holds a dead entry, not per entry in the tree;
+        returns the number of dead entries removed.
         """
-        removed = self._dead
-        live = list(self.range())
-        self.rebuild(live)
-        return removed
+        dead = self._dead
+        for key in self._dead_keys:
+            if self._delete_dead(self._root, key, None):
+                self._root, self._height = _Leaf(), 1
+        self._dead_keys.clear()
+        return dead - self._dead
+
+    def _delete_dead(self, node: Any, key: Any, before: Optional[_Leaf]) -> bool:
+        """Delete ``key``'s dead entries below ``node``; True if that empties
+        the node, which the caller then unlinks.  Every child that can hold
+        the key is visited — a run of duplicates can straddle leaf splits, the
+        separators between them equal to the key.  ``before`` is the leaf
+        chained ahead of the node's first."""
+        if isinstance(node, _Leaf):
+            i, j = bisect_left(node.keys, key), bisect_right(node.keys, key)
+            kept = [e for e in node.entries[i:j] if e.live]
+            node.entries[i:j] = kept
+            node.keys[i:j] = [key] * len(kept)
+            self._dead -= j - i - len(kept)
+            if not node.keys and before is not None:
+                before.next = node.next
+            return not node.keys
+        lo, hi = bisect_left(node.keys, key), bisect_right(node.keys, key)
+        for i in range(hi, lo - 1, -1):  # right to left: unlinking shifts no pending index
+            prev = node.children[i - 1] if i else before
+            while isinstance(prev, _Internal):
+                prev = prev.children[-1]
+            if self._delete_dead(node.children[i], key, prev):
+                del node.children[i]
+                del node.keys[max(i - 1, 0):max(i, 1)]  # one adjoining separator
+        return not node.children
 
     def rebuild(self, items: BulkItems = None) -> None:
         """Bulk-load the tree from ``(key, tid)`` pairs (must be sorted)."""
@@ -269,13 +299,7 @@ class BTreeIndex:
             if leaves:
                 leaves[-1].next = leaf
             leaves.append(leaf)
-        if not leaves:
-            self._root = _Leaf()
-            self._height = 1
-            self._live = 0
-            self._dead = 0
-            return
-        level: List[Any] = leaves
+        level: List[Any] = leaves or [_Leaf()]
         seps: List[Any] = [leaf.keys[0] for leaf in leaves[1:]]
         height = 1
         while len(level) > 1:
@@ -294,3 +318,4 @@ class BTreeIndex:
         self._height = height
         self._live = len(items)
         self._dead = 0
+        self._dead_keys.clear()

@@ -21,7 +21,7 @@ class HeapMachine(RuleBasedStateMachine):
         self.tids = {}        # key -> tid
         self.counter = 0
 
-    @rule(size=st.integers(min_value=1, max_value=400))
+    @rule(size=st.integers(min_value=1, max_value=3_000))
     def insert(self, size):
         key = f"k{self.counter}"
         self.counter += 1
@@ -40,7 +40,9 @@ class HeapMachine(RuleBasedStateMachine):
 
     @rule()
     def vacuum(self):
-        self.heap.vacuum()
+        dead = self.heap.dead_tuples
+        assert self.heap.vacuum() == dead
+        assert all(slot.live for _tid, slot in self.heap.scan_all())
 
     @rule()
     def rewrite(self):
@@ -55,8 +57,17 @@ class HeapMachine(RuleBasedStateMachine):
 
     @invariant()
     def counters_agree(self):
+        """The running counters and the dirty-page set (all VACUUM visits)
+        equal a page-by-page recount — after ``rewrite`` too."""
+        pages = [self.heap.page(n) for n in range(self.heap.page_count)]
+        assert self.heap.live_tuples == sum(p.live_count for p in pages)
         assert self.heap.live_tuples == len(self.model)
-        assert self.heap.dead_tuples >= 0
+        assert self.heap.dead_tuples == sum(p.dead_count for p in pages)
+        assert self.heap._dirty == {p.page_no for p in pages if p.dead_count}
+        occupied = self.heap.live_tuples + self.heap.dead_tuples
+        assert self.heap.dead_fraction == (
+            self.heap.dead_tuples / occupied if occupied else 0.0
+        )
 
     @invariant()
     def tids_resolve(self):

@@ -18,7 +18,9 @@ from repro.distributed.store import (
 )
 from repro.sim.clock import SimClock
 from repro.sim.costs import CostBook, CostModel
+from repro.storage import index as index_module
 from repro.storage.errors import TupleNotFoundError
+from repro.storage.page import Page
 
 BACKENDS = ("psql", "lsm", "crypto-shred")
 
@@ -369,6 +371,46 @@ class TestEraseRewritesOnlyTheVictimsRuns:
         after = {r.table_id for r in engine.runs()}
         assert {t for t, held in before.items() if not held} <= after
         assert not {t for t, held in before.items() if held} & after
+
+
+class TestEraseVacuumsOnlyTheVictimsPages:
+    """The psql twin: the "delete" grounding is DELETE + VACUUM, and the
+    VACUUM under a grounded erase prunes the pages and edits the index
+    leaves that held the victim on each node — however many foreign rows
+    the shard holds.  Counts, no timing."""
+
+    @staticmethod
+    def work_done_by_erase(foreign_rows, monkeypatch):
+        store, clock = make_store(backend="psql", n_replicas=1)
+        store.put(0, "secret")
+        for i in range(1, foreign_rows + 1):
+            store.put(i, ("v", i))
+            if i == foreign_rows // 2:
+                store.update(0, "still secret")  # a second version, pages away
+        advance(clock, 60_000)
+        store.read(1, replica=0)  # the replica applies its backlog
+        pruned, built = [], []
+        prune, entry = Page.prune, index_module._Entry
+        with monkeypatch.context() as patch:
+            patch.setattr(Page, "prune", lambda page: pruned.append(page) or prune(page))
+            patch.setattr(
+                index_module, "_Entry", lambda *a: built.append(a) or entry(*a)
+            )
+            report = store.erase_all_copies(0)
+        assert report.verified_clean and report.dead_tuples_vacuumed == 4
+        assert built == []  # no index entry is rebuilt
+        pages = sum(
+            n.backend.engine.stats(n.backend.table).pages
+            for n in (store.primary, *store.replicas)
+        )
+        return len(pruned), pages
+
+    def test_same_pages_pruned_after_10x_the_foreign_rows(self, monkeypatch):
+        few, few_pages = self.work_done_by_erase(500, monkeypatch)
+        many, many_pages = self.work_done_by_erase(5_000, monkeypatch)
+        # Two versions on two pages, on the primary and on the replica.
+        assert few == many == 4
+        assert many_pages > 8 * few_pages
 
 
 class TestWalCopyLocation:

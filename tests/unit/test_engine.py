@@ -4,6 +4,7 @@ import pytest
 
 from repro.sim.clock import SimClock
 from repro.sim.costs import CostBook, CostModel
+from repro.storage import index as index_module
 from repro.storage.engine import RelationalEngine
 from repro.storage.errors import (
     DuplicateKeyError,
@@ -12,6 +13,7 @@ from repro.storage.errors import (
     TableNotFoundError,
     TupleNotFoundError,
 )
+from repro.storage.page import Page
 
 
 def make_engine(**kwargs):
@@ -193,6 +195,115 @@ class TestVacuumMechanics:
             eng.delete("t", i)
         assert eng.vacuum_count == 1
         assert eng.stats("t").dead_tuples == 0
+
+
+class TestVacuumVisitsOnlyDirtyPages:
+    """VACUUM pays for its dead tuples, not for the table: counts of pages
+    pruned, leaves edited and index entries built — no timing."""
+
+    ROWS = 5_000
+
+    @pytest.fixture
+    def table(self, monkeypatch):
+        eng, clock = make_engine()
+        eng.create_table("t", row_bytes=70)
+        for i in range(self.ROWS):
+            eng.insert("t", i, f"v{i}")
+        self.eng, self.clock = eng, clock
+        self.pruned, self.entries_built = [], []
+        prune, entry = Page.prune, index_module._Entry
+        monkeypatch.setattr(
+            Page, "prune", lambda page: self.pruned.append(page.page_no) or prune(page)
+        )
+        monkeypatch.setattr(
+            index_module, "_Entry",
+            lambda *args: self.entries_built.append(args) or entry(*args),
+        )
+        return eng._catalog.get("t")
+
+    @staticmethod
+    def leaf_keys(table):
+        node = table.index._root
+        while isinstance(node, index_module._Internal):
+            node = node.children[0]
+        leaves = {}
+        while node is not None:
+            leaves[id(node)] = list(node.keys)
+            node = node.next
+        return leaves
+
+    def tids(self, table):
+        return {slot.key: tid for tid, slot in table.heap.scan_all()}
+
+    def vacuum_after_deleting(self, table, victims):
+        """Leaves edited by one VACUUM after deleting ``victims``."""
+        for key in victims:
+            self.eng.delete("t", key)
+        tids, leaves, depth = self.tids(table), self.leaf_keys(table), table.index.depth
+        assert self.eng.vacuum("t") == len(victims)
+        after = self.leaf_keys(table)
+        assert table.index.depth == depth  # VACUUM is not a REINDEX
+        assert self.entries_built == []
+        assert set(after) == set(leaves)
+        for key in victims:
+            del tids[key]
+        assert self.tids(table) == tids  # every other row where it was
+        return [leaf for leaf in leaves if leaves[leaf] != after[leaf]]
+
+    def test_one_dead_tuple_one_page_one_leaf(self, table):
+        victim = 2_345
+        page_no, _slot = table.index.get(victim)
+        edited = self.vacuum_after_deleting(table, [victim])
+        assert self.pruned == [page_no]
+        assert len(edited) == 1
+        assert table.heap.dead_tuples == table.index.dead_entries == 0
+        with pytest.raises(TupleNotFoundError):
+            self.eng.read("t", victim)
+        assert self.eng.read("t", victim + 1) == f"v{victim + 1}"
+
+    def test_k_dead_tuples_on_k_pages(self, table):
+        victims = [100, 1_300, 2_500, 3_700, 4_900]
+        pages = [table.index.get(key)[0] for key in victims]
+        assert len(set(pages)) == len(victims)
+        edited = self.vacuum_after_deleting(table, victims[::-1])
+        assert self.pruned == pages  # each dirty page once, in page order
+        assert len(edited) == len(victims)
+
+    def test_nothing_dead_nothing_visited(self, table):
+        assert self.vacuum_after_deleting(table, []) == []
+        assert self.pruned == []
+
+    def test_charges_follow_the_dead_count_not_the_table(self, table):
+        """Same simulated cost as the same VACUUM on a table 25x smaller."""
+        small, small_clock = make_engine()
+        small.create_table("t", row_bytes=70)
+        for i in range(200):
+            small.insert("t", i, f"v{i}")
+        costs = []
+        for eng, clock in ((self.eng, self.clock), (small, small_clock)):
+            for key in (7, 150):
+                eng.delete("t", key)
+            watch = clock.stopwatch()
+            assert eng.vacuum("t") == 2
+            costs.append(watch.stop())
+        assert costs[0] == costs[1]
+
+    def test_pruned_pages_rejoin_the_free_map_in_page_order(self, table):
+        """The free-space map is a stack, so the order pages rejoin it
+        decides where the next rows land — page order, whatever order the
+        deletes came in (a set of small ints does not iterate sorted:
+        ``{8, 1}`` yields 8 first)."""
+        on_page = {
+            page: next(k for k in range(self.ROWS) if table.index.get(k)[0] == page)
+            for page in (1, 8)
+        }
+        for page in (8, 1):
+            self.eng.delete("t", on_page[page])
+        self.eng.vacuum("t")
+        for key in (self.ROWS, self.ROWS + 1):
+            self.eng.insert("t", key, "new")
+        assert table.index.get(self.ROWS)[0] == 8
+        assert table.index.get(self.ROWS + 1)[0] == 1
 
 
 class TestScans:
