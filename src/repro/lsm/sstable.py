@@ -3,7 +3,10 @@
 Each SSTable stores sorted ``(key, seqno, value)`` entries with the values
 packed into one length-prefixed binary block (:func:`repro.codec.pack_block`
 layout): a ``u32`` count, then per entry a ``u32`` length plus the encoded
-blob.  The in-memory index (keys, seqnos, blob offsets) gives point reads
+blob.  The in-memory index is a key list beside two flat typed arrays —
+seqnos, and ``n + 1`` blob-start boundaries: blob ``i`` is
+``block[starts[i] : starts[i + 1] - 4]``, since every blob is followed by the
+next one's length prefix (the last by a virtual one).  Point reads are
 ``bisect`` + one slice-decode; compaction merges move the raw blobs between
 runs without ever decoding them, and tombstones — one-byte blobs — are
 recognized by blob equality.
@@ -18,7 +21,9 @@ plus index overhead — not a nominal per-value estimate.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
+from itertools import accumulate
 from struct import Struct
 from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -27,7 +32,7 @@ from repro.lsm.bloom import BloomFilter, BloomHashCache, HashPair
 from repro.lsm.memtable import TOMBSTONE_BLOB
 
 #: Approximate bytes per entry beyond the packed value block: the key and
-#: seqno in the index plus the offset slot.
+#: seqno in the index plus the boundary slot.
 ENTRY_OVERHEAD = 20
 
 _U32 = Struct("<I")
@@ -91,21 +96,15 @@ class SSTable:
         SSTable._next_id += 1
         self.created_at = created_at
         self._keys = keys
-        self._seqnos = seqnos
-        # Length-prefixed packed block (codec.pack_block layout) plus the
-        # in-memory blob offsets derived while packing.
-        parts: List[bytes] = [_U32.pack(len(blobs))]
-        offsets: List[Tuple[int, int]] = []
-        pos = 4
-        for blob in blobs:
-            parts.append(_U32.pack(len(blob)))
-            pos += 4
-            offsets.append((pos, pos + len(blob)))
-            pos += len(blob)
-            parts.append(blob)
-        self._block = b"".join(parts)
+        self._seqnos = array("q", seqnos)
+        # The packed block, and where each blob starts in it: a u32 count
+        # and one u32 length come first, then each blob plus the next length.
+        self._block = codec.pack_block(blobs)
         self._view = memoryview(self._block)
-        self._offsets = offsets
+        self._starts = array(
+            "I", accumulate((len(blob) + 4 for blob in blobs), initial=8)
+        )
+        self._tombstones = blobs.count(TOMBSTONE_BLOB)
         self._bloom = BloomFilter.from_keys(keys, cache=hash_cache)
 
     def without_keys(
@@ -113,15 +112,15 @@ class SSTable:
     ) -> Tuple["SSTable", List[Any], int]:
         """``(run, keys dropped, tombstones among them)``: this run minus
         every entry for ``keys`` — ``self`` when it holds none.  The packed
-        block and the offsets are spliced around the dropped entries (no
+        block and the boundaries are spliced around the dropped entries (no
         per-entry repack) and the Bloom filter is carried forward: a filter
         over a superset of the keys has no false negatives."""
-        old, n = self._offsets, len(self._keys)
-        drop = sorted(
+        old, n = self._starts, len(self._keys)
+        drop = sorted({
             i
             for i, key in ((bisect_left(self._keys, key), key) for key in keys)
             if i < n and self._keys[i] == key
-        )
+        })
         if not drop:
             return self, [], 0
         table = SSTable.__new__(SSTable)
@@ -133,35 +132,35 @@ class SSTable:
         for i in reversed(drop):
             del table._keys[i], table._seqnos[i]
         parts = [_U32.pack(n - len(drop))]
-        offsets = old[: drop[0]]
+        table._starts = old[: drop[0]]
         kept_from = 4  # first block byte not yet copied
         shift = 0  # bytes cut so far
-        for i, upto in zip(drop, drop[1:] + [n]):
-            start, end = old[i]
-            parts.append(self._view[kept_from : start - 4])
-            kept_from = end
-            shift += end - start + 4
-            offsets.extend([(s - shift, e - shift) for s, e in old[i + 1 : upto]])
+        # Boundaries between one drop and the next move down by the bytes
+        # cut so far; the last gap carries the virtual end boundary along.
+        for i, upto in zip(drop, drop[1:] + [n + 1]):
+            parts.append(self._view[kept_from : old[i] - 4])
+            kept_from = old[i + 1] - 4
+            shift += old[i + 1] - old[i]
+            table._starts.extend([s - shift for s in old[i + 1 : upto]])
         parts.append(self._view[kept_from:])
         table._block = b"".join(parts)
         table._view = memoryview(table._block)
-        table._offsets = offsets
+        tombstones = sum(1 for i in drop if self._is_tombstone(i))
+        table._tombstones = self._tombstones - tombstones
         table._bloom = self._bloom
-        dropped = [self._keys[i] for i in drop]
-        return table, dropped, sum(1 for i in drop if self._is_tombstone(i))
+        return table, [self._keys[i] for i in drop], tombstones
 
     # ------------------------------------------------------------------ blobs
     def blob_at(self, i: int) -> bytes:
-        start, end = self._offsets[i]
-        return bytes(self._view[start:end])
+        starts = self._starts
+        return self._block[starts[i] : starts[i + 1] - 4]
 
     def _is_tombstone(self, i: int) -> bool:
-        start, end = self._offsets[i]
-        return self._view[start:end] == TOMBSTONE_BLOB
+        return self.blob_at(i) == TOMBSTONE_BLOB
 
     def _value_at(self, i: int) -> Any:
-        start, end = self._offsets[i]
-        return codec.decode(self._view[start:end])
+        starts = self._starts
+        return codec.decode(self._view[starts[i] : starts[i + 1] - 4])
 
     @property
     def packed_block(self) -> bytes:
@@ -196,8 +195,11 @@ class SSTable:
 
     def entries_encoded(self) -> Iterator[Tuple[Any, int, bytes]]:
         """``(key, seqno, blob)`` per entry — the merge/export path."""
-        for i, key in enumerate(self._keys):
-            yield (key, self._seqnos[i], self.blob_at(i))
+        block, starts = self._block, self._starts
+        for key, seqno, start, end in zip(
+            self._keys, self._seqnos, starts, starts[1:]
+        ):
+            yield (key, seqno, block[start : end - 4])
 
     def range(self, lo: Any, hi: Any) -> Iterator[Tuple[Any, int, Any]]:
         i = bisect_left(self._keys, lo)
@@ -211,7 +213,7 @@ class SSTable:
 
     @property
     def tombstone_count(self) -> int:
-        return sum(1 for i in range(len(self._keys)) if self._is_tombstone(i))
+        return self._tombstones
 
     @property
     def value_count(self) -> int:
@@ -220,7 +222,7 @@ class SSTable:
     @property
     def size_bytes(self) -> int:
         """Real bytes: the packed value block plus index overhead per
-        entry (key + seqno + offset slot) plus the Bloom filter."""
+        entry (key + seqno + boundary slot) plus the Bloom filter."""
         return (
             len(self._block)
             + len(self._keys) * ENTRY_OVERHEAD

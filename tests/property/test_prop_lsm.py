@@ -1,10 +1,13 @@
-"""Property tests: the LSM engine against a dict model."""
+"""Property tests: the LSM engine against a dict model, and the SSTable
+splice against a rebuild."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.lsm.engine import LSMEngine
+from repro.lsm.memtable import TOMBSTONE
+from repro.lsm.sstable import SSTable
 from repro.sim.clock import SimClock
 from repro.sim.costs import CostBook, CostModel
 from repro.storage.errors import TupleNotFoundError
@@ -222,3 +225,61 @@ def test_retention_records_only_for_currently_deleted(keys):
         deleted.discard(key)
     recorded = {r.key for r in engine.retention_records()}
     assert recorded == deleted
+
+
+LO, HI = -2, 43  # the key universe: table keys are 0..40, drops overshoot
+BLOBS = st.one_of(
+    st.just(TOMBSTONE),
+    st.integers(),
+    st.text(max_size=12),
+    st.tuples(st.integers(), st.binary(max_size=40)),
+)
+
+
+@st.composite
+def table_and_drops(draw):
+    """A sorted table (values and tombstones; empty and one-entry included)
+    and a drop list: random keys — absent ones and repeats among them — plus
+    one adjacent run of present keys, which reaches the first key, the last
+    and the whole table."""
+    keys = sorted(draw(st.sets(st.integers(0, 40), max_size=24)))
+    entries = [(key, draw(st.integers(0, 10**6)), draw(BLOBS)) for key in keys]
+    drops = draw(st.lists(st.integers(LO, HI), max_size=12))
+    edge = st.integers(0, len(keys))
+    lo, hi = sorted((draw(edge), draw(edge)))
+    return entries, drops + keys[lo:hi]
+
+
+@given(table_and_drops())
+@settings(max_examples=300, deadline=None)
+def test_without_keys_is_a_rebuild_of_the_survivors(case):
+    """``without_keys`` ≡ ``from_encoded(survivors)`` on the whole public
+    read surface, and the source run is untouched."""
+    entries, drops = case
+    run = SSTable(entries, created_at=7)
+    encoded = list(run.entries_encoded())
+    survivors = [e for e in encoded if e[0] not in drops]
+    out, dropped, tombstones = run.without_keys(drops)
+    ref = SSTable.from_encoded(survivors, created_at=7)
+
+    assert dropped == sorted({e[0] for e in encoded} & set(drops))
+    assert tombstones == run.tombstone_count - ref.tombstone_count
+    assert (out is run) == (not dropped)
+    assert out.packed_block == ref.packed_block
+    assert list(out.entries_encoded()) == survivors
+    assert list(out.entries()) == list(ref.entries())
+    assert list(out.range(LO, HI)) == list(ref.range(LO, HI))
+    for key in range(LO, HI + 1):
+        assert out.get_encoded(key) == ref.get_encoded(key)
+    assert len(out) == len(ref) == len(survivors)
+    assert out.tombstone_count == ref.tombstone_count
+    assert out.value_count == ref.value_count
+    assert (out.min_key, out.max_key) == (ref.min_key, ref.max_key)
+    # The Bloom filter is carried forward, not re-sized for the survivors.
+    assert out.bloom_bytes == run.bloom_bytes
+    assert out.size_bytes - out.bloom_bytes == ref.size_bytes - ref.bloom_bytes
+
+    assert list(run.entries_encoded()) == encoded
+    assert list(run.entries()) == entries
+    for key, seqno, blob in encoded:
+        assert run.get_encoded(key) == (seqno, blob)

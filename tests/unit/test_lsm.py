@@ -1,5 +1,8 @@
 """Unit tests for the LSM substrate — tombstones and retention."""
 
+import gc
+import sys
+
 import pytest
 
 from repro import codec
@@ -183,7 +186,7 @@ class TestSSTable:
         assert tombstones == ("b" in drop)
         assert list(out.entries()) == kept
         assert out.packed_block == rebuilt.packed_block
-        assert out._offsets == rebuilt._offsets
+        assert list(out.entries_encoded()) == list(rebuilt.entries_encoded())
         assert out.table_id != run.table_id and out.created_at == run.created_at
         for key, seqno, value in kept:
             assert out.might_contain(key)  # carried filter: no false negatives
@@ -194,6 +197,31 @@ class TestSSTable:
     def test_without_keys_returns_self_when_it_holds_none(self):
         run = self._run()
         assert run.without_keys(["zz", "0"]) == (run, [], 0)
+
+    def test_without_keys_repeated_key_spares_its_neighbour(self):
+        # Regression: a key named twice put its index in the drop list
+        # twice, and the second ``del`` took the live neighbour with it.
+        out, dropped, tombstones = self._run().without_keys(["b", "b"])
+        assert (dropped, tombstones) == (["b"], 1)
+        assert list(out.entries()) == [("a", 1, "va"), ("c", 3, "vc")]
+
+    def test_without_keys_builds_no_per_entry_objects(self):
+        # The splice is the sequential rewrite the cost model charges:
+        # slices and typed arrays, nothing allocated per surviving entry.
+        # Dropping the *first* key shifts every boundary (the worst case);
+        # a tuple-per-entry index retains ~3 blocks per survivor here.
+        n = 4096
+        run = SSTable([(i, i, ("value", i)) for i in range(n)])
+        gc.collect()
+        gc.disable()
+        try:
+            before = sys.getallocatedblocks()
+            out = run.without_keys([0])[0]
+            retained = sys.getallocatedblocks() - before
+        finally:
+            gc.enable()
+        assert len(out) == n - 1 and out.get(n - 1) == (n - 1, ("value", n - 1))
+        assert retained < n // 8
 
 
 class TestLSMEngineBasics:
