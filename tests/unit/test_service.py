@@ -227,6 +227,9 @@ class TestConcurrentSmoke:
         )
         service.begin_rebalance(4)
         report = run_loadgen(service, workload, clients=8)
+        # close() drains requests, not the rebalance: a fast load can
+        # finish before the maintenance thread's last step.
+        service.drain_rebalance()
         service.close()
 
         assert report.clients == 8
@@ -295,4 +298,5 @@ class TestHttpTransport:
         assert code == 400
 
         server.shutdown()
+        server.server_close()
         service.close()
