@@ -11,8 +11,9 @@ P_SYS uses AES-128.  This package implements:
 * :mod:`repro.crypto.luks` — a LUKS-style encrypted volume (header, key
   slots, per-sector encryption);
 * :mod:`repro.crypto.fastcipher` — a SHA-256 keystream cipher used for bulk
-  engine traffic (pure-Python AES is ~10³× slower than AES-NI; see
-  DESIGN.md §1.3 for why this substitution preserves the benchmarks);
+  engine traffic (pure-Python AES is ~10³× slower than AES-NI;
+  ``tests/integration/test_cipher_tiers.py`` shows the substitution
+  leaves the figures unchanged);
 * :mod:`repro.crypto.adapters` — :class:`repro.storage.engine.EngineCipher`
   implementations wiring ciphers + cost charging into the engines.
 """

@@ -1,4 +1,4 @@
-"""Key derivation — PBKDF2-HMAC-SHA256 (stdlib-backed HMAC, own loop).
+"""Key derivation — PBKDF2-HMAC-SHA256 (``hashlib.pbkdf2_hmac``, in C).
 
 Used by the LUKS volume to derive the key-encryption key from a passphrase,
 mirroring cryptsetup's PBKDF2 default.
@@ -7,7 +7,6 @@ mirroring cryptsetup's PBKDF2 default.
 from __future__ import annotations
 
 import hashlib
-import hmac
 
 
 def pbkdf2_sha256(
@@ -18,16 +17,4 @@ def pbkdf2_sha256(
         raise ValueError("iterations must be >= 1")
     if dklen < 1:
         raise ValueError("dklen must be >= 1")
-    blocks = []
-    block_index = 1
-    while 32 * len(blocks) < dklen:
-        u = hmac.new(
-            passphrase, salt + block_index.to_bytes(4, "big"), hashlib.sha256
-        ).digest()
-        accum = int.from_bytes(u, "big")
-        for _ in range(iterations - 1):
-            u = hmac.new(passphrase, u, hashlib.sha256).digest()
-            accum ^= int.from_bytes(u, "big")
-        blocks.append(accum.to_bytes(32, "big"))
-        block_index += 1
-    return b"".join(blocks)[:dklen]
+    return hashlib.pbkdf2_hmac("sha256", passphrase, salt, iterations, dklen)

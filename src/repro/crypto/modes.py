@@ -11,6 +11,12 @@ from typing import Protocol
 BLOCK = 16
 
 
+def xor_bytes(a: bytes, b: bytes) -> bytes:
+    """``a`` XOR ``b`` for equal-length inputs, as one big-int operation."""
+    mixed = int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
+    return mixed.to_bytes(len(a), "big")
+
+
 class BlockCipher(Protocol):  # pragma: no cover - typing protocol
     def encrypt_block(self, block: bytes) -> bytes: ...
 
@@ -53,8 +59,7 @@ def ctr_keystream(cipher: BlockCipher, nonce: bytes, nbytes: int) -> bytes:
 
 def ctr_xor(cipher: BlockCipher, nonce: bytes, data: bytes) -> bytes:
     """CTR encrypt/decrypt (symmetric)."""
-    stream = ctr_keystream(cipher, nonce, len(data))
-    return bytes(a ^ b for a, b in zip(data, stream))
+    return xor_bytes(data, ctr_keystream(cipher, nonce, len(data)))
 
 
 # --------------------------------------------------------------------------
@@ -68,8 +73,7 @@ def cbc_encrypt(cipher: BlockCipher, iv: bytes, plaintext: bytes) -> bytes:
     out = bytearray()
     previous = iv
     for i in range(0, len(data), BLOCK):
-        block = bytes(a ^ b for a, b in zip(data[i:i + BLOCK], previous))
-        previous = cipher.encrypt_block(block)
+        previous = cipher.encrypt_block(xor_bytes(data[i:i + BLOCK], previous))
         out += previous
     return bytes(out)
 
@@ -83,7 +87,6 @@ def cbc_decrypt(cipher: BlockCipher, iv: bytes, ciphertext: bytes) -> bytes:
     previous = iv
     for i in range(0, len(ciphertext), BLOCK):
         block = ciphertext[i:i + BLOCK]
-        plain = cipher.decrypt_block(block)
-        out += bytes(a ^ b for a, b in zip(plain, previous))
+        out += xor_bytes(cipher.decrypt_block(block), previous)
         previous = block
     return pkcs7_unpad(bytes(out))

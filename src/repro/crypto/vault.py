@@ -14,6 +14,11 @@ volume headers.
 A shredded entry stays in the catalog (zeroed) so ``is_shredded`` keeps
 answering; only :meth:`compact` — the space-release half of a full
 reclamation — drops zeroed entries.
+
+Master keys are SHA-256 of the vault seed, key id and enrolling context
+(``repr(unit_id)``): a shredded unit is unrecoverable because the code never
+re-derives its key, not cryptographically.  A random seed would close that
+gap but change every ciphertext byte at rest — a format change of its own.
 """
 
 from __future__ import annotations

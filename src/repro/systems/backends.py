@@ -987,6 +987,9 @@ class CryptoShredBackend(StorageBackend):
         # keys are still intact, so they stay in the retention accounting
         # until a reclamation pass shreds them (§1 honesty).
         self._graveyard: List[Tuple[Any, _ShredEntry]] = []
+        # Entries deleted since the last reclamation — the sweep's victims,
+        # so an erase never revisits keys an earlier pass already shredded.
+        self._deleted: List[_ShredEntry] = []
         # Shredded graveyard placements: unrecoverable noise still
         # occupying group sectors until a full reclamation releases them.
         self._residue_slots: List[_ShredEntry] = []
@@ -1148,19 +1151,24 @@ class CryptoShredBackend(StorageBackend):
     def delete(self, unit_id: Any) -> None:
         entry = self._entry(unit_id)
         entry.live = False
+        self._deleted.append(entry)
         self._cost.charge_tuple_cpu()
 
     def _reclaim(self) -> int:
-        """Shred the keys of every dead entry (graveyard included) —
-        crypto-erase, one batched key-table write for the whole sweep.
+        """Shred the keys of every entry deleted since the last pass
+        (graveyard included) — crypto-erase, one batched key-table write.
 
-        The pass sweeps the catalog to find dead entries (the analogue of
-        VACUUM's heap scan), so batching erases amortizes it.  Returns the
+        Charged as a catalog sweep (the analogue of VACUUM's heap scan), so
+        batching erases amortizes it; older dead entries were shredded by an
+        earlier pass, ``sanitize`` or a full reclamation.  Returns the
         victims that were still recoverable (ciphertext and key both left).
         """
         self._cost.charge_tuple_cpu(len(self._entries) + len(self._graveyard))
-        victims = [e for e in self._entries.values() if not e.live]
-        victims.extend(e for _uid, e in self._graveyard)
+        # A re-inserted unit's old entry is in both lists: keep it once.
+        victims = list(dict.fromkeys(
+            self._deleted + [e for _uid, e in self._graveyard]
+        ))
+        self._deleted.clear()
         recoverable = sum(
             1
             for e in victims
@@ -1181,6 +1189,7 @@ class CryptoShredBackend(StorageBackend):
         self._cost.charge_tuple_cpu(len(self._entries) + len(self._graveyard))
         victims = [e for e in self._entries.values() if not e.live]
         victims.extend(e for _uid, e in self._graveyard)
+        self._deleted.clear()
         self._shred_batch(victims)
         for entry in victims:
             self._release_slot(entry)

@@ -1,8 +1,8 @@
 """Integration: cipher tiers are cost-identical and engine-transparent.
 
-DESIGN.md §1.3 claims the figures do not depend on whether the engine runs
-the cost-only, SHA-256-keystream, or real-AES cipher tier; these tests pin
-that claim on a real engine workload.
+The figures do not depend on whether the engine runs the cost-only,
+SHA-256-keystream, or real-AES cipher tier; these tests are where that
+claim lives, pinned on a real engine workload.
 """
 
 import pytest

@@ -521,6 +521,44 @@ class TestCryptoShredSpecific:
         assert not b.physically_present("k")
         assert b._graveyard == []
 
+    def test_reclaim_visits_only_entries_deleted_since_the_last_pass(
+        self, monkeypatch
+    ):
+        """An erase's shred sweep costs its victims, not every erase before
+        it: after 20 erase + reclaim rounds the next pass asks the vault to
+        shred one key (a sweep over every dead entry asks 21 times)."""
+        b = CryptoShredBackend(make_cost())
+        for i in range(21):
+            b.insert(i, f"value-{i}")
+        for i in range(20):
+            b.erase(i)
+        vault = b._vault
+        calls = []
+        shred = vault.shred
+        monkeypatch.setattr(
+            vault, "shred", lambda key_id: calls.append(key_id) or shred(key_id)
+        )
+        b.delete(20)
+        assert b.reclaim() == 1
+        assert calls == [b._entries[20].key_id]
+        assert b.shred_count == 21
+        assert b.stats().dead_entries == 0
+
+    def test_reclaim_counts_a_reinserted_units_old_entry_once(self):
+        """A deleted-then-re-inserted unit's old entry is both a fresh
+        deletion and a graveyard placement; the pass counts it once."""
+        b = CryptoShredBackend(make_cost())
+        b.insert("k", "old")
+        b.insert("j", "other")
+        b.delete("k")
+        b.insert("k", "new")
+        b.delete("j")
+        assert b.stats().dead_entries == 2
+        assert b.reclaim() == 2
+        assert b.shred_count == 2
+        assert b.reclaim() == 0
+        assert b.read("k") == "new"
+
 
 class TestBulkMigrationHooks:
     """export_range / import_batch — the shard-migration transport."""

@@ -21,6 +21,7 @@ from repro.crypto.modes import (
     pkcs7_pad,
     pkcs7_unpad,
 )
+from repro.crypto.sectors import SectorGroup, derive_subkey
 from repro.sim.clock import SimClock
 from repro.sim.costs import CostBook, CostModel
 
@@ -156,6 +157,34 @@ class TestFastStreamCipher:
     def test_empty_key_rejected(self):
         with pytest.raises(ValueError):
             FastStreamCipher(b"")
+
+
+class TestSectorGroupBytesAtRest:
+    """Ciphertext at rest is a format: a faster keystream, XOR or KDF that
+    changes one byte of it must fail here, not only round-trip."""
+
+    #: SHA-256 over the raw sectors below, as the per-byte XOR / pure-Python
+    #: HMAC-loop implementation of the cipher and KDF wrote them.
+    PINNED = "4b8e87a7e6c05d139f7a776b3676c2bb6697ab7118993104aee685e1239dcce6"
+
+    def test_raw_sectors_match_the_pinned_digest(self):
+        import hashlib
+
+        group = SectorGroup(7, capacity=4)
+        master = hashlib.sha256(b"pinned-master").digest()
+        blobs = [b"", b"personal data", bytes(range(256)) * 3, b"x" * 4000]
+        for blob in blobs:
+            slot = group.alloc_slot()
+            subkey = derive_subkey(master, group.group_id, slot)
+            group.write(slot, subkey, blob)
+            sectors = SectorGroup.sectors_needed(len(blob))
+            assert group.read(slot, subkey, sectors, len(blob)) == blob
+        digest = hashlib.sha256()
+        for slot in range(group.capacity):
+            for sector_no in group.slot_sector_numbers(slot):
+                digest.update(group.raw_sector(sector_no))
+        assert group.sector_count == 12
+        assert digest.hexdigest() == self.PINNED
 
 
 class TestLuksVolume:
