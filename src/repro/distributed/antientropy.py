@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
+from typing import Any, List
 
 from repro import codec
 from repro.distributed.ring import hash_range_of

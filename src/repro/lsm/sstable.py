@@ -21,6 +21,7 @@ plus index overhead — not a nominal per-value estimate.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from bisect import bisect_left
 from itertools import accumulate
@@ -36,6 +37,16 @@ from repro.lsm.memtable import TOMBSTONE_BLOB
 ENTRY_OVERHEAD = 20
 
 _U32 = Struct("<I")
+
+
+def shift_lanes(lanes: array, shift: int) -> bytes:
+    """Every native-endian ``u32`` of ``lanes`` minus ``shift``, as raw
+    ``array('I')`` bytes — one big-int subtraction; no lane borrows from its
+    neighbour while each lane is at least ``shift``."""
+    order = sys.byteorder
+    whole = int.from_bytes(lanes, order)
+    cut = int.from_bytes(shift.to_bytes(4, order) * len(lanes), order)
+    return (whole - cut).to_bytes(4 * len(lanes), order)
 
 
 class SSTable:
@@ -141,7 +152,7 @@ class SSTable:
             parts.append(self._view[kept_from : old[i] - 4])
             kept_from = old[i + 1] - 4
             shift += old[i + 1] - old[i]
-            table._starts.extend([s - shift for s in old[i + 1 : upto]])
+            table._starts.frombytes(shift_lanes(old[i + 1 : upto], shift))
         parts.append(self._view[kept_from:])
         table._block = b"".join(parts)
         table._view = memoryview(table._block)

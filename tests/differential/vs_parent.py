@@ -1,17 +1,22 @@
 """Differential: this checkout's lsm or crypto-shred backend against a parent.
 
     python tests/differential/vs_parent.py --backend lsm|crypto-shred --against /path/to/parent
+    python tests/differential/vs_parent.py --backend lsm|crypto-shred --against HEAD~1
 
 replays one seeded 6 000-op sequence per leg on both source trees (a child
 process each — both define ``repro``) and compares the transcripts: every
 read, erase report and ``copies_of`` answer, what the backend holds at rest,
 the final ``SimClock``.  Prints the first diverging line and exits 1, or the
-transcript's SHA-256.  Not collected by pytest.
+transcript's SHA-256.  Not collected by pytest.  ``--against`` takes a
+checkout, or a git ref of this repository, exported (``git archive``) to a
+temporary directory that is removed on exit; ``--against HEAD`` on a clean
+tree is a self-check that the transcript is deterministic across processes.
 
 * lsm, bare leg — one ``LsmBackend``; ``reclaim()`` ("delete": victim
   compaction) interleaved with ``reclaim_full()`` ("strong delete": full
-  compaction); each run's ``table_id`` + ``packed_block`` digest after every
-  erase.
+  compaction); after every erase, each run's ``table_id``, a digest of its
+  ``packed_block`` and one of its index (the ``_starts`` boundaries and the
+  ``_seqnos``).
 * crypto-shred, bare leg — one ``CryptoShredBackend``; ``reclaim()`` (key
   shred), ``reclaim_full()`` (shred + space release) and ``sanitize_many``
   ("permanently delete") interleaved with re-inserts over dead units.
@@ -27,13 +32,16 @@ ciphertext.
 """
 
 import argparse
+import contextlib
 import hashlib
 import os
 import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parents[2]
 OPS, KEYS = 6_000, 500
 ENGINE = {"memtable_capacity": 48, "tier_threshold": 3}
 
@@ -43,7 +51,12 @@ def _at_rest(tag, backend):
     if backend.name == "lsm":
         for level, table in backend.engine.tables_by_level():
             block = hashlib.sha256(table.packed_block).hexdigest()
-            yield f"{tag} L{level} sst-{table.table_id} n={len(table)} {block}"
+            index = hashlib.sha256(table._starts.tobytes())
+            index.update(table._seqnos.tobytes())
+            yield (
+                f"{tag} L{level} sst-{table.table_id} n={len(table)} {block} "
+                f"index {index.hexdigest()}"
+            )
         return
     sectors = hashlib.sha256()
     for group in backend._groups:
@@ -167,9 +180,28 @@ def transcript(checkout, name, seed):
     return done.stdout.splitlines()
 
 
+def parent_tree(against, stack):
+    """``against`` itself when it is a checkout holding ``src/repro``, else
+    that git ref of this repository exported to a temporary directory the
+    ``stack`` removes; None when git cannot resolve it."""
+    if (Path(against) / "src" / "repro").is_dir():
+        return Path(against)
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", "--format=tar", against],
+        stdout=subprocess.PIPE,
+    )
+    if archive.returncode:
+        return None
+    tree = stack.enter_context(tempfile.TemporaryDirectory(prefix="vs-parent-"))
+    subprocess.run(["tar", "-x", "-C", tree], input=archive.stdout, check=True)
+    return Path(tree)
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--against", type=Path, help="a checkout of the parent")
+    parser.add_argument(
+        "--against", help="a checkout of the parent, or a git ref of this repository"
+    )
     parser.add_argument("--emit", type=Path, help="print one checkout's transcript")
     parser.add_argument("--backend", choices=("lsm", "crypto-shred"), default="lsm")
     parser.add_argument("--seed", type=int, default=23)
@@ -179,10 +211,12 @@ def main():
         name, seed = args.backend, args.seed
         print(*bare_leg(name, seed), *store_leg(name, seed), sep="\n")
         return 0
-    if not args.against or not (args.against / "src" / "repro").is_dir():
-        parser.error("--against must name a checkout holding src/repro")
-    ours = transcript(Path(__file__).resolve().parents[2], args.backend, args.seed)
-    theirs = transcript(args.against, args.backend, args.seed)
+    with contextlib.ExitStack() as stack:
+        parent = args.against and parent_tree(args.against, stack)
+        if not parent:
+            parser.error("--against must name a checkout holding src/repro or a git ref")
+        ours = transcript(ROOT, args.backend, args.seed)
+        theirs = transcript(parent, args.backend, args.seed)
     for n, (a, b) in enumerate(zip(ours + [None], theirs + [None])):
         if a != b:
             print(f"first divergence at line {n}:\n  change: {a}\n  parent: {b}")

@@ -1,5 +1,7 @@
-"""Property tests: the LSM engine against a dict model, and the SSTable
-splice against a rebuild."""
+"""Property tests: the LSM engine against a dict model, the SSTable splice
+against a rebuild, and its boundary shift against a per-lane subtraction."""
+
+from array import array
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +9,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.lsm.engine import LSMEngine
 from repro.lsm.memtable import TOMBSTONE
-from repro.lsm.sstable import SSTable
+from repro.lsm.sstable import SSTable, shift_lanes
 from repro.sim.clock import SimClock
 from repro.sim.costs import CostBook, CostModel
 from repro.storage.errors import TupleNotFoundError
@@ -266,6 +268,7 @@ def test_without_keys_is_a_rebuild_of_the_survivors(case):
     assert tombstones == run.tombstone_count - ref.tombstone_count
     assert (out is run) == (not dropped)
     assert out.packed_block == ref.packed_block
+    assert out._starts.tobytes() == ref._starts.tobytes()
     assert list(out.entries_encoded()) == survivors
     assert list(out.entries()) == list(ref.entries())
     assert list(out.range(LO, HI)) == list(ref.range(LO, HI))
@@ -283,3 +286,24 @@ def test_without_keys_is_a_rebuild_of_the_survivors(case):
     assert list(run.entries()) == entries
     for key, seqno, blob in encoded:
         assert run.get_encoded(key) == (seqno, blob)
+
+
+U32 = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def lanes_and_shift(draw):
+    """``u32`` lanes (empty, and up to 2**32 - 1, included) and a shift no
+    lane is below — zero among the draws."""
+    lanes = draw(st.lists(U32, max_size=64))
+    shift = draw(st.one_of(st.just(0), st.integers(0, min(lanes, default=0))))
+    return array("I", lanes), shift
+
+
+@given(lanes_and_shift())
+@settings(max_examples=300, deadline=None)
+def test_shift_lanes_is_a_per_lane_subtraction(case):
+    lanes, shift = case
+    got = array("I")
+    got.frombytes(shift_lanes(lanes, shift))
+    assert got == array("I", [s - shift for s in lanes])

@@ -223,6 +223,23 @@ class TestSSTable:
         assert len(out) == n - 1 and out.get(n - 1) == (n - 1, ("value", n - 1))
         assert retained < n // 8
 
+    @pytest.mark.parametrize("drop", [
+        [0], [2048], [4095], list(range(1000, 1040)),
+        [7, 300, 301, 2222, 4000, 4095],
+    ], ids=["first", "middle", "last", "adjacent-run", "scattered"])
+    def test_without_keys_index_matches_a_rebuild_on_a_big_run(self, drop):
+        # A block past 64 KiB puts boundaries above 2**16, so the shifted
+        # lanes form big ints many digits long on every gap.
+        n = 4096
+        run = SSTable([(i, n - i, ("value", i, "x" * 20)) for i in range(n)])
+        assert run.block_bytes > 64 * 1024
+        out = run.without_keys(drop)[0]
+        survivors = [e for e in run.entries_encoded() if e[0] not in drop]
+        ref = SSTable.from_encoded(survivors, created_at=0)
+        assert out._starts.tobytes() == ref._starts.tobytes()
+        assert out._seqnos == ref._seqnos
+        assert out.packed_block == ref.packed_block
+
 
 class TestLSMEngineBasics:
     def test_put_get_roundtrip(self):
