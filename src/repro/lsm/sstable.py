@@ -1,17 +1,23 @@
 """SSTables — immutable sorted runs on "disk".
 
-Each SSTable stores sorted ``(key, seqno, value)`` entries with the values
-packed into one length-prefixed binary block (:func:`repro.codec.pack_block`
-layout): a ``u32`` count, then per entry a ``u32`` length plus the encoded
-blob.  The in-memory index is a key list beside two flat typed arrays —
-seqnos, and ``n + 1`` blob-start boundaries: blob ``i`` is
+Each SSTable stores sorted ``(key, seqno, value)`` entries split into
+immutable pages of :data:`PAGE_ENTRIES` consecutive entries (about 4 KiB at
+57-byte values).  A page holds its keys, an ``array('q')`` of seqnos, its
+blobs back to back, each behind a ``u32`` length prefix and with no count
+header, and ``n + 1`` blob-start boundaries: blob ``i`` is
 ``block[starts[i] : starts[i + 1] - 4]``, since every blob is followed by the
-next one's length prefix (the last by a virtual one).  Point reads are
-``bisect`` + one slice-decode; compaction merges move the raw blobs between
-runs without ever decoding them, and tombstones — one-byte blobs — are
-recognized by blob equality.
+next one's length prefix (the last by a virtual one).  The table keeps each
+page's first key — the fences — for ``bisect``, plus entry, tombstone and
+block-byte counts.  Its packed block (:func:`repro.codec.pack_block` layout:
+a ``u32`` count, then per entry a ``u32`` length plus the encoded blob) is
+virtual: the count header followed by the page blocks, joined on request.
+Point reads are two ``bisect`` calls + one slice-decode; compaction merges
+move the raw blobs between runs without ever decoding them, and tombstones —
+one-byte blobs — are recognized by blob equality.  Dropping keys rewrites
+only the pages that hold them; every other page is shared with the source
+run, which is immutable too.
 
-Alongside the block the table keeps a Bloom filter for negative lookups and
+Alongside the pages the table keeps a Bloom filter for negative lookups and
 retention bookkeeping: how many tombstones it carries and how many
 *shadowed* values — older versions of keys whose latest version is a delete
 — remain physically present.  Those shadowed values are the illegal-
@@ -21,12 +27,11 @@ plus index overhead — not a nominal per-value estimate.
 
 from __future__ import annotations
 
-import sys
 from array import array
-from bisect import bisect_left
-from itertools import accumulate
+from bisect import bisect_left, bisect_right
+from itertools import accumulate, islice
 from struct import Struct
-from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro import codec
 from repro.lsm.bloom import BloomFilter, BloomHashCache, HashPair
@@ -36,21 +41,59 @@ from repro.lsm.memtable import TOMBSTONE_BLOB
 #: seqno in the index plus the boundary slot.
 ENTRY_OVERHEAD = 20
 
+#: Entries per page — the unit :meth:`SSTable.without_keys` rewrites.
+PAGE_ENTRIES = 64
+
 _U32 = Struct("<I")
 
 
-def shift_lanes(lanes: array, shift: int) -> bytes:
-    """Every native-endian ``u32`` of ``lanes`` minus ``shift``, as raw
-    ``array('I')`` bytes — one big-int subtraction; no lane borrows from its
-    neighbour while each lane is at least ``shift``."""
-    order = sys.byteorder
-    whole = int.from_bytes(lanes, order)
-    cut = int.from_bytes(shift.to_bytes(4, order) * len(lanes), order)
-    return (whole - cut).to_bytes(4 * len(lanes), order)
+class _Page:
+    """Up to :data:`PAGE_ENTRIES` consecutive entries of a run; never
+    mutated, so runs share it."""
+
+    __slots__ = ("keys", "seqnos", "block", "starts")
+
+    def __init__(self, keys: List[Any], seqnos: array, block: bytes, starts: array) -> None:
+        self.keys = keys
+        self.seqnos = seqnos
+        self.block = block
+        self.starts = starts
+
+    @classmethod
+    def of(cls, keys: List[Any], seqnos: Sequence[int], blobs: Sequence[bytes]) -> "_Page":
+        return cls(
+            keys,
+            array("q", seqnos),
+            codec.pack_block(blobs)[4:],
+            array("I", accumulate((len(blob) + 4 for blob in blobs), initial=4)),
+        )
+
+    def blob(self, i: int) -> bytes:
+        starts = self.starts
+        return self.block[starts[i] : starts[i + 1] - 4]
+
+    def without(self, drop: List[int]) -> Optional["_Page"]:
+        """This page minus the entries at the ascending indices ``drop`` —
+        None when none survives.  The block is spliced around them, and the
+        boundaries after each cut move down by the bytes cut so far."""
+        keys, seqnos, starts, block = self.keys[:], self.seqnos[:], self.starts, self.block
+        for i in reversed(drop):
+            del keys[i], seqnos[i]
+        if not keys:
+            return None
+        parts, kept = [], starts[: drop[0]]
+        kept_from = shift = 0
+        for i, upto in zip(drop, drop[1:] + [len(starts)]):
+            parts.append(block[kept_from : starts[i] - 4])
+            kept_from = starts[i + 1] - 4
+            shift += starts[i + 1] - starts[i]
+            kept.extend([s - shift for s in starts[i + 1 : upto]])
+        parts.append(block[kept_from:])
+        return _Page(keys, seqnos, b"".join(parts), kept)
 
 
 class SSTable:
-    """One immutable sorted run over a packed value block."""
+    """One immutable sorted run over pages of packed values."""
 
     _next_id = 0
 
@@ -106,77 +149,63 @@ class SSTable:
         self.table_id = SSTable._next_id
         SSTable._next_id += 1
         self.created_at = created_at
-        self._keys = keys
-        self._seqnos = array("q", seqnos)
-        # The packed block, and where each blob starts in it: a u32 count
-        # and one u32 length come first, then each blob plus the next length.
-        self._block = codec.pack_block(blobs)
-        self._view = memoryview(self._block)
-        self._starts = array(
-            "I", accumulate((len(blob) + 4 for blob in blobs), initial=8)
-        )
+        cuts = [slice(lo, lo + PAGE_ENTRIES) for lo in range(0, len(keys), PAGE_ENTRIES)]
+        self._pages = [_Page.of(keys[cut], seqnos[cut], blobs[cut]) for cut in cuts]
+        self._fences = keys[::PAGE_ENTRIES]
+        self._len = len(keys)
         self._tombstones = blobs.count(TOMBSTONE_BLOB)
+        self._block_bytes = 4 + sum(len(page.block) for page in self._pages)
         self._bloom = BloomFilter.from_keys(keys, cache=hash_cache)
+
+    def _locate(self, key: Any) -> Tuple[int, int]:
+        """``(page number, index in the page)`` of ``key``; page -1 when
+        the run does not hold it."""
+        p = bisect_right(self._fences, key) - 1
+        if p >= 0:
+            keys = self._pages[p].keys
+            i = bisect_left(keys, key)
+            if i < len(keys) and keys[i] == key:
+                return p, i
+        return -1, 0
 
     def without_keys(
         self, keys: Iterable[Any]
     ) -> Tuple["SSTable", List[Any], int]:
         """``(run, keys dropped, tombstones among them)``: this run minus
-        every entry for ``keys`` — ``self`` when it holds none.  The packed
-        block and the boundaries are spliced around the dropped entries (no
-        per-entry repack) and the Bloom filter is carried forward: a filter
-        over a superset of the keys has no false negatives."""
-        old, n = self._starts, len(self._keys)
-        drop = sorted({
-            i
-            for i, key in ((bisect_left(self._keys, key), key) for key in keys)
-            if i < n and self._keys[i] == key
-        })
-        if not drop:
+        every entry for ``keys`` — ``self`` when it holds none.  Only the
+        pages holding a dropped entry are spliced; every other page is the
+        source run's own object.  The Bloom filter is carried forward: a
+        filter over a superset of the keys has no false negatives."""
+        pages = self._pages
+        found = sorted({hit for hit in map(self._locate, keys) if hit[0] >= 0})
+        if not found:
             return self, [], 0
+        hits: Dict[int, List[int]] = {}
+        for p, i in found:
+            hits.setdefault(p, []).append(i)
+        blobs = [pages[p].blob(i) for p, i in found]
+        tombstones = blobs.count(TOMBSTONE_BLOB)
         table = SSTable.__new__(SSTable)
         table.table_id = SSTable._next_id
         SSTable._next_id += 1
         table.created_at = self.created_at
-        table._keys = self._keys[:]
-        table._seqnos = self._seqnos[:]
-        for i in reversed(drop):
-            del table._keys[i], table._seqnos[i]
-        parts = [_U32.pack(n - len(drop))]
-        table._starts = old[: drop[0]]
-        kept_from = 4  # first block byte not yet copied
-        shift = 0  # bytes cut so far
-        # Boundaries between one drop and the next move down by the bytes
-        # cut so far; the last gap carries the virtual end boundary along.
-        for i, upto in zip(drop, drop[1:] + [n + 1]):
-            parts.append(self._view[kept_from : old[i] - 4])
-            kept_from = old[i + 1] - 4
-            shift += old[i + 1] - old[i]
-            table._starts.frombytes(shift_lanes(old[i + 1 : upto], shift))
-        parts.append(self._view[kept_from:])
-        table._block = b"".join(parts)
-        table._view = memoryview(table._block)
-        tombstones = sum(1 for i in drop if self._is_tombstone(i))
+        table._pages, table._fences = pages[:], self._fences[:]
+        for p in reversed(hits):  # last page first: deletions keep indices
+            page = pages[p].without(hits[p])
+            if page is None:
+                del table._pages[p], table._fences[p]
+            else:
+                table._pages[p], table._fences[p] = page, page.keys[0]
+        table._len = self._len - len(found)
         table._tombstones = self._tombstones - tombstones
+        table._block_bytes = self._block_bytes - sum(map(len, blobs)) - 4 * len(blobs)
         table._bloom = self._bloom
-        return table, [self._keys[i] for i in drop], tombstones
-
-    # ------------------------------------------------------------------ blobs
-    def blob_at(self, i: int) -> bytes:
-        starts = self._starts
-        return self._block[starts[i] : starts[i + 1] - 4]
-
-    def _is_tombstone(self, i: int) -> bool:
-        return self.blob_at(i) == TOMBSTONE_BLOB
-
-    def _value_at(self, i: int) -> Any:
-        starts = self._starts
-        return codec.decode(self._view[starts[i] : starts[i + 1] - 4])
+        return table, [pages[p].keys[i] for p, i in found], tombstones
 
     @property
     def packed_block(self) -> bytes:
         """The raw length-prefixed value block (codec.pack_block layout)."""
-        return self._block
+        return b"".join([_U32.pack(self._len), *(page.block for page in self._pages)])
 
     # ---------------------------------------------------------------- lookups
     def might_contain(self, key: Any) -> bool:
@@ -188,39 +217,42 @@ class SSTable:
         return self._bloom.contains_pair(pair)
 
     def get(self, key: Any) -> Optional[Tuple[int, Any]]:
-        i = bisect_left(self._keys, key)
-        if i < len(self._keys) and self._keys[i] == key:
-            return (self._seqnos[i], self._value_at(i))
-        return None
+        found = self.get_encoded(key)
+        return None if found is None else (found[0], codec.decode(found[1]))
 
     def get_encoded(self, key: Any) -> Optional[Tuple[int, bytes]]:
         """``(seqno, blob)`` without decoding; None if absent."""
-        i = bisect_left(self._keys, key)
-        if i < len(self._keys) and self._keys[i] == key:
-            return (self._seqnos[i], self.blob_at(i))
-        return None
+        p, i = self._locate(key)
+        if p < 0:
+            return None
+        page = self._pages[p]
+        return (page.seqnos[i], page.blob(i))
 
     def entries(self) -> Iterator[Tuple[Any, int, Any]]:
-        for i, key in enumerate(self._keys):
-            yield (key, self._seqnos[i], self._value_at(i))
+        for key, seqno, blob in self.entries_encoded():
+            yield (key, seqno, codec.decode(blob))
 
     def entries_encoded(self) -> Iterator[Tuple[Any, int, bytes]]:
         """``(key, seqno, blob)`` per entry — the merge/export path."""
-        block, starts = self._block, self._starts
-        for key, seqno, start, end in zip(
-            self._keys, self._seqnos, starts, starts[1:]
-        ):
-            yield (key, seqno, block[start : end - 4])
+        for page in self._pages:
+            block, starts = page.block, page.starts
+            for key, seqno, start, end in zip(
+                page.keys, page.seqnos, starts, islice(starts, 1, None)
+            ):
+                yield (key, seqno, block[start : end - 4])
 
     def range(self, lo: Any, hi: Any) -> Iterator[Tuple[Any, int, Any]]:
-        i = bisect_left(self._keys, lo)
-        while i < len(self._keys) and self._keys[i] <= hi:
-            yield (self._keys[i], self._seqnos[i], self._value_at(i))
-            i += 1
+        first = max(bisect_right(self._fences, lo) - 1, 0)
+        for page in islice(self._pages, first, None):
+            keys = page.keys
+            for i in range(bisect_left(keys, lo), len(keys)):
+                if keys[i] > hi:
+                    return
+                yield (keys[i], page.seqnos[i], codec.decode(page.blob(i)))
 
     # ------------------------------------------------------------- statistics
     def __len__(self) -> int:
-        return len(self._keys)
+        return self._len
 
     @property
     def tombstone_count(self) -> int:
@@ -228,22 +260,22 @@ class SSTable:
 
     @property
     def value_count(self) -> int:
-        return len(self._keys) - self.tombstone_count
+        return self._len - self.tombstone_count
 
     @property
     def size_bytes(self) -> int:
         """Real bytes: the packed value block plus index overhead per
         entry (key + seqno + boundary slot) plus the Bloom filter."""
         return (
-            len(self._block)
-            + len(self._keys) * ENTRY_OVERHEAD
+            self._block_bytes
+            + self._len * ENTRY_OVERHEAD
             + self._bloom.size_bytes
         )
 
     @property
     def block_bytes(self) -> int:
         """Bytes of the packed value block alone."""
-        return len(self._block)
+        return self._block_bytes
 
     @property
     def bloom_bytes(self) -> int:
@@ -252,21 +284,17 @@ class SSTable:
 
     @property
     def min_key(self) -> Optional[Any]:
-        return self._keys[0] if self._keys else None
+        return self._fences[0] if self._fences else None
 
     @property
     def max_key(self) -> Optional[Any]:
-        return self._keys[-1] if self._keys else None
+        return self._pages[-1].keys[-1] if self._pages else None
 
     def physically_contains_value(self, key: Any) -> bool:
         """Whether a real (non-tombstone) value for ``key`` sits in this
         run — a blob-equality check, no decode."""
-        i = bisect_left(self._keys, key)
-        return (
-            i < len(self._keys)
-            and self._keys[i] == key
-            and not self._is_tombstone(i)
-        )
+        p, i = self._locate(key)
+        return p >= 0 and self._pages[p].blob(i) != TOMBSTONE_BLOB
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -15,8 +15,8 @@ tree is a self-check that the transcript is deterministic across processes.
 * lsm, bare leg — one ``LsmBackend``; ``reclaim()`` ("delete": victim
   compaction) interleaved with ``reclaim_full()`` ("strong delete": full
   compaction); after every erase, each run's ``table_id``, a digest of its
-  ``packed_block`` and one of its index (the ``_starts`` boundaries and the
-  ``_seqnos``).
+  ``packed_block`` and one of its index (each entry's seqno and blob length,
+  from ``entries_encoded()`` — no layout internals).
 * crypto-shred, bare leg — one ``CryptoShredBackend``; ``reclaim()`` (key
   shred), ``reclaim_full()`` (shred + space release) and ``sanitize_many``
   ("permanently delete") interleaved with re-inserts over dead units.
@@ -51,8 +51,9 @@ def _at_rest(tag, backend):
     if backend.name == "lsm":
         for level, table in backend.engine.tables_by_level():
             block = hashlib.sha256(table.packed_block).hexdigest()
-            index = hashlib.sha256(table._starts.tobytes())
-            index.update(table._seqnos.tobytes())
+            index = hashlib.sha256()
+            for _key, seqno, blob in table.entries_encoded():
+                index.update(b"%d:%d;" % (seqno, len(blob)))
             yield (
                 f"{tag} L{level} sst-{table.table_id} n={len(table)} {block} "
                 f"index {index.hexdigest()}"

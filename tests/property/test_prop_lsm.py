@@ -1,7 +1,7 @@
-"""Property tests: the LSM engine against a dict model, the SSTable splice
-against a rebuild, and its boundary shift against a per-lane subtraction."""
+"""Property tests: the LSM engine against a dict model, and the SSTable
+splice against a rebuild."""
 
-from array import array
+from itertools import accumulate
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +9,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.lsm.engine import LSMEngine
 from repro.lsm.memtable import TOMBSTONE
-from repro.lsm.sstable import SSTable, shift_lanes
+from repro.lsm.sstable import PAGE_ENTRIES, SSTable
 from repro.sim.clock import SimClock
 from repro.sim.costs import CostBook, CostModel
 from repro.storage.errors import TupleNotFoundError
@@ -229,7 +229,8 @@ def test_retention_records_only_for_currently_deleted(keys):
     assert recorded == deleted
 
 
-LO, HI = -2, 43  # the key universe: table keys are 0..40, drops overshoot
+SIZES = [0, 1, 63, 64, 65, 193]  # at and either side of the page edges
+LO, HI = -2, 3 * max(SIZES) + 2  # the key universe: drops overshoot the keys
 BLOBS = st.one_of(
     st.just(TOMBSTONE),
     st.integers(),
@@ -240,16 +241,35 @@ BLOBS = st.one_of(
 
 @st.composite
 def table_and_drops(draw):
-    """A sorted table (values and tombstones; empty and one-entry included)
-    and a drop list: random keys — absent ones and repeats among them — plus
-    one adjacent run of present keys, which reaches the first key, the last
-    and the whole table."""
-    keys = sorted(draw(st.sets(st.integers(0, 40), max_size=24)))
-    entries = [(key, draw(st.integers(0, 10**6)), draw(BLOBS)) for key in keys]
+    """A sorted table (values and tombstones) whose size sits on or beside a
+    page edge, keys one to three apart, and a drop list: random keys —
+    absent ones and repeats among them — one adjacent run of present keys,
+    which reaches the first key, the last and the whole table, and any of a
+    whole page, a page's first key, the table's first key and its last."""
+    n = draw(st.sampled_from(SIZES))
+
+    def column(elements):
+        return draw(st.lists(elements, min_size=n, max_size=n))
+
+    keys = list(accumulate(column(st.integers(1, 3))))
+    pool = draw(st.lists(BLOBS, min_size=1, max_size=8))  # a run's values
+    values = [pool[pick % len(pool)] for pick in column(st.integers(0, 7))]
+    entries = list(zip(keys, column(st.integers(0, 10**6)), values))
     drops = draw(st.lists(st.integers(LO, HI), max_size=12))
-    edge = st.integers(0, len(keys))
+    edge = st.integers(0, n)
     lo, hi = sorted((draw(edge), draw(edge)))
-    return entries, drops + keys[lo:hi]
+    drops += keys[lo:hi]
+    if keys:
+        page = draw(st.integers(0, (n - 1) // PAGE_ENTRIES)) * PAGE_ENTRIES
+        picks = {
+            "page": keys[page : page + PAGE_ENTRIES],
+            "fence": keys[page : page + 1],
+            "first": keys[:1],
+            "last": keys[-1:],
+        }
+        for pick in draw(st.sets(st.sampled_from(sorted(picks)))):
+            drops += picks[pick]
+    return entries, drops
 
 
 @given(table_and_drops())
@@ -268,12 +288,15 @@ def test_without_keys_is_a_rebuild_of_the_survivors(case):
     assert tombstones == run.tombstone_count - ref.tombstone_count
     assert (out is run) == (not dropped)
     assert out.packed_block == ref.packed_block
-    assert out._starts.tobytes() == ref._starts.tobytes()
+    assert out.block_bytes == len(ref.packed_block)
     assert list(out.entries_encoded()) == survivors
     assert list(out.entries()) == list(ref.entries())
-    assert list(out.range(LO, HI)) == list(ref.range(LO, HI))
+    for lo in range(LO, HI + 1, 61):  # ranges that start and end mid-page
+        assert list(out.range(lo, lo + 90)) == list(ref.range(lo, lo + 90))
     for key in range(LO, HI + 1):
         assert out.get_encoded(key) == ref.get_encoded(key)
+    for key in {*drops, *(e[0] for e in survivors[::7])}:
+        assert out.get(key) == ref.get(key)
     assert len(out) == len(ref) == len(survivors)
     assert out.tombstone_count == ref.tombstone_count
     assert out.value_count == ref.value_count
@@ -286,24 +309,3 @@ def test_without_keys_is_a_rebuild_of_the_survivors(case):
     assert list(run.entries()) == entries
     for key, seqno, blob in encoded:
         assert run.get_encoded(key) == (seqno, blob)
-
-
-U32 = st.integers(0, 2**32 - 1)
-
-
-@st.composite
-def lanes_and_shift(draw):
-    """``u32`` lanes (empty, and up to 2**32 - 1, included) and a shift no
-    lane is below — zero among the draws."""
-    lanes = draw(st.lists(U32, max_size=64))
-    shift = draw(st.one_of(st.just(0), st.integers(0, min(lanes, default=0))))
-    return array("I", lanes), shift
-
-
-@given(lanes_and_shift())
-@settings(max_examples=300, deadline=None)
-def test_shift_lanes_is_a_per_lane_subtraction(case):
-    lanes, shift = case
-    got = array("I")
-    got.frombytes(shift_lanes(lanes, shift))
-    assert got == array("I", [s - shift for s in lanes])

@@ -9,7 +9,7 @@ from repro import codec
 from repro.lsm.bloom import BloomFilter, BloomHashCache, hash_pair
 from repro.lsm.engine import LSMEngine
 from repro.lsm.memtable import TOMBSTONE, Memtable
-from repro.lsm.sstable import SSTable
+from repro.lsm.sstable import PAGE_ENTRIES, SSTable
 from repro.sim.clock import SimClock
 from repro.sim.costs import CostBook, CostModel
 
@@ -206,10 +206,9 @@ class TestSSTable:
         assert list(out.entries()) == [("a", 1, "va"), ("c", 3, "vc")]
 
     def test_without_keys_builds_no_per_entry_objects(self):
-        # The splice is the sequential rewrite the cost model charges:
-        # slices and typed arrays, nothing allocated per surviving entry.
-        # Dropping the *first* key shifts every boundary (the worst case);
-        # a tuple-per-entry index retains ~3 blocks per survivor here.
+        # The splice allocates slices and typed arrays, nothing per
+        # surviving entry; a tuple-per-entry index retains ~3 blocks per
+        # survivor here.
         n = 4096
         run = SSTable([(i, i, ("value", i)) for i in range(n)])
         gc.collect()
@@ -228,17 +227,59 @@ class TestSSTable:
         [7, 300, 301, 2222, 4000, 4095],
     ], ids=["first", "middle", "last", "adjacent-run", "scattered"])
     def test_without_keys_index_matches_a_rebuild_on_a_big_run(self, drop):
-        # A block past 64 KiB puts boundaries above 2**16, so the shifted
-        # lanes form big ints many digits long on every gap.
+        # 64 pages and a block past 64 KiB: drops on page edges, inside a
+        # page, and across two (1000..1039 spans pages 15 and 16).
         n = 4096
         run = SSTable([(i, n - i, ("value", i, "x" * 20)) for i in range(n)])
         assert run.block_bytes > 64 * 1024
         out = run.without_keys(drop)[0]
         survivors = [e for e in run.entries_encoded() if e[0] not in drop]
         ref = SSTable.from_encoded(survivors, created_at=0)
-        assert out._starts.tobytes() == ref._starts.tobytes()
-        assert out._seqnos == ref._seqnos
+        assert list(out.entries_encoded()) == survivors
         assert out.packed_block == ref.packed_block
+        assert out.block_bytes == ref.block_bytes
+        # The source's Bloom filter is carried forward; the rest is measured.
+        assert out.size_bytes - run.bloom_bytes == ref.size_bytes - ref.bloom_bytes
+        assert (out.min_key, out.max_key, len(out)) == (ref.min_key, ref.max_key, len(ref))
+        assert list(out.range(990, 1050)) == list(ref.range(990, 1050))
+        for key in [*drop, 0, 63, 64, 1041, 4094, 4095]:
+            assert out.get(key) == ref.get(key)
+
+    @pytest.mark.parametrize("n", [4096, 16384])
+    def test_without_keys_rewrites_one_page_whatever_the_run_size(self, n):
+        # The splice's wall cost is the victim's page, not the run: every
+        # other page is the source run's own object, and the one new block
+        # is no bigger than a page block, at 4 096 entries as at 16 384.
+        run = SSTable([(i, i, ("value", i, "x" * 20)) for i in range(n)])
+        out = run.without_keys([n // 2 + 5])[0]
+        assert len(out._pages) == len(run._pages) == n // PAGE_ENTRIES
+        fresh = [new for new, old in zip(out._pages, run._pages) if new is not old]
+        assert len(fresh) == 1
+        assert len(fresh[0].block) <= max(len(page.block) for page in run._pages)
+
+    def test_victim_compaction_leaves_the_victim_in_no_reachable_run(self):
+        # Shared pages must never keep an erased value: after the rewrite
+        # no table the engine can reach yields the victim's blobs, though
+        # the rewritten tables share every untouched page with their sources.
+        eng, _ = make_engine(memtable_capacity=512, tier_threshold=10)
+        for i in range(2048):
+            eng.put(i, ("value", i))
+        for i in range(0, 2048, 2):
+            eng.put(i, ("update", i))
+        victim = 700
+        blobs = {codec.encode(("value", victim)), codec.encode(("update", victim))}
+        eng.delete(victim)
+        eng.flush()
+        before = list(eng.runs())
+        assert sum(run.get_encoded(victim) is not None for run in before) == 3
+        assert eng.victim_compaction() == 3
+        after = list(eng.runs())
+        for run in after:
+            assert run.get_encoded(victim) is None
+            assert not blobs & {blob for _k, _s, blob in run.entries_encoded()}
+        shared = {id(page) for run in before for page in run._pages}
+        assert any(id(page) in shared for run in after for page in run._pages)
+        assert not eng.physically_present(victim)
 
 
 class TestLSMEngineBasics:
