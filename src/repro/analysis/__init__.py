@@ -27,8 +27,8 @@ from repro.analysis.engine import (
     run_rules,
 )
 from repro.analysis.invariants import (
-    Invariant,
     InvariantViolation,
+    RuntimeInvariant,
     World,
     check_invariants,
     store_invariants,
@@ -40,10 +40,10 @@ __all__ = [
     "WARNING",
     "BaselineEntry",
     "Finding",
-    "Invariant",
     "InvariantViolation",
     "Module",
     "Rule",
+    "RuntimeInvariant",
     "World",
     "baseline_path",
     "check_invariants",

@@ -2,10 +2,12 @@
 
 The static rules in :mod:`repro.analysis.rules` reject leak-prone *code
 shapes*; this module declares the *runtime* properties those shapes exist
-to protect, as first-class :class:`Invariant` objects a harness can execute
-between steps of a live run (the VenomQA pattern: a registry of
-``Invariant(name, check, description)`` evaluated against a ``World`` after
-every action).
+to protect, as first-class :class:`RuntimeInvariant` objects a harness can
+execute between steps of a live run (the VenomQA pattern: a registry of
+``RuntimeInvariant(name, check, description)`` evaluated against a
+``World`` after every action).  The name keeps them apart from
+:class:`repro.core.invariants.Invariant`, the paper's regulation
+invariants over an action history.
 
 The :class:`World` is the harness's ground truth: which keys it believes
 live, which it grounded-erased, plus the audit events (erase reports,
@@ -67,7 +69,7 @@ class InvariantViolation:
 
 
 @dataclass(frozen=True)
-class Invariant:
+class RuntimeInvariant:
     """One executable runtime property.
 
     ``check`` takes the :class:`World` and returns the violation messages
@@ -290,10 +292,10 @@ def _check_replicas_converge_after_heal(world: World) -> List[str]:
     return violations
 
 
-def store_invariants() -> List[Invariant]:
+def store_invariants() -> List[RuntimeInvariant]:
     """The registered invariant set for a :class:`ReplicatedStore` run."""
     return [
-        Invariant(
+        RuntimeInvariant(
             name="copies-match-reality",
             check=_check_copies_match_reality,
             description=(
@@ -302,14 +304,14 @@ def store_invariants() -> List[Invariant]:
                 "shard scan), live keys have at least one"
             ),
         ),
-        Invariant(
+        RuntimeInvariant(
             name="no-erased-read",
             check=_check_no_erased_read,
             description=(
                 "no read path returns a value for a grounded-erased key"
             ),
         ),
-        Invariant(
+        RuntimeInvariant(
             name="destructive-actions-audited",
             check=_check_destructive_audited,
             description=(
@@ -317,7 +319,7 @@ def store_invariants() -> List[Invariant]:
                 "migrated key an emitted MoveEvent"
             ),
         ),
-        Invariant(
+        RuntimeInvariant(
             name="replicas-converge",
             check=_check_replicas_converge,
             description=(
@@ -325,7 +327,7 @@ def store_invariants() -> List[Invariant]:
                 "survives on any individual node"
             ),
         ),
-        Invariant(
+        RuntimeInvariant(
             name="replicas-converge-after-heal",
             check=_check_replicas_converge_after_heal,
             description=(
@@ -338,7 +340,7 @@ def store_invariants() -> List[Invariant]:
 
 
 def check_invariants(
-    world: World, invariants: Optional[Sequence[Invariant]] = None
+    world: World, invariants: Optional[Sequence[RuntimeInvariant]] = None
 ) -> List[InvariantViolation]:
     """Evaluate every invariant against the world; empty list = all hold."""
     invariants = store_invariants() if invariants is None else invariants

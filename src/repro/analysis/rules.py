@@ -89,9 +89,7 @@ _LOG_ATTRS = frozenset({"_log", "log", "replication_log"})
 #: The log as a class of its own: its ``append`` method *is* the write.
 _LOG_CLASS = re.compile(r"ReplicationLog$")
 _WAL_ATTRS = frozenset({"wal", "_wal"})
-_IMPORT_CALLS = frozenset(
-    {"import_batch", "import_encoded_batch", "import_items_encoded"}
-)
+_IMPORT_CALLS = frozenset({"import_encoded_batch", "import_items_encoded"})
 
 
 class CopySiteRule(Rule):
@@ -104,8 +102,8 @@ class CopySiteRule(Rule):
        a replication-log append (``_append_log`` / ``*._log.append`` / the
        ``append`` method a ``*ReplicationLog`` class defines), a
        value-carrying WAL append (``*.wal.append(..., payload=...)``) or
-       a migration import (``import_batch`` and the encoded variants) —
-       must reference the matching ``CopyLocation`` member (``CACHE`` /
+       a migration import (``import_encoded_batch`` /
+       ``import_items_encoded``) — must reference the matching ``CopyLocation`` member (``CACHE`` /
        ``LOG`` / ``WAL`` / ``MIGRATION``) somewhere in the same module,
        i.e. the tracking lives next to the copy-producing code.
     2. **Declared members need consumers** (package-scope).  Every member

@@ -1,4 +1,4 @@
-"""Audit substrate — logs, histories, retention.
+"""Audit substrate — logs and histories.
 
 The paper grounds *histories* on "various logs a system maintains, their
 granularity, and uses" (§3.2).  The three profiles differ exactly here:
@@ -17,12 +17,10 @@ charges the cost model per record.
 from repro.audit.csvlog import CsvLogger
 from repro.audit.log import ActionLog
 from repro.audit.querylog import PolicyDecisionLogger, QueryResponseLogger
-from repro.audit.retention import RetentionManager
 
 __all__ = [
     "ActionLog",
     "CsvLogger",
     "QueryResponseLogger",
     "PolicyDecisionLogger",
-    "RetentionManager",
 ]

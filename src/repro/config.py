@@ -50,7 +50,6 @@ _FIELD_FAMILIES: Dict[str, Tuple[str, ...]] = {
     # psql (RelationalEngine + PsqlBackend)
     "table": ("psql",),
     "flag_column": ("psql",),
-    "cipher": ("psql",),
     "bloat_factor": ("psql",),
     "autovacuum_threshold": ("psql",),
     "wal_group_size": ("psql",),
@@ -75,7 +74,6 @@ _POOL_FIELDS: Tuple[str, ...] = ("shared_block_cache", "shared_vault")
 #: psql fields that configure the shared :class:`RelationalEngine` itself
 #: (as opposed to one table's backend view of it).
 _PSQL_ENGINE_FIELDS: Tuple[str, ...] = (
-    "cipher",
     "bloat_factor",
     "autovacuum_threshold",
     "wal_group_size",
@@ -119,7 +117,6 @@ class BackendConfig:
     # --- psql -----------------------------------------------------------
     table: Optional[str] = None
     flag_column: Optional[bool] = None
-    cipher: Optional[Any] = None
     bloat_factor: Optional[float] = None
     autovacuum_threshold: Optional[int] = None
     wal_group_size: Optional[int] = None

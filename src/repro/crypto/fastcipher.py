@@ -1,20 +1,24 @@
-"""Fast keystream cipher for bulk engine traffic.
+"""Fast keystream cipher for the crypto-shred sector groups.
 
 SHA-256 in counter mode: keystream block i = SHA256(key ‖ nonce ‖ i).
 The hash runs in C (hashlib) and the XOR is one big-int operation, so
-sealing every tuple at paper scale is affordable, while the transformation
+sealing every value at paper scale is affordable, while the transformation
 remains a real keyed, invertible-only-with-the-key cipher — good enough to
 make "encrypted at rest" mean that a forensic scan sees ciphertext, which
 is what the erasure/retention analyses need.  The *cost* of AES/LUKS is
-charged separately through the cost model (the figures do not depend on
-the cipher tier: ``tests/integration/test_cipher_tiers.py``).
+charged separately through the cost model (``CostModel.charge_aes256`` /
+``charge_luks`` / ``charge_aes128``).
 """
 
 from __future__ import annotations
 
 import hashlib
 
-from repro.crypto.modes import xor_bytes
+
+def xor_bytes(a: bytes, b: bytes) -> bytes:
+    """``a`` XOR ``b`` for equal-length inputs, as one big-int operation."""
+    mixed = int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
+    return mixed.to_bytes(len(a), "big")
 
 
 class FastStreamCipher:

@@ -1,7 +1,7 @@
 """Key derivation — PBKDF2-HMAC-SHA256 (``hashlib.pbkdf2_hmac``, in C).
 
-Used by the LUKS volume to derive the key-encryption key from a passphrase,
-mirroring cryptsetup's PBKDF2 default.
+Used by the sector groups to derive each slot's subkey from its unit's
+vault master key (:func:`repro.crypto.sectors.derive_subkey`).
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ delete" groundings in the same group pays one pass, not one per unit.
 
 The group never sees key material beyond the subkeys handed to
 ``write``/``read``; a forensic scan (:meth:`raw_sector`) sees only
-ciphertext, exactly like :class:`~repro.crypto.luks.LuksVolume`.
+ciphertext.
 """
 
 from __future__ import annotations

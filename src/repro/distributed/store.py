@@ -813,10 +813,10 @@ class Rebalance:
     traffic — reads, writes, and erases all keep working mid-rebalance.
 
     Each batch takes two steps.  The *copy* step exports the batch from its
-    source shard (``StorageBackend.export_range``) and imports it at the
-    destination (``import_batch`` + replication-log PUTs); from that moment
-    the keys are in flight and ``copies_of`` reports a ``MIGRATION`` site
-    for each.  The *ground* step runs the source shard's grounded batch
+    source shard (``StorageBackend.export_encoded_range``) and imports it at
+    the destination (``import_encoded_batch`` + replication-log PUTs); from
+    that moment the keys are in flight and ``copies_of`` reports a
+    ``MIGRATION`` site for each.  The *ground* step runs the source shard's grounded batch
     erase — delete on every node, one reclamation pass per node, replication
     log scrubbed — verifies the source holds nothing, and emits a
     :class:`MoveEvent` per key.  A key erased by the compliance layer while

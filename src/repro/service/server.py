@@ -62,7 +62,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tupl
 
 import queue
 
-from repro.analysis.invariants import Invariant, World, check_invariants
+from repro.analysis.invariants import RuntimeInvariant, World, check_invariants
 from repro.config import ServiceConfig
 from repro.distributed.ring import stable_hash
 from repro.service.api import (
@@ -202,7 +202,7 @@ class ComplianceService:
         self,
         store: Any,
         config: Optional[ServiceConfig] = None,
-        invariants: Optional[Sequence[Invariant]] = None,
+        invariants: Optional[Sequence[RuntimeInvariant]] = None,
         initial_live: Iterable[Any] = (),
         autostart: bool = True,
     ) -> None:

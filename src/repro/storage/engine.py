@@ -94,23 +94,6 @@ codec.register_extension(
 )
 
 
-class EngineCipher:
-    """Interface for at-rest encryption hooks (see :mod:`repro.crypto`).
-
-    ``seal``/``open_`` transform a payload and charge the appropriate
-    cost — implementations range from real AES to cost-only accounting.
-    """
-
-    #: bytes of ciphertext expansion per sealed payload (IV/tag overhead).
-    overhead_bytes: int = 0
-
-    def seal(self, payload: Any, nbytes: int) -> Any:  # pragma: no cover
-        raise NotImplementedError
-
-    def open_(self, payload: Any, nbytes: int) -> Any:  # pragma: no cover
-        raise NotImplementedError
-
-
 class RelationalEngine:
     """A single-node relational engine with PostgreSQL-like vacuuming.
 
@@ -118,8 +101,6 @@ class RelationalEngine:
     ----------
     cost:
         The shared cost model; every operation charges it.
-    cipher:
-        Optional at-rest encryption hook applied to row payloads.
     bloat_factor:
         Weight of the dead-tuple density penalty on reads (see module doc).
     autovacuum_threshold:
@@ -131,7 +112,6 @@ class RelationalEngine:
     def __init__(
         self,
         cost: CostModel,
-        cipher: Optional[EngineCipher] = None,
         bloat_factor: float = 1.0,
         autovacuum_threshold: Optional[int] = None,
         wal_group_size: int = 64,
@@ -142,7 +122,6 @@ class RelationalEngine:
         if autovacuum_threshold is not None and autovacuum_threshold <= 0:
             raise ValueError("autovacuum_threshold must be positive")
         self._cost = cost
-        self._cipher = cipher
         self._bloat_factor = bloat_factor
         self._autovacuum_threshold = autovacuum_threshold
         self._catalog = Catalog()
@@ -234,19 +213,18 @@ class RelationalEngine:
         pending = self._wal_scrub_pending.get(table)
         if pending is not None:
             pending.discard(key)
-        stored = self._seal(payload, size)
-        tid = t.heap.insert(key, stored, size)
+        tid = t.heap.insert(key, payload, size)
         t.index.insert(key, tid)
         self._cost.charge_index_insert()
         self._cost.charge_tuple_cpu()
         self._charge_heap_write(size)
-        self.wal.append(WalRecordType.INSERT, table, key, size, payload=stored)
+        self.wal.append(WalRecordType.INSERT, table, key, size, payload=payload)
 
     def read(self, table: str, key: Any) -> Any:
         """Point SELECT by primary key.
 
-        Charges the index descent, dead-entry steps, the density-degraded
-        heap fetch, and decryption if the table is sealed.
+        Charges the index descent, dead-entry steps and the density-degraded
+        heap fetch.
         """
         t = self._catalog.get(table)
         return self._read_row(t, table, key)
@@ -258,7 +236,7 @@ class RelationalEngine:
         return [self._read_row(t, table, key) for key in keys]
 
     def _read_row(self, t: Table, table: str, key: Any) -> Any:
-        """One fully-charged point read: probe, fetch, unwrap, decrypt."""
+        """One fully-charged point read: probe, fetch, unwrap."""
         probe = t.index.probe(key)
         self._cost.charge_index_probe(probe.depth)
         if probe.dead_stepped:
@@ -270,8 +248,8 @@ class RelationalEngine:
         self._cost.charge_tuple_cpu()
         payload = slot.payload
         if isinstance(payload, FlaggedPayload):
-            payload = payload.value
-        return self._open(payload, slot.payload_size)
+            return payload.value
+        return payload
 
     def update(
         self, table: str, key: Any, payload: Any, payload_size: Optional[int] = None
@@ -286,13 +264,12 @@ class RelationalEngine:
         t.heap.mark_dead(probe.tid)
         t.index.mark_dead(key)
         self._cost.charge_index_delete()
-        stored = self._seal(payload, size)
-        tid = t.heap.insert(key, stored, size)
+        tid = t.heap.insert(key, payload, size)
         t.index.insert(key, tid)
         self._cost.charge_index_insert()
         self._cost.charge_tuple_cpu()
         self._charge_heap_write(size)
-        self.wal.append(WalRecordType.UPDATE, table, key, size, payload=stored)
+        self.wal.append(WalRecordType.UPDATE, table, key, size, payload=payload)
         self._maybe_autovacuum(table)
 
     def delete(self, table: str, key: Any) -> None:
@@ -361,9 +338,8 @@ class RelationalEngine:
         out: List[Tuple[Any, Any]] = []
         for _tid, slot in t.heap.scan():
             self._cost.charge_tuple_cpu()
-            value = self._open(slot.payload, slot.payload_size)
-            if predicate is None or predicate(slot.key, value):
-                out.append((slot.key, value))
+            if predicate is None or predicate(slot.key, slot.payload):
+                out.append((slot.key, slot.payload))
         return out
 
     def range_scan(self, table: str, lo: Any, hi: Any) -> List[Tuple[Any, Any]]:
@@ -374,7 +350,7 @@ class RelationalEngine:
         for key, tid in t.index.range(lo, hi):
             self._charge_heap_read(t)
             slot = t.heap.fetch(tid)
-            out.append((key, self._open(slot.payload, slot.payload_size)))
+            out.append((key, slot.payload))
         return out
 
     def forensic_scan(self, table: str) -> List[Tuple[Any, bool]]:
@@ -474,20 +450,7 @@ class RelationalEngine:
 
     # -------------------------------------------------------------- internals
     def _row_size(self, t: Table, override: Optional[int]) -> int:
-        size = override if override is not None else t.schema.effective_row_bytes
-        if self._cipher is not None:
-            size += self._cipher.overhead_bytes
-        return size
-
-    def _seal(self, payload: Any, nbytes: int) -> Any:
-        if self._cipher is None:
-            return payload
-        return self._cipher.seal(payload, nbytes)
-
-    def _open(self, payload: Any, nbytes: int) -> Any:
-        if self._cipher is None:
-            return payload
-        return self._cipher.open_(payload, nbytes)
+        return override if override is not None else t.schema.effective_row_bytes
 
     def _charge_heap_read(self, t: Table) -> None:
         penalty = 1.0 + self._bloat_factor * t.heap.dead_fraction

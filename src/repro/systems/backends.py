@@ -352,7 +352,7 @@ class StorageBackend(ABC):
         Reversibly-inaccessible units are exported wrapped in
         :class:`FlaggedPayload` whatever mechanism the engine uses for the
         flag (column, flag write, out-of-band bit), and
-        :meth:`import_batch` re-grounds the wrapper on arrival — a
+        :meth:`import_encoded_batch` re-grounds the wrapper on arrival — a
         migration must never silently undo a compliance-mandated
         reversible erase at the key's new home.
 
@@ -371,30 +371,6 @@ class StorageBackend(ABC):
             out.append((key, value))
         return out
 
-    def import_batch(self, items: Sequence[Tuple[Any, Any]]) -> int:
-        """Destination side of a shard migration: bulk-load ``(unit_id,
-        value)`` pairs through the COPY-style path and hit a durability
-        point, so the imported copies survive exactly like written ones.
-        The migration planner guarantees the ids are fresh on this node.
-
-        ``FlaggedPayload``-wrapped values (reversibly-inaccessible units in
-        transit) are unwrapped and re-grounded through this engine's own
-        flag mechanism, preserving the inaccessibility across the move.
-        """
-        items = list(items)
-        plain = [
-            (k, v) for k, v in items if not isinstance(v, FlaggedPayload)
-        ]
-        count = self.insert_many(plain) if plain else 0
-        for key, value in items:
-            if isinstance(value, FlaggedPayload):
-                self.insert(key, value.value, fresh=True)
-                if value.flagged:
-                    self.make_inaccessible(key)
-                count += 1
-        self.commit()
-        return count
-
     def export_encoded_range(
         self, predicate: Callable[[Any], bool]
     ) -> List[Tuple[Any, bytes]]:
@@ -412,13 +388,29 @@ class StorageBackend(ABC):
         ]
 
     def import_encoded_batch(self, items: Sequence[Tuple[Any, bytes]]) -> int:
-        """Destination side of an encoded migration: load ``(unit_id,
-        blob)`` pairs.  The generic path decodes and delegates to
-        :meth:`import_batch` (re-grounding ``FlaggedPayload`` wrappers);
-        native overrides write the blobs straight into storage."""
-        return self.import_batch(
-            [(key, codec.decode(blob)) for key, blob in items]
-        )
+        """Destination side of a shard migration: load ``(unit_id, blob)``
+        pairs through the COPY-style path and hit a durability point, so
+        the imported copies survive exactly like written ones.  The
+        migration planner guarantees the ids are fresh on this node.
+
+        The generic path decodes each blob; ``FlaggedPayload``-wrapped
+        values (reversibly-inaccessible units in transit) are unwrapped and
+        re-grounded through this engine's own flag mechanism, preserving
+        the inaccessibility across the move.  Native overrides write the
+        blobs straight into storage."""
+        values = [(key, codec.decode(blob)) for key, blob in items]
+        plain = [
+            (k, v) for k, v in values if not isinstance(v, FlaggedPayload)
+        ]
+        count = self.insert_many(plain) if plain else 0
+        for key, value in values:
+            if isinstance(value, FlaggedPayload):
+                self.insert(key, value.value, fresh=True)
+                if value.flagged:
+                    self.make_inaccessible(key)
+                count += 1
+        self.commit()
+        return count
 
     def open_export(
         self, predicate: Callable[[Any], bool], name: str = "export"

@@ -83,7 +83,6 @@ class ProfileConfig:
     metadata_row_bytes: int = 72  # one policy/metadata row per record
     vacuum_interval: int = 1_000        # deletes between reclamations (P_Base)
     vacuum_full_interval: int = 2_000   # deletes between full reclaims (P_SYS)
-    cipher_tier: str = "cost-only"      # "cost-only" | "fast" | "aes"
     cost_book: CostBook = field(default_factory=CostBook)
     dataset_seed: int = 42
 

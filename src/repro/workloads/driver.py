@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from repro.analysis.invariants import Invariant, World, check_invariants
+from repro.analysis.invariants import RuntimeInvariant, World, check_invariants
 from repro.distributed.faults import FaultError, FaultInjector, FaultPlan
 from repro.storage.errors import TupleNotFoundError
 from repro.workloads.base import OpKind, Workload
@@ -109,7 +109,7 @@ def run_interleaved(
     consistency: str = "one",
     key_fn: Callable[[int], str] = unit_key,
     drain: bool = True,
-    invariants: Optional[Sequence[Invariant]] = None,
+    invariants: Optional[Sequence[RuntimeInvariant]] = None,
     faults: Optional[FaultPlan] = None,
 ) -> InterleavedRunResult:
     """Replay ``workload`` against ``store`` while ``driver`` advances a

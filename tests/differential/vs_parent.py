@@ -1,7 +1,7 @@
-"""Differential: this checkout's lsm or crypto-shred backend against a parent.
+"""Differential: this checkout's psql, lsm or crypto-shred backend against a parent.
 
-    python tests/differential/vs_parent.py --backend lsm|crypto-shred --against /path/to/parent
-    python tests/differential/vs_parent.py --backend lsm|crypto-shred --against HEAD~1
+    python tests/differential/vs_parent.py --backend psql|lsm|crypto-shred --against /path/to/parent
+    python tests/differential/vs_parent.py --backend psql|lsm|crypto-shred --against HEAD~1
 
 replays one seeded 6 000-op sequence per leg on both source trees (a child
 process each — both define ``repro``) and compares the transcripts: every
@@ -12,6 +12,9 @@ checkout, or a git ref of this repository, exported (``git archive``) to a
 temporary directory that is removed on exit; ``--against HEAD`` on a clean
 tree is a self-check that the transcript is deterministic across processes.
 
+* psql, bare leg — one ``PsqlBackend``; ``reclaim()`` ("delete": VACUUM)
+  interleaved with ``reclaim_full()`` ("strong delete": VACUUM FULL); after
+  every erase, the table's heap image, WAL size and B-tree leaf chain.
 * lsm, bare leg — one ``LsmBackend``; ``reclaim()`` ("delete": victim
   compaction) interleaved with ``reclaim_full()`` ("strong delete": full
   compaction); after every erase, each run's ``table_id``, a digest of its
@@ -22,8 +25,14 @@ tree is a self-check that the transcript is deterministic across processes.
   ("permanently delete") interleaved with re-inserts over dead units.
 * store leg — ``ReplicatedStore``, 3 shards x 1 replica (lsm: deferred
   merges): naive deletes, grounded single and batch erases, ``maintain``
-  slices.  lsm records every node's runs at the end; crypto-shred records
-  every node's bytes at rest after every erase.
+  slices.  lsm records every node's runs at the end; psql and crypto-shred
+  record every node's bytes at rest after every erase.
+
+Bytes at rest on psql: a SHA-256 over the heap image in ``scan_all()``
+order (each tuple's TID, key, liveness, ``payload_size`` and payload
+``repr``, dead tuples included), the WAL's ``size_bytes``, and a SHA-256
+over the B-tree leaf chain (each entry's key, TID and liveness, dead
+entries included).
 
 Bytes at rest on crypto-shred: a SHA-256 over every sector group's raw
 sectors in sector order, and one over the vault's key table (each id's
@@ -46,8 +55,34 @@ OPS, KEYS = 6_000, 500
 ENGINE = {"memtable_capacity": 48, "tier_threshold": 3}
 
 
+def _leaf_chain(index):
+    """The B-tree's leaf entries left to right, dead ones included."""
+    node = index._root
+    while hasattr(node, "children"):
+        node = node.children[0]
+    while node is not None:
+        yield from node.entries
+        node = node.next
+
+
 def _at_rest(tag, backend):
     """What a forensic scan of the backend's storage reads, as digests."""
+    if backend.name == "psql":
+        table = backend.engine._catalog.get(backend.table)
+        heap = hashlib.sha256()
+        for tid, slot in table.heap.scan_all():
+            heap.update(
+                f"{tid}|{slot.key!r}|{slot.live}|{slot.payload_size}|"
+                f"{slot.payload!r};".encode()
+            )
+        leaves = hashlib.sha256()
+        for entry in _leaf_chain(table.index):
+            leaves.update(f"{entry.key!r}|{entry.tid}|{entry.live};".encode())
+        yield (
+            f"{tag} heap {heap.hexdigest()} wal={backend.engine.wal.size_bytes} "
+            f"index {leaves.hexdigest()}"
+        )
+        return
     if backend.name == "lsm":
         for level, table in backend.engine.tables_by_level():
             block = hashlib.sha256(table.packed_block).hexdigest()
@@ -99,11 +134,15 @@ def _sequence(rng):
 def bare_leg(name, seed):
     from repro.sim.clock import SimClock
     from repro.sim.costs import CostBook, CostModel
-    from repro.systems.backends import CryptoShredBackend, LsmBackend
+    from repro.systems.backends import CryptoShredBackend, LsmBackend, PsqlBackend
 
     clock = SimClock()
     cost = CostModel(clock, CostBook())
-    backend = LsmBackend(cost, **ENGINE) if name == "lsm" else CryptoShredBackend(cost)
+    backend = {
+        "psql": lambda: PsqlBackend(cost),
+        "lsm": lambda: LsmBackend(cost, **ENGINE),
+        "crypto-shred": lambda: CryptoShredBackend(cost),
+    }[name]()
     for n, (op, key, value) in enumerate(_sequence(random.Random(seed))):
         if op == "collect":
             _attempt(lambda k: backend.insert(k, value), key)
@@ -160,7 +199,7 @@ def store_leg(name, seed):
             batch = _batch(key)
             yield f"{n} {store.erase_many(batch)!r}"
             yield from (f"{n} {k} {store.copies_of(k)!r}" for k in batch)
-        if name == "crypto-shred" and op in ("erase", "erase_batch", "strong"):
+        if name != "lsm" and op in ("erase", "erase_batch", "strong"):
             for node in store.nodes():
                 yield from _at_rest(f"{n} {node.name}", node.backend)
         clock.advance_to(clock.now + rng.randrange(40_000))
@@ -204,7 +243,7 @@ def main():
         "--against", help="a checkout of the parent, or a git ref of this repository"
     )
     parser.add_argument("--emit", type=Path, help="print one checkout's transcript")
-    parser.add_argument("--backend", choices=("lsm", "crypto-shred"), default="lsm")
+    parser.add_argument("--backend", choices=("psql", "lsm", "crypto-shred"), default="lsm")
     parser.add_argument("--seed", type=int, default=23)
     args = parser.parse_args()
     if args.emit:

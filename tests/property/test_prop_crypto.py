@@ -6,17 +6,9 @@ import hmac
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.aes import AES
 from repro.crypto.fastcipher import FastStreamCipher
 from repro.crypto.kdf import pbkdf2_sha256
-from repro.crypto.luks import LuksVolume
-from repro.crypto.modes import cbc_decrypt, cbc_encrypt, ctr_xor, pkcs7_pad, pkcs7_unpad
 
-keys = st.sampled_from([16, 24, 32]).flatmap(
-    lambda n: st.binary(min_size=n, max_size=n)
-)
-blocks = st.binary(min_size=16, max_size=16)
-ivs = st.binary(min_size=16, max_size=16)
 payloads = st.binary(min_size=0, max_size=300)
 
 
@@ -66,46 +58,6 @@ def reference_pbkdf2_sha256(
     return b"".join(blocks)[:dklen]
 
 
-@given(key=keys, block=blocks)
-@settings(max_examples=50, deadline=None)
-def test_aes_decrypt_inverts_encrypt(key, block):
-    aes = AES(key)
-    assert aes.decrypt_block(aes.encrypt_block(block)) == block
-
-
-@given(key=keys, block=blocks)
-@settings(max_examples=50, deadline=None)
-def test_aes_is_a_permutation(key, block):
-    """Encryption never fixes the all-different property: distinct inputs
-    map to distinct outputs (injectivity on a sample)."""
-    aes = AES(key)
-    other = bytes((block[0] ^ 1,)) + block[1:]
-    assert aes.encrypt_block(block) != aes.encrypt_block(other)
-
-
-@given(key=keys, iv=ivs, data=payloads)
-@settings(max_examples=50, deadline=None)
-def test_ctr_roundtrip(key, iv, data):
-    aes = AES(key)
-    assert ctr_xor(aes, iv, ctr_xor(aes, iv, data)) == data
-
-
-@given(key=keys, iv=ivs, data=payloads)
-@settings(max_examples=50, deadline=None)
-def test_cbc_roundtrip(key, iv, data):
-    aes = AES(key)
-    assert cbc_decrypt(aes, iv, cbc_encrypt(aes, iv, data)) == data
-
-
-@given(data=payloads)
-@settings(max_examples=50, deadline=None)
-def test_pkcs7_roundtrip_and_block_multiple(data):
-    padded = pkcs7_pad(data)
-    assert len(padded) % 16 == 0
-    assert len(padded) > len(data)
-    assert pkcs7_unpad(padded) == data
-
-
 @given(
     key=st.binary(min_size=1, max_size=64),
     nonce=st.binary(min_size=0, max_size=32),
@@ -152,24 +104,3 @@ def test_pbkdf2_matches_stdlib(passphrase, salt, iterations, dklen):
     ours = pbkdf2_sha256(passphrase, salt, iterations, dklen)
     theirs = reference_pbkdf2_sha256(passphrase, salt, iterations, dklen)
     assert ours == theirs
-
-
-@given(
-    passphrases=st.lists(
-        st.binary(min_size=1, max_size=16), min_size=1, max_size=4, unique=True
-    ),
-    sector=st.integers(min_value=0, max_value=1000),
-    data=st.binary(min_size=0, max_size=512),
-)
-@settings(max_examples=30, deadline=None)
-def test_luks_any_enrolled_passphrase_opens(passphrases, sector, data):
-    volume = LuksVolume(iterations=2)
-    for p in passphrases:
-        volume.add_passphrase(p)
-    masters = {volume.open(p) for p in passphrases}
-    assert len(masters) == 1
-    volume.write_sector(sector, data)
-    assert volume.read_sector(sector)[: len(data)] == data
-    if data:
-        raw = volume.raw_sector(sector)
-        assert raw[: len(data)] != data or len(data) < 4  # ciphertext differs

@@ -20,4 +20,4 @@ class LeakyNode:
 
     def migrate(self, items):
         # expect: G01 — migration import without a MIGRATION site
-        self.backend.import_batch(items)
+        self.backend.import_encoded_batch(items)

@@ -15,7 +15,7 @@ class TrackedNode:
         self.wal.append("INSERT", key, payload=stored)
 
     def migrate(self, items):
-        self.backend.import_batch(items)
+        self.backend.import_encoded_batch(items)
 
     def copies_of(self, key):
         found = []

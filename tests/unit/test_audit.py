@@ -1,7 +1,5 @@
 """Unit tests for the audit substrate."""
 
-import pytest
-
 from repro.audit.csvlog import CsvLogger
 from repro.audit.log import RECORD_BYTES, ActionLog
 from repro.audit.querylog import (
@@ -9,7 +7,6 @@ from repro.audit.querylog import (
     PolicyDecisionLogger,
     QueryResponseLogger,
 )
-from repro.audit.retention import RetentionManager
 from repro.core.actions import ActionType
 from repro.core.entities import controller
 from repro.sim.clock import SimClock
@@ -131,30 +128,3 @@ class TestPolicyDecisionLogger:
         assert len(logger.decisions_for_unit("x")) == 1
         assert logger.purge_unit("x") == 1
         assert logger.decisions_for_unit("x") == []
-
-
-class TestRetentionManager:
-    def test_coordinated_purge(self):
-        mgr = RetentionManager()
-        cost = make_cost()
-        action_log = ActionLog(cost)
-        decisions = PolicyDecisionLogger(cost)
-        action_log.record("x", "p", NETFLIX, ActionType.CREATE, 1)
-        decisions.log(1, "x", "e", "p", 1, True)
-        mgr.register("actions", action_log.purge_unit)
-        mgr.register("decisions", decisions.purge_unit)
-        report = mgr.purge_unit("x")
-        assert report.total == 2
-        assert report.removed == {"actions": 1, "decisions": 1}
-
-    def test_duplicate_store_rejected(self):
-        mgr = RetentionManager()
-        mgr.register("a", lambda _u: 0)
-        with pytest.raises(ValueError):
-            mgr.register("a", lambda _u: 0)
-
-    def test_store_names(self):
-        mgr = RetentionManager()
-        mgr.register("a", lambda _u: 0)
-        mgr.register("b", lambda _u: 0)
-        assert mgr.store_names == ["a", "b"]

@@ -561,7 +561,7 @@ class TestCryptoShredSpecific:
 
 
 class TestBulkMigrationHooks:
-    """export_range / import_batch — the shard-migration transport."""
+    """export_range / import_encoded_batch — the shard-migration transport."""
 
     def _loaded(self, backend, n=20):
         for i in range(n):
@@ -589,11 +589,11 @@ class TestBulkMigrationHooks:
         items = dict(backend.export_range(lambda k: k == keys[1]))
         assert items == {keys[1]: {"i": -1}}
 
-    def test_import_batch_roundtrips(self, backend):
+    def test_import_encoded_batch_roundtrips(self, backend):
         source = make_backend(backend.name, make_cost())
         keys = self._loaded(source)
-        items = source.export_range(lambda k: True)
-        assert backend.import_batch(items) == len(keys)
+        items = source.export_encoded_range(lambda k: True)
+        assert backend.import_encoded_batch(items) == len(keys)
         for key in keys:
             assert backend.read(key) == {"i": int(key[1:])}
 
@@ -606,7 +606,7 @@ class TestBulkMigrationHooks:
         source.insert("a", "secret")
         source.insert("b", "plain")
         source.make_inaccessible("a")
-        backend.import_batch(source.export_range(lambda k: True))
+        backend.import_encoded_batch(source.export_encoded_range(lambda k: True))
         assert backend.is_inaccessible("a") is True
         assert backend.is_inaccessible("b") is False
         backend.restore("a")  # the transformation stays invertible
@@ -618,7 +618,7 @@ class TestBulkMigrationHooks:
         the source's physical footprint."""
         source = make_backend(backend.name, make_cost())
         keys = self._loaded(source, n=6)
-        backend.import_batch(source.export_range(lambda k: True))
+        backend.import_encoded_batch(source.export_encoded_range(lambda k: True))
         source.erase_many(keys)
         for key in keys:
             assert not source.physically_present(key)

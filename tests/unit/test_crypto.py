@@ -1,119 +1,45 @@
-"""Unit tests for the crypto substrate — AES pinned to FIPS-197."""
+"""Unit tests for the crypto substrate — KDF, keystream cipher, sector
+groups and the key vault."""
+
+import hashlib
 
 import pytest
 
-from repro.crypto.adapters import (
-    AesEngineCipher,
-    CipherKind,
-    CostOnlyCipher,
-    FastEngineCipher,
-    SealedPayload,
-    make_engine_cipher,
-)
-from repro.crypto.aes import AES
-from repro.crypto.fastcipher import FastStreamCipher
+from repro.crypto.fastcipher import FastStreamCipher, xor_bytes
 from repro.crypto.kdf import pbkdf2_sha256
-from repro.crypto.luks import SECTOR, LuksVolume
-from repro.crypto.modes import (
-    cbc_decrypt,
-    cbc_encrypt,
-    ctr_xor,
-    pkcs7_pad,
-    pkcs7_unpad,
+from repro.crypto.sectors import (
+    GROUP_HEADER_BYTES,
+    MAX_SLOT_SECTORS,
+    SECTOR,
+    SectorGroup,
+    derive_subkey,
 )
-from repro.crypto.sectors import SectorGroup, derive_subkey
-from repro.sim.clock import SimClock
-from repro.sim.costs import CostBook, CostModel
+from repro.crypto.vault import KEY_ENTRY_BYTES, VAULT_HEADER_BYTES, KeyVault
 
-FIPS_PT = bytes.fromhex("00112233445566778899aabbccddeeff")
+PLAINTEXT = b"ssn=123-45-6789;"
 
 
-class TestAESVectors:
-    """FIPS-197 Appendix C known-answer tests."""
-
-    def test_aes128(self):
-        key = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
-        expected = bytes.fromhex("69c4e0d86a7b0430d8cdb78070b4c55a")
-        assert AES(key).encrypt_block(FIPS_PT) == expected
-
-    def test_aes192(self):
-        key = bytes.fromhex("000102030405060708090a0b0c0d0e0f1011121314151617")
-        expected = bytes.fromhex("dda97ca4864cdfe06eaf70a0ec0d7191")
-        assert AES(key).encrypt_block(FIPS_PT) == expected
-
-    def test_aes256(self):
-        key = bytes.fromhex(
-            "000102030405060708090a0b0c0d0e0f"
-            "101112131415161718191a1b1c1d1e1f"
-        )
-        expected = bytes.fromhex("8ea2b7ca516745bfeafc49904b496089")
-        assert AES(key).encrypt_block(FIPS_PT) == expected
-
-    def test_decrypt_inverts_encrypt(self):
-        for key_len in (16, 24, 32):
-            aes = AES(bytes(range(key_len)))
-            assert aes.decrypt_block(aes.encrypt_block(FIPS_PT)) == FIPS_PT
-
-    def test_rounds_by_key_size(self):
-        assert AES(bytes(16)).rounds == 10
-        assert AES(bytes(24)).rounds == 12
-        assert AES(bytes(32)).rounds == 14
-
-    def test_invalid_key_length(self):
-        with pytest.raises(ValueError, match="16, 24, or 32"):
-            AES(bytes(15))
-
-    def test_invalid_block_length(self):
-        with pytest.raises(ValueError):
-            AES(bytes(16)).encrypt_block(b"short")
-        with pytest.raises(ValueError):
-            AES(bytes(16)).decrypt_block(b"short")
+def _blob(nbytes):
+    """``nbytes`` of recognizable plaintext."""
+    return (PLAINTEXT * (nbytes // len(PLAINTEXT) + 1))[:nbytes]
 
 
-class TestModes:
-    def setup_method(self):
-        self.aes = AES(bytes(range(16)))
-        self.iv = bytes(range(16, 32))
+class TestXorBytes:
+    @pytest.mark.parametrize("nbytes", [0, 1, 31, 32, 33, 512])
+    def test_matches_per_byte_xor(self, nbytes):
+        a = _blob(nbytes)
+        b = bytes((i * 37 + 11) % 256 for i in range(nbytes))
+        assert xor_bytes(a, b) == bytes(x ^ y for x, y in zip(a, b))
 
-    def test_pkcs7_roundtrip(self):
-        for n in range(0, 33):
-            data = bytes(range(n % 256))[:n]
-            assert pkcs7_unpad(pkcs7_pad(data)) == data
+    def test_leading_zero_bytes_survive(self):
+        """The big-int round trip must not drop high-order zero bytes."""
+        a = b"\x00\x00\x07\x01"
+        assert xor_bytes(a, a) == b"\x00\x00\x00\x00"
+        assert xor_bytes(a, b"\x00\x00\x00\x01") == b"\x00\x00\x07\x00"
 
-    def test_pkcs7_always_pads(self):
-        assert len(pkcs7_pad(bytes(16))) == 32
-
-    def test_pkcs7_bad_padding_rejected(self):
-        with pytest.raises(ValueError):
-            pkcs7_unpad(bytes(16))
-        with pytest.raises(ValueError):
-            pkcs7_unpad(b"short")
-
-    def test_ctr_roundtrip_any_length(self):
-        for n in (0, 1, 15, 16, 17, 100):
-            data = bytes(i % 256 for i in range(n))
-            enc = ctr_xor(self.aes, self.iv, data)
-            assert ctr_xor(self.aes, self.iv, enc) == data
-
-    def test_ctr_differs_from_plaintext(self):
-        data = b"A" * 64
-        assert ctr_xor(self.aes, self.iv, data) != data
-
-    def test_ctr_counter_wraps_block_boundary(self):
-        long = bytes(100)
-        stream1 = ctr_xor(self.aes, self.iv, long)
-        assert stream1[:16] != stream1[16:32]  # distinct counter blocks
-
-    def test_cbc_roundtrip(self):
-        for n in (0, 5, 16, 31, 64):
-            data = bytes(i % 256 for i in range(n))
-            assert cbc_decrypt(self.aes, self.iv, cbc_encrypt(self.aes, self.iv, data)) == data
-
-    def test_cbc_rejects_bad_lengths(self):
-        with pytest.raises(ValueError):
-            cbc_decrypt(self.aes, self.iv, b"not-a-block-multiple!")
-        with pytest.raises(ValueError):
-            cbc_encrypt(self.aes, b"shortiv", b"data")
+    def test_self_inverse(self):
+        a, b = _blob(100), bytes(range(100))
+        assert xor_bytes(xor_bytes(a, b), b) == a
 
 
 class TestKDF:
@@ -138,6 +64,48 @@ class TestKDF:
         with pytest.raises(ValueError):
             pbkdf2_sha256(b"p", b"s", 1, 0)
 
+    @pytest.mark.parametrize(
+        "passphrase, salt, iterations, dklen, expected",
+        [
+            (b"password", b"salt", 1, 32,
+             "120fb6cffcf8b32c43e7225256c4f837a86548c92ccc35480805987cb70be17b"),
+            (b"password", b"salt", 2, 32,
+             "ae4d0c95af6b46d32d0adff928f06dd02a303f8ef3c251dfd6e2d85a95474c43"),
+            (b"password", b"salt", 4096, 32,
+             "c5e478d59288c841aa530db6845c4c8d962893a001ce4e11a4963873aa98134a"),
+            (b"passwordPASSWORDpassword",
+             b"saltSALTsaltSALTsaltSALTsaltSALTsalt", 4096, 40,
+             "348c89dbcbd32b2f32d814b8116e84cf2b17347ebc1800181c4e2a1fb8dd53e1"
+             "c635518c7dac47e9"),
+            (b"pass\x00word", b"sa\x00lt", 4096, 16,
+             "89b69d0516f829893c696226650a8687"),
+            (b"passwd", b"salt", 1, 64,  # RFC 7914 §11
+             "55ac046e56e3089fec1691c22544b605f94185216dde0465e68b9d57c20dacbc"
+             "49ca9cccf179b645991664b39d77ef317c71b845b1e30bd509112041d3a19783"),
+        ],
+    )
+    def test_known_answer_vectors(self, passphrase, salt, iterations, dklen, expected):
+        """Published PBKDF2-HMAC-SHA256 vectors: every sector subkey at
+        rest is derived through this function."""
+        assert pbkdf2_sha256(passphrase, salt, iterations, dklen).hex() == expected
+
+
+class TestDeriveSubkey:
+    MASTER = hashlib.sha256(b"master").digest()
+
+    def test_is_one_pbkdf2_round_over_the_placement(self):
+        assert derive_subkey(self.MASTER, 3, 5) == hashlib.pbkdf2_hmac(
+            "sha256", self.MASTER, b"sector-group/3/5", 1, 32
+        )
+
+    def test_placement_separates_subkeys(self):
+        keys = {derive_subkey(self.MASTER, g, s) for g in range(4) for s in range(4)}
+        assert len(keys) == 16
+
+    def test_master_separates_subkeys(self):
+        other = hashlib.sha256(b"other").digest()
+        assert derive_subkey(self.MASTER, 0, 0) != derive_subkey(other, 0, 0)
+
 
 class TestFastStreamCipher:
     def test_roundtrip(self):
@@ -157,6 +125,244 @@ class TestFastStreamCipher:
     def test_empty_key_rejected(self):
         with pytest.raises(ValueError):
             FastStreamCipher(b"")
+
+    @pytest.mark.parametrize("nbytes", [0, 1, 31, 32, 33, 100, 1000])
+    def test_roundtrip_any_length(self, nbytes):
+        cipher = FastStreamCipher(b"key", b"nonce")
+        data = _blob(nbytes)
+        sealed = cipher.apply(data)
+        assert len(sealed) == nbytes
+        assert cipher.apply(sealed) == data
+
+    @pytest.mark.parametrize("offset", [1, 31, 32, 33, 64, 95])
+    def test_apply_at_offset_continues_the_stream(self, offset):
+        """Sealing a tail at ``offset`` equals the tail of sealing the whole:
+        the keystream is seekable across 32-byte block boundaries."""
+        cipher = FastStreamCipher(b"key")
+        data = _blob(128)
+        assert cipher.apply(data[offset:], offset=offset) == cipher.apply(data)[offset:]
+
+    def test_keystream_block_format(self):
+        """Block i = SHA256(SHA256(key ‖ 0x00 ‖ nonce) ‖ i as 8 bytes BE):
+        pinned, since every byte at rest depends on it."""
+        prefix = hashlib.sha256(b"key" + b"\x00" + b"nonce").digest()
+        expected = b"".join(
+            hashlib.sha256(prefix + i.to_bytes(8, "big")).digest() for i in range(3)
+        )
+        assert FastStreamCipher(b"key", b"nonce").keystream(96) == expected
+
+    def test_nonce_separates_keystreams(self):
+        assert (
+            FastStreamCipher(b"key", b"n1").keystream(64)
+            != FastStreamCipher(b"key", b"n2").keystream(64)
+        )
+
+    def test_ciphertext_hides_plaintext(self):
+        data = _blob(256)
+        sealed = FastStreamCipher(b"key").apply(data)
+        assert PLAINTEXT not in sealed
+
+
+class TestSectorGroup:
+    MASTER = hashlib.sha256(b"unit-master").digest()
+
+    def _write(self, group, blob):
+        slot = group.alloc_slot()
+        subkey = derive_subkey(self.MASTER, group.group_id, slot)
+        return slot, subkey, group.write(slot, subkey, blob)
+
+    @pytest.mark.parametrize("nbytes", [16, 511, 512, 513, 4096])
+    def test_roundtrip_and_opacity(self, nbytes):
+        group = SectorGroup(1)
+        blob = _blob(nbytes)
+        slot, subkey, sectors = self._write(group, blob)
+        assert sectors == SectorGroup.sectors_needed(nbytes)
+        assert group.read(slot, subkey, sectors, nbytes) == blob
+        raw = b"".join(group.raw_sector(s) for s in group.slot_sector_numbers(slot))
+        assert len(raw) == sectors * SECTOR
+        assert PLAINTEXT not in raw
+
+    @pytest.mark.parametrize(
+        "nbytes, sectors", [(0, 1), (1, 1), (512, 1), (513, 2), (4096, 8), (4097, 9)]
+    )
+    def test_sectors_needed(self, nbytes, sectors):
+        assert SectorGroup.sectors_needed(nbytes) == sectors
+
+    def test_fits_up_to_the_slot_span(self):
+        group = SectorGroup(1)
+        assert group.fits(MAX_SLOT_SECTORS * SECTOR)
+        assert not group.fits(MAX_SLOT_SECTORS * SECTOR + 1)
+
+    def test_value_too_big_for_a_slot_rejected(self):
+        group = SectorGroup(1, slot_sectors=2)
+        with pytest.raises(ValueError, match="slot holds 2"):
+            self._write(group, _blob(2 * SECTOR + 1))
+
+    @pytest.mark.parametrize("kwargs", [{"capacity": 0}, {"slot_sectors": 0}])
+    def test_invalid_geometry_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="must be positive"):
+            SectorGroup(1, **kwargs)
+
+    def test_unwritten_sector_is_missing(self):
+        group = SectorGroup(1)
+        with pytest.raises(KeyError):
+            group.raw_sector(0)
+        slot = group.alloc_slot()
+        with pytest.raises(KeyError):
+            group.read_sector(slot, derive_subkey(self.MASTER, 1, slot), 0)
+
+    def test_full_group_rejects_alloc(self):
+        group = SectorGroup(1, capacity=2)
+        assert [group.alloc_slot(), group.alloc_slot()] == [0, 1]
+        assert not group.has_free_slot
+        with pytest.raises(ValueError, match="is full"):
+            group.alloc_slot()
+
+    def test_discarded_slot_is_reused(self):
+        group = SectorGroup(1, capacity=2)
+        slot, _subkey, sectors = self._write(group, _blob(700))
+        assert group.discard_slot(slot) == sectors == 2
+        assert group.slots_in_use == 0
+        assert group.sector_count == 0
+        assert group.alloc_slot() == slot
+
+    def test_shrinking_rewrite_drops_stale_tail(self):
+        group = SectorGroup(1)
+        slot, subkey, _ = self._write(group, _blob(3 * SECTOR))
+        assert group.write(slot, subkey, b"short") == 1
+        assert group.slot_sector_numbers(slot) == [group.sector_number(slot, 0)]
+        assert group.read(slot, subkey, 1, 5) == b"short"
+
+    def test_wrong_subkey_does_not_decrypt(self):
+        group = SectorGroup(1)
+        slot, _subkey, sectors = self._write(group, _blob(100))
+        wrong = derive_subkey(hashlib.sha256(b"other").digest(), 1, slot)
+        assert group.read(slot, wrong, sectors, 100) != _blob(100)
+
+    def test_neighbors_survive_a_discard(self):
+        group = SectorGroup(1)
+        gone, _, _ = self._write(group, _blob(64))
+        kept, subkey, sectors = self._write(group, _blob(80))
+        group.discard_slot(gone)
+        assert group.read(kept, subkey, sectors, 80) == _blob(80)
+
+    def test_read_sector_matches_read(self):
+        group = SectorGroup(1)
+        blob = _blob(2 * SECTOR)
+        slot, subkey, _ = self._write(group, blob)
+        assert group.read_sector(slot, subkey, 1) == blob[SECTOR:]
+
+    def test_slots_map_to_disjoint_sector_ranges(self):
+        group = SectorGroup(1, slot_sectors=4)
+        assert group.sector_number(0, 3) == 3
+        assert group.sector_number(1, 0) == 4
+        assert group.sector_number(2, 1) == 9
+
+    def test_overwrite_slots_purges_a_batch_in_one_sweep(self):
+        group = SectorGroup(1)
+        first, _, s1 = self._write(group, _blob(600))
+        second, _, s2 = self._write(group, _blob(100))
+        kept, subkey, s3 = self._write(group, _blob(50))
+        assert group.overwrite_slots([first, second], passes=3) == s1 + s2
+        assert group.slot_sector_numbers(first) == []
+        assert group.slot_sector_numbers(second) == []
+        assert group.slots_in_use == 1
+        assert group.sector_count == s3
+        assert group.read(kept, subkey, s3, 50) == _blob(50)
+
+    def test_size_bytes_is_shared_header_plus_sectors(self):
+        group = SectorGroup(1)
+        assert group.size_bytes == GROUP_HEADER_BYTES
+        self._write(group, _blob(700))
+        self._write(group, _blob(10))
+        assert group.size_bytes == GROUP_HEADER_BYTES + 3 * SECTOR
+
+
+class TestKeyVault:
+    def test_keys_are_distinct_32_byte_masters(self):
+        vault = KeyVault()
+        ids = [vault.create_key(repr(i)) for i in range(5)]
+        assert ids == [1, 2, 3, 4, 5]
+        masters = {vault.master(i) for i in ids}
+        assert len(masters) == 5
+        assert all(len(m) == 32 for m in masters)
+
+    def test_master_is_seed_id_and_context(self):
+        vault = KeyVault(seed="s")
+        key_id = vault.create_key("'u1'")
+        assert vault.master(key_id) == hashlib.sha256(b"s/key/1/'u1'").digest()
+
+    def test_seed_and_context_separate_keys(self):
+        a, b = KeyVault(seed="a"), KeyVault(seed="b")
+        assert a.master(a.create_key("x")) != b.master(b.create_key("x"))
+        assert a.master(a.create_key("x")) != a.master(a.create_key("y"))
+
+    def test_unknown_key_raises_keyerror(self):
+        with pytest.raises(KeyError, match="no key 9"):
+            KeyVault().master(9)
+
+    def test_shredded_key_is_unreadable(self):
+        vault = KeyVault()
+        key_id = vault.create_key()
+        assert vault.shred(key_id) is True
+        assert vault.is_shredded(key_id)
+        with pytest.raises(PermissionError, match="shredded"):
+            vault.master(key_id)
+
+    def test_second_shred_is_a_noop(self):
+        vault = KeyVault()
+        key_id = vault.create_key()
+        vault.shred(key_id)
+        assert vault.shred(key_id) is False
+        assert vault.shred_count == 1
+
+    def test_shred_many_counts_only_live_keys(self):
+        vault = KeyVault()
+        ids = [vault.create_key() for _ in range(4)]
+        vault.shred(ids[0])
+        assert vault.shred_many(ids + [99]) == 3
+        assert vault.live_keys == 0
+        assert vault.shred_count == 4
+
+    def test_unknown_ids_count_as_shredded(self):
+        assert KeyVault().is_shredded(42)
+
+    def test_size_counts_zeroed_entries_until_compact(self):
+        vault = KeyVault()
+        ids = [vault.create_key() for _ in range(3)]
+        vault.shred(ids[1])
+        assert vault.size_bytes == VAULT_HEADER_BYTES + 3 * KEY_ENTRY_BYTES
+        assert vault.compact() == 1
+        assert vault.size_bytes == VAULT_HEADER_BYTES + 2 * KEY_ENTRY_BYTES
+        assert vault.is_shredded(ids[1])
+        assert vault.live_keys == 2
+
+    def test_compact_keys_releases_only_the_owners_entries(self):
+        vault = KeyVault()
+        mine, theirs = vault.create_key(), vault.create_key()
+        vault.shred_many([mine, theirs])
+        assert vault.compact_keys([mine, 77]) == [mine]
+        assert vault.compact_keys([theirs]) == [theirs]
+
+    def test_shredding_the_master_is_crypto_erasure(self):
+        """The grounding of "delete" on crypto-shred: once the vault entry is
+        gone, the ciphertext still at rest has no key that opens it, while a
+        neighbor in the same sector group stays readable."""
+        vault, group = KeyVault(), SectorGroup(1)
+        units = {}
+        for name in ("erased", "kept"):
+            key_id = vault.create_key(repr(name))
+            slot = group.alloc_slot()
+            subkey = derive_subkey(vault.master(key_id), group.group_id, slot)
+            units[name] = (key_id, slot, group.write(slot, subkey, _blob(40)))
+        key_id, slot, _sectors = units["erased"]
+        vault.shred(key_id)
+        assert group.slot_sector_numbers(slot)  # ciphertext is still at rest
+        with pytest.raises(PermissionError):
+            vault.master(key_id)
+        key_id, slot, sectors = units["kept"]
+        subkey = derive_subkey(vault.master(key_id), group.group_id, slot)
+        assert group.read(slot, subkey, sectors, 40) == _blob(40)
 
 
 class TestSectorGroupBytesAtRest:
@@ -185,123 +391,3 @@ class TestSectorGroupBytesAtRest:
                 digest.update(group.raw_sector(sector_no))
         assert group.sector_count == 12
         assert digest.hexdigest() == self.PINNED
-
-
-class TestLuksVolume:
-    def test_passphrase_roundtrip(self):
-        vol = LuksVolume()
-        vol.add_passphrase(b"hunter2")
-        assert vol.open(b"hunter2") == vol.open(b"hunter2")
-
-    def test_wrong_passphrase_rejected(self):
-        vol = LuksVolume()
-        vol.add_passphrase(b"right")
-        with pytest.raises(PermissionError):
-            vol.open(b"wrong")
-
-    def test_multiple_slots(self):
-        vol = LuksVolume()
-        s1 = vol.add_passphrase(b"alice")
-        s2 = vol.add_passphrase(b"bob")
-        assert s1 != s2 and vol.active_slots == 2
-        assert vol.open(b"alice") == vol.open(b"bob")  # same master key
-
-    def test_revoked_slot_stops_working(self):
-        vol = LuksVolume()
-        slot = vol.add_passphrase(b"alice")
-        vol.add_passphrase(b"bob")
-        vol.revoke_slot(slot)
-        with pytest.raises(PermissionError):
-            vol.open(b"alice")
-        vol.open(b"bob")  # still fine
-
-    def test_slot_exhaustion(self):
-        vol = LuksVolume()
-        for i in range(LuksVolume.MAX_SLOTS):
-            vol.add_passphrase(f"p{i}".encode())
-        with pytest.raises(ValueError, match="occupied"):
-            vol.add_passphrase(b"one-too-many")
-
-    def test_sector_roundtrip_and_opacity(self):
-        vol = LuksVolume()
-        vol.write_sector(7, b"personal data")
-        assert vol.read_sector(7).rstrip(b"\x00") == b"personal data"
-        assert b"personal data" not in vol.raw_sector(7)
-
-    def test_sector_too_big(self):
-        with pytest.raises(ValueError):
-            LuksVolume().write_sector(0, b"x" * (SECTOR + 1))
-
-    def test_missing_sector(self):
-        with pytest.raises(KeyError):
-            LuksVolume().read_sector(99)
-
-    def test_shred_is_crypto_erasure(self):
-        vol = LuksVolume()
-        vol.add_passphrase(b"p")
-        vol.write_sector(0, b"secret")
-        raw = vol.raw_sector(0)
-        vol.shred()
-        assert vol.is_shredded
-        assert vol.raw_sector(0) == raw  # ciphertext remains...
-        with pytest.raises(PermissionError):
-            vol.read_sector(0)           # ...but is unrecoverable
-        with pytest.raises(PermissionError):
-            vol.open(b"p")
-        with pytest.raises(PermissionError):
-            vol.add_passphrase(b"new")
-
-
-class TestEngineCipherAdapters:
-    def setup_method(self):
-        self.clock = SimClock()
-        self.cost = CostModel(self.clock, CostBook())
-
-    def test_cost_only_charges_but_passes_through(self):
-        cipher = CostOnlyCipher(self.cost, CipherKind.AES256)
-        assert cipher.seal("payload", 70) == "payload"
-        assert self.clock.spent("crypto") > 0
-
-    def test_fast_cipher_roundtrip_and_opacity(self):
-        cipher = FastEngineCipher(self.cost, CipherKind.AES128)
-        sealed = cipher.seal({"name": "alice"}, 70)
-        assert isinstance(sealed, SealedPayload)
-        assert b"alice" not in sealed.ciphertext
-        assert cipher.open_(sealed, 70) == {"name": "alice"}
-
-    def test_aes_cipher_roundtrip(self):
-        cipher = AesEngineCipher(self.cost, CipherKind.AES256)
-        sealed = cipher.seal([1, 2, 3], 70)
-        assert cipher.open_(sealed, 70) == [1, 2, 3]
-
-    def test_aes128_key_is_16_bytes(self):
-        cipher = AesEngineCipher(self.cost, CipherKind.AES128)
-        assert cipher._aes.rounds == 10
-
-    def test_open_rejects_unsealed(self):
-        cipher = FastEngineCipher(self.cost, CipherKind.AES128)
-        with pytest.raises(TypeError):
-            cipher.open_("raw", 70)
-
-    def test_all_tiers_charge_identically(self):
-        """The figures must not depend on the cipher tier."""
-        charges = []
-        for tier in ("cost-only", "fast", "aes"):
-            clock = SimClock()
-            cipher = make_engine_cipher(CostModel(clock, CostBook()), CipherKind.LUKS, tier)
-            cipher.open_(cipher.seal("x", 70), 70)
-            charges.append(clock.spent("crypto"))
-        assert charges[0] == charges[1] == charges[2]
-
-    def test_factory_rejects_unknown_tier(self):
-        with pytest.raises(ValueError):
-            make_engine_cipher(self.cost, CipherKind.AES128, "quantum")
-
-    def test_kind_charge_ordering(self):
-        """AES-256 per-byte cost > LUKS > AES-128 (profile ordering lever)."""
-        def spent(kind):
-            clock = SimClock()
-            CostOnlyCipher(CostModel(clock, CostBook()), kind).seal("x", 10_000)
-            return clock.spent("crypto")
-
-        assert spent(CipherKind.AES256) > spent(CipherKind.LUKS) > spent(CipherKind.AES128)

@@ -76,6 +76,31 @@ class TestPolicySet:
     def test_withdraw_missing_returns_false(self):
         assert not PolicySet().withdraw(pol(), at=5)
 
+    def test_withdraw_leaves_other_consents_in_force(self):
+        billing = pol(t_begin=0, t_final=100)
+        analytics = pol(purpose=Purpose.ANALYTICS, t_begin=0, t_final=100)
+        ps = PolicySet([billing, analytics])
+        ps.withdraw(billing, at=50)
+        assert ps.authorizing(Purpose.BILLING, NETFLIX, 60) is None
+        assert ps.authorizing(Purpose.ANALYTICS, NETFLIX, 60) is not None
+
+    def test_withdrawn_consent_cannot_be_withdrawn_again(self):
+        """The clipped policy replaces the granted one: a second withdrawal
+        of the original grant finds nothing to withdraw."""
+        p = pol(t_begin=0, t_final=100)
+        ps = PolicySet([p])
+        assert ps.withdraw(p, at=50)
+        assert not ps.withdraw(p, at=60)
+        assert pol(t_begin=0, t_final=49) in ps
+
+    def test_renewal_is_a_new_grant_past_the_old_window(self):
+        """Renewing consent adds a policy; the expired window stays closed."""
+        ps = PolicySet([pol(t_begin=0, t_final=100)])
+        assert ps.authorizing(Purpose.BILLING, NETFLIX, 300) is None
+        ps.add(pol(t_begin=90, t_final=500))
+        assert ps.authorizing(Purpose.BILLING, NETFLIX, 300) is not None
+        assert ps.latest_expiry() == 500
+
     def test_erasure_deadline_uses_compliance_erase_purpose(self):
         ps = PolicySet(
             [

@@ -136,12 +136,19 @@ class TestCostModel:
         expected = CostBook().key_schedule + 1_000 * CostBook().aes128_per_byte
         assert self.clock.spent("crypto") == pytest.approx(expected)
 
-    def test_aes256_costs_more_than_aes128(self):
-        a = SimClock()
-        CostModel(a).charge_aes128(10_000)
-        b = SimClock()
-        CostModel(b).charge_aes256(10_000)
-        assert b.now > a.now
+    def test_aes256_costs_more_than_luks_more_than_aes128(self):
+        """Per-byte AES-256 > LUKS > AES-128: the encryption lever behind
+        the P_Base > P_GBench > P_SYS ordering of Figure 4."""
+        def spent(charge):
+            clock = SimClock()
+            charge(CostModel(clock), 10_000)
+            return clock.spent("crypto")
+
+        assert (
+            spent(CostModel.charge_aes256)
+            > spent(CostModel.charge_luks)
+            > spent(CostModel.charge_aes128)
+        )
 
     def test_luks_sector_rounding(self):
         self.model.charge_luks(1)  # 1 byte still pays one 512B sector overhead
