@@ -111,12 +111,6 @@ class Module:
                 return scope
         return None
 
-    def enclosing_class(self, node: ast.AST) -> Optional[ast.ClassDef]:
-        for scope in self.enclosing_scopes(node):
-            if isinstance(scope, ast.ClassDef):
-                return scope
-        return None
-
     def symbol_for(self, node: ast.AST) -> str:
         """``Class.method`` / ``Class`` / ``function`` / ``<module>``."""
         names = [

@@ -1,21 +1,15 @@
-"""Typed construction surface — the validated successor to ``backend_opts``.
+"""Typed construction surface — the one way to describe a deployment.
 
-Five PRs of growth threaded untyped ``backend_opts`` / ``engine_opts``
-mappings through :class:`~repro.systems.database.CompliantDatabase`,
+:class:`~repro.systems.database.CompliantDatabase`,
 :class:`~repro.systems.backends.BackendGroup`,
-:class:`~repro.distributed.store.ReplicatedStore` (and its ``_Node``s), and
-the §4.2 profiles.  Mappings validate nothing: a misspelled key
-(``{"shared_block_cach": 256}``) was silently ignored and the deployment
-ran un-tuned.  This module replaces them with three frozen dataclasses:
+:class:`~repro.distributed.store.ReplicatedStore` (and its ``_Node``s) and
+the §4.2 profiles all take their storage tuning as a frozen dataclass, so a
+misspelled option (``shared_block_cach=256``) fails at construction with a
+``TypeError`` instead of leaving the deployment silently un-tuned:
 
 * :class:`BackendConfig` — one storage deployment's knobs.  Every field
   belongs to a declared engine family ("psql" / "lsm" / "crypto-shred");
-  setting a field on the wrong family raises, and
-  :meth:`BackendConfig.from_mapping` rejects unknown keys outright (with a
-  did-you-mean suggestion).  The old mapping parameters remain accepted
-  everywhere via :func:`warn_backend_opts` deprecation shims that route
-  through ``from_mapping`` — so the misspelling bug is closed even for
-  legacy callers.
+  setting a field on the wrong family raises ``ValueError``.
 * :class:`StoreConfig` — a full :class:`ReplicatedStore` topology
   (shards, replicas, lag, ring geometry) around a nested
   :class:`BackendConfig`; ``ReplicatedStore.from_config`` and the
@@ -33,10 +27,8 @@ pool owner (``BackendGroup`` / ``ReplicatedStore``).
 
 from __future__ import annotations
 
-import difflib
-import warnings
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Dict, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 #: Engine families a config can target — mirrors
 #: ``repro.systems.backends.BACKENDS`` (kept as literals here so the config
@@ -51,8 +43,6 @@ _FIELD_FAMILIES: Dict[str, Tuple[str, ...]] = {
     "table": ("psql",),
     "flag_column": ("psql",),
     "bloat_factor": ("psql",),
-    "autovacuum_threshold": ("psql",),
-    "wal_group_size": ("psql",),
     "wal_checkpoint_every": ("psql",),
     # lsm (LSMEngine)
     "memtable_capacity": ("lsm",),
@@ -62,23 +52,15 @@ _FIELD_FAMILIES: Dict[str, Tuple[str, ...]] = {
     "compaction_mode": ("lsm",),
     "namespace": ("lsm",),
     "shared_block_cache": ("lsm",),
-    # crypto-shred
-    "group_capacity": ("crypto-shred",),
-    "shared_vault": ("crypto-shred",),
 }
 
 #: Fields consumed by the *pool owner* (ReplicatedStore / BackendGroup),
 #: never forwarded to a backend constructor.
-_POOL_FIELDS: Tuple[str, ...] = ("shared_block_cache", "shared_vault")
+_POOL_FIELDS: Tuple[str, ...] = ("shared_block_cache",)
 
 #: psql fields that configure the shared :class:`RelationalEngine` itself
 #: (as opposed to one table's backend view of it).
-_PSQL_ENGINE_FIELDS: Tuple[str, ...] = (
-    "bloat_factor",
-    "autovacuum_threshold",
-    "wal_group_size",
-    "wal_checkpoint_every",
-)
+_PSQL_ENGINE_FIELDS: Tuple[str, ...] = ("bloat_factor", "wal_checkpoint_every")
 
 
 def _allowed_keys(backend: str) -> Tuple[str, ...]:
@@ -88,17 +70,6 @@ def _allowed_keys(backend: str) -> Tuple[str, ...]:
             for name, families in _FIELD_FAMILIES.items()
             if backend in families
         )
-    )
-
-
-def warn_backend_opts(param: str, owner: str) -> None:
-    """One shared deprecation message for every legacy mapping parameter."""
-    warnings.warn(
-        f"{owner}({param}=...) mappings are deprecated; pass a typed "
-        "repro.config.BackendConfig instead (unknown keys now raise either "
-        "way)",
-        DeprecationWarning,
-        stacklevel=3,
     )
 
 
@@ -118,8 +89,6 @@ class BackendConfig:
     table: Optional[str] = None
     flag_column: Optional[bool] = None
     bloat_factor: Optional[float] = None
-    autovacuum_threshold: Optional[int] = None
-    wal_group_size: Optional[int] = None
     wal_checkpoint_every: Optional[int] = None
     # --- lsm ------------------------------------------------------------
     memtable_capacity: Optional[int] = None
@@ -132,11 +101,6 @@ class BackendConfig:
     #: or ``True`` for the 1024-entry default) — consumed by the pool
     #: owner, not forwarded to ``make_backend``.
     shared_block_cache: Optional[Union[int, bool]] = None
-    # --- crypto-shred ---------------------------------------------------
-    group_capacity: Optional[int] = None
-    #: Co-locate every node/namespace's per-unit keys in one shared
-    #: :class:`KeyVault` (batched shreds) — pool-owner field.
-    shared_vault: Optional[bool] = None
 
     def __post_init__(self) -> None:
         if self.backend not in BACKEND_FAMILIES:
@@ -157,58 +121,6 @@ class BackendConfig:
                 f"backend {self.backend!r}; valid keys: "
                 f"{list(_allowed_keys(self.backend))}"
             )
-
-    # ------------------------------------------------------------ construction
-    @classmethod
-    def from_mapping(
-        cls,
-        backend: str,
-        mapping: Optional[Mapping[str, Any]] = None,
-    ) -> "BackendConfig":
-        """Build from a legacy ``backend_opts`` mapping — unknown keys
-        raise (closing the silently-ignored-misspelling bug), wrong-family
-        keys raise via ``__post_init__``."""
-        mapping = dict(mapping or {})
-        unknown = sorted(set(mapping) - set(_FIELD_FAMILIES))
-        if unknown:
-            hints = []
-            for key in unknown:
-                close = difflib.get_close_matches(
-                    key, _FIELD_FAMILIES, n=1, cutoff=0.6
-                )
-                hints.append(
-                    f"{key!r}" + (f" (did you mean {close[0]!r}?)" if close else "")
-                )
-            raise ValueError(
-                f"unknown backend option(s) {', '.join(hints)} for "
-                f"backend {backend!r}; valid keys: "
-                f"{list(_allowed_keys(backend))}"
-            )
-        return cls(backend=backend, **mapping)
-
-    @classmethod
-    def coerce(
-        cls,
-        backend: Union[str, "BackendConfig"],
-        opts: Optional[Mapping[str, Any]],
-        *,
-        owner: str,
-        param: str = "backend_opts",
-    ) -> "BackendConfig":
-        """The constructor-shim entry point every facade shares: a
-        :class:`BackendConfig` passes through (extra ``opts`` then being a
-        contradiction), a backend name + optional legacy mapping converts
-        with a :class:`DeprecationWarning`."""
-        if isinstance(backend, BackendConfig):
-            if opts:
-                raise ValueError(
-                    f"{owner}: pass options on the BackendConfig, "
-                    f"not via {param}"
-                )
-            return backend
-        if opts is not None:
-            warn_backend_opts(param, owner)
-        return cls.from_mapping(backend, opts)
 
     # --------------------------------------------------------------- emission
     def _set_fields(self) -> Dict[str, Any]:
@@ -321,23 +233,9 @@ class ServiceConfig:
     #: takes the topology write lock, steps the rebalance driver, and
     #: flushes read repairs).
     maintenance_interval: float = 0.002
-    #: Keys migrated per maintenance tick while a rebalance is active.
-    maintenance_budget_keys: int = 32
-    #: Per-node merge-input byte budget for the bounded compaction slice a
-    #: quiet maintenance tick runs (deferred LSM backends); 0 disables the
-    #: slice entirely.
-    maintenance_compaction_bytes: int = 1 << 20
     #: Run the invariant registry every N maintenance ticks (0 = only on
     #: demand / at close).
     invariant_check_every: int = 0
-    #: Run an anti-entropy digest sweep every N *quiet* maintenance ticks
-    #: (no rebalance in flight); 0 disables proactive sweeps — divergence
-    #: then heals only via quorum-read repair.
-    antientropy_every: int = 0
-    #: Hash ranges per shard the anti-entropy sweep digests over.
-    antientropy_ranges: int = 16
-    #: Default ``call()`` timeout in seconds.
-    request_timeout: float = 30.0
 
     def __post_init__(self) -> None:
         if self.workers_per_shard < 1:
@@ -348,15 +246,5 @@ class ServiceConfig:
             raise ValueError("erase_batch must be >= 1")
         if self.maintenance_interval <= 0:
             raise ValueError("maintenance_interval must be positive")
-        if self.maintenance_budget_keys < 1:
-            raise ValueError("maintenance_budget_keys must be >= 1")
-        if self.maintenance_compaction_bytes < 0:
-            raise ValueError("maintenance_compaction_bytes must be non-negative")
         if self.invariant_check_every < 0:
             raise ValueError("invariant_check_every must be non-negative")
-        if self.antientropy_every < 0:
-            raise ValueError("antientropy_every must be non-negative")
-        if self.antientropy_ranges < 1:
-            raise ValueError("antientropy_ranges must be >= 1")
-        if self.request_timeout <= 0:
-            raise ValueError("request_timeout must be positive")

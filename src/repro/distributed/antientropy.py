@@ -37,9 +37,8 @@ nowhere, so neither step can resurrect it.
 Down replicas are skipped (a killed node has no heap to digest; its
 revival bootstrap is the catch-up path), and partitioned shards are
 skipped entirely (anti-entropy is network traffic too).  The sweep is
-driven from three places: ``ReplicatedStore.anti_entropy_sweep()``,
-``RebalanceDriver(..., antientropy=...)`` steps, and the service
-maintenance tick (``ServiceConfig.antientropy_every``).
+driven from two places: ``ReplicatedStore.anti_entropy_sweep()`` and
+``RebalanceDriver(..., antientropy=...)`` steps.
 """
 
 from __future__ import annotations

@@ -107,7 +107,6 @@ from typing import (
 from repro import codec
 from repro.config import BackendConfig, StoreConfig
 from repro.core.locations import CopyLocation
-from repro.crypto.vault import KeyVault
 from repro.distributed.antientropy import (
     AntiEntropyReport,
     AntiEntropySweeper,
@@ -270,7 +269,7 @@ class _Node:
         self.name = name
         opts = config.backend_kwargs()
         # ``extras`` carries injected *objects* the store pools across its
-        # nodes (a SharedBlockCache, a KeyVault) — deliberately not config
+        # nodes (a SharedBlockCache) — deliberately not config
         # fields (configs stay declarative/comparable).
         opts.update(extras or {})
         if config.backend == "psql":
@@ -1230,7 +1229,6 @@ class ReplicatedStore:
         row_bytes: int = 70,
         shards: int = 1,
         backend: Union[str, BackendConfig] = "psql",
-        backend_opts: Optional[Mapping[str, Any]] = None,
         vnodes: int = DEFAULT_VNODES,
         shard_weights: Optional[Mapping[int, float]] = None,
     ) -> None:
@@ -1241,8 +1239,10 @@ class ReplicatedStore:
         if shards < 1:
             raise ValueError("shards must be >= 1")
         self._cost = cost
-        config = BackendConfig.coerce(
-            backend, backend_opts, owner="ReplicatedStore"
+        config = (
+            backend
+            if isinstance(backend, BackendConfig)
+            else BackendConfig(backend=backend)
         )
         self.backend_name = config.backend
         #: The typed deployment description every node is built from.
@@ -1255,19 +1255,14 @@ class ReplicatedStore:
         #: mirroring :class:`repro.systems.backends.BackendGroup`: one
         #: pooled block-cache budget (``BackendConfig(backend="lsm",
         #: shared_block_cache=capacity)``) instead of a private slice per
-        #: node, and one key vault (``shared_vault=True`` on crypto-shred)
-        #: so every node's per-unit keys co-locate for batched shreds.
+        #: node.
         self.block_cache: Optional[SharedBlockCache] = None
-        self.vault: Optional[KeyVault] = None
         extras: Dict[str, Any] = {}
         if config.backend == "lsm":
             capacity = config.shared_block_cache_capacity
             if capacity:
                 self.block_cache = SharedBlockCache(capacity)
                 extras["block_cache"] = self.block_cache
-        elif config.backend == "crypto-shred" and config.shared_vault:
-            self.vault = KeyVault()
-            extras["vault"] = self.vault
         self._node_extras = extras
         self._shards: Dict[int, _Shard] = {
             index: self._make_shard(index, solo=(shards == 1))

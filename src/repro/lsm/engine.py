@@ -218,14 +218,6 @@ class LSMEngine:
             count += 1
         return count
 
-    def delete_many(self, keys: Iterable[Any]) -> int:
-        """Bulk tombstone writes; flush-on-full applies as in :meth:`delete`."""
-        count = 0
-        for key in keys:
-            self.delete(key)
-            count += 1
-        return count
-
     def flush(self) -> Optional[SSTable]:
         """Freeze the memtable into a new newest run."""
         if len(self._memtable) == 0:

@@ -100,13 +100,6 @@ class Memtable:
             1 for _s, blob in self._data.values() if blob == TOMBSTONE_BLOB
         )
 
-    def sorted_entries(self) -> List[Tuple[Any, int, Any]]:
-        """``(key, seqno, value)`` sorted by key, decoded."""
-        return [
-            (key, seqno, codec.decode(blob))
-            for key, (seqno, blob) in sorted(self._data.items())
-        ]
-
     def sorted_entries_encoded(self) -> List[Tuple[Any, int, bytes]]:
         """``(key, seqno, blob)`` sorted by key — flush order, no decode."""
         return [

@@ -80,6 +80,14 @@ from repro.storage.errors import TupleNotFoundError
 
 _STOP = object()
 
+#: Keys a maintenance tick migrates while a rebalance is active.
+REBALANCE_STEP_KEYS = 32
+#: Per-node merge-input byte budget of the bounded compaction slice a quiet
+#: maintenance tick runs (deferred LSM backends).
+COMPACTION_SLICE_BYTES = 1 << 20
+#: Default ``call()`` timeout in seconds.
+CALL_TIMEOUT_S = 30.0
+
 
 class _TopologyLock:
     """Readers/writer lock with writer preference.
@@ -152,7 +160,6 @@ class ServiceStats:
     erased_keys: int = 0
     maintenance_ticks: int = 0
     repairs: int = 0
-    antientropy_sweeps: int = 0
     invariant_checks: int = 0
     invariant_violations: int = 0
     # Compaction throttle counters, aggregated from every shard node's
@@ -321,11 +328,9 @@ class ComplianceService:
                 self._stats.accepted += 1
         return future
 
-    def call(self, request: Request, timeout: Optional[float] = None) -> Response:
+    def call(self, request: Request, timeout: float = CALL_TIMEOUT_S) -> Response:
         """Synchronous ``submit`` — the closed-loop client path."""
-        return self.submit(request).result(
-            timeout if timeout is not None else self.config.request_timeout
-        )
+        return self.submit(request).result(timeout)
 
     # ------------------------------------------------------------ rebalance
     def begin_rebalance(
@@ -335,7 +340,7 @@ class ComplianceService:
         weights: Optional[Any] = None,
     ) -> Any:
         """Start a background resize; the maintenance thread steps it
-        ``maintenance_budget_keys`` keys per tick, racing live requests."""
+        ``REBALANCE_STEP_KEYS`` keys per tick, racing live requests."""
         with self._topology.write():
             if self._driver is not None and not self._driver.done:
                 raise RuntimeError("a rebalance is already in progress")
@@ -356,7 +361,7 @@ class ComplianceService:
                 driver = self._driver
                 if driver is None or driver.done:
                     return
-                driver.step(self.config.maintenance_budget_keys)
+                driver.step(REBALANCE_STEP_KEYS)
 
     @property
     def rebalance_done(self) -> bool:
@@ -365,18 +370,14 @@ class ComplianceService:
 
     # ------------------------------------------------------------ inspection
     def stats(self) -> ServiceStats:
-        comp = None
-        compaction_stats = getattr(self._store, "compaction_stats", None)
-        if compaction_stats is not None:
-            with self._topology.read():
-                comp = compaction_stats()
+        with self._topology.read():
+            comp = self._store.compaction_stats()
         with self._stats_guard:
             snapshot = replace(self._stats)
-        if comp is not None:
-            snapshot.merges_run = comp.merges_run
-            snapshot.bytes_compacted = comp.bytes_compacted
-            snapshot.stall_events = comp.stall_events
-            snapshot.compaction_queue_depth = comp.queue_depth
+        snapshot.merges_run = comp.merges_run
+        snapshot.bytes_compacted = comp.bytes_compacted
+        snapshot.stall_events = comp.stall_events
+        snapshot.compaction_queue_depth = comp.queue_depth
         return snapshot
 
     def check_invariants(self) -> List[str]:
@@ -591,10 +592,9 @@ class ComplianceService:
 
     def _maintenance_tick_locked(self) -> None:
         driver = self._driver
-        sweeps = 0
         if driver is not None and not driver.done:
             before = len(driver.repairs)
-            driver.step(self.config.maintenance_budget_keys)
+            driver.step(REBALANCE_STEP_KEYS)
             repairs = len(driver.repairs) - before
         else:
             repairs = len(self._store.flush_repairs())
@@ -602,25 +602,10 @@ class ComplianceService:
             # deferred LSM backends drain between requests instead of
             # stalling a writer (same interleaving contract as the
             # rebalance driver's bounded step).
-            budget = self.config.maintenance_compaction_bytes
-            maintain = getattr(self._store, "maintain", None)
-            if budget and maintain is not None:
-                maintain(max_bytes=budget)
-            # Every ``antientropy_every``-th quiet tick runs a proactive
-            # digest sweep so replica divergence heals without waiting for
-            # a quorum read to trip over it.
-            every = self.config.antientropy_every
-            with self._stats_guard:
-                due = every and (self._stats.maintenance_ticks + 1) % every == 0
-            sweep = getattr(self._store, "anti_entropy_sweep", None)
-            if due and sweep is not None:
-                _report, events = sweep(self.config.antientropy_ranges)
-                repairs += len(events)
-                sweeps = 1
+            self._store.maintain(max_bytes=COMPACTION_SLICE_BYTES)
         with self._stats_guard:
             self._stats.maintenance_ticks += 1
             self._stats.repairs += repairs
-            self._stats.antientropy_sweeps += sweeps
             ticks = self._stats.maintenance_ticks
         every = self.config.invariant_check_every
         if every and self._invariants is not None and ticks % every == 0:

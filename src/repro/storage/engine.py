@@ -103,31 +103,25 @@ class RelationalEngine:
         The shared cost model; every operation charges it.
     bloat_factor:
         Weight of the dead-tuple density penalty on reads (see module doc).
-    autovacuum_threshold:
-        If set, a table is vacuumed automatically once its dead-tuple count
-        exceeds the threshold (the ablation benches sweep this; the paper's
-        erasure study drives vacuums explicitly instead).
+    wal_checkpoint_every:
+        Recycle WAL segments every N appends (``None`` keeps the whole log).
+
+    Reclamation runs only when a grounding asks for it (:meth:`vacuum` /
+    :meth:`vacuum_full`); there is no background vacuum.
     """
 
     def __init__(
         self,
         cost: CostModel,
         bloat_factor: float = 1.0,
-        autovacuum_threshold: Optional[int] = None,
-        wal_group_size: int = 64,
         wal_checkpoint_every: Optional[int] = None,
     ) -> None:
         if bloat_factor < 0:
             raise ValueError("bloat_factor must be non-negative")
-        if autovacuum_threshold is not None and autovacuum_threshold <= 0:
-            raise ValueError("autovacuum_threshold must be positive")
         self._cost = cost
         self._bloat_factor = bloat_factor
-        self._autovacuum_threshold = autovacuum_threshold
         self._catalog = Catalog()
-        self.wal = WriteAheadLog(
-            cost, group_size=wal_group_size, checkpoint_every=wal_checkpoint_every
-        )
+        self.wal = WriteAheadLog(cost, checkpoint_every=wal_checkpoint_every)
         self.vacuum_count = 0
         self.vacuum_full_count = 0
         # Deleted keys whose WAL row images await scrubbing: the grounded
@@ -270,7 +264,6 @@ class RelationalEngine:
         self._cost.charge_tuple_cpu()
         self._charge_heap_write(size)
         self.wal.append(WalRecordType.UPDATE, table, key, size, payload=payload)
-        self._maybe_autovacuum(table)
 
     def delete(self, table: str, key: Any) -> None:
         """DELETE: mark the tuple and its index entry dead.  No space moves."""
@@ -287,7 +280,6 @@ class RelationalEngine:
         self._charge_heap_write(0)
         self.wal.append(WalRecordType.DELETE, table, key)
         self._wal_scrub_pending.setdefault(table, set()).add(key)
-        self._maybe_autovacuum(table)
 
     def set_flag(self, table: str, key: Any, flagged: bool) -> None:
         """The "add new attribute" system-action: flip the visibility flag.
@@ -340,17 +332,6 @@ class RelationalEngine:
             self._cost.charge_tuple_cpu()
             if predicate is None or predicate(slot.key, slot.payload):
                 out.append((slot.key, slot.payload))
-        return out
-
-    def range_scan(self, table: str, lo: Any, hi: Any) -> List[Tuple[Any, Any]]:
-        """Index range scan: live keys in [lo, hi]."""
-        t = self._catalog.get(table)
-        self._cost.charge_index_probe(t.index.depth)
-        out: List[Tuple[Any, Any]] = []
-        for key, tid in t.index.range(lo, hi):
-            self._charge_heap_read(t)
-            slot = t.heap.fetch(tid)
-            out.append((key, slot.payload))
         return out
 
     def forensic_scan(self, table: str) -> List[Tuple[Any, bool]]:
@@ -419,13 +400,6 @@ class RelationalEngine:
         if self.wal.holds_payload_for(table, key):
             return [(CopyLocation.WAL, self.wal.site_name(table))]
         return []
-
-    def _maybe_autovacuum(self, table: str) -> None:
-        if self._autovacuum_threshold is None:
-            return
-        t = self._catalog.get(table)
-        if t.heap.dead_tuples >= self._autovacuum_threshold:
-            self.vacuum(table)
 
     # ------------------------------------------------------------ statistics
     def stats(self, table: str) -> TableStats:

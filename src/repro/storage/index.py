@@ -200,14 +200,6 @@ class BTreeIndex:
         self._dead_keys.add(key)
         return True
 
-    def update_tid(self, key: Any, tid: TID) -> bool:
-        """Repoint the live entry (used when a tuple moves)."""
-        entry, _dead = self._find_live(key)
-        if entry is None:
-            return False
-        entry.tid = tid
-        return True
-
     # ----------------------------------------------------------------- reads
     def probe(self, key: Any) -> ProbeResult:
         """Point lookup; reports depth and dead entries stepped over."""

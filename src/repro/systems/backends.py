@@ -77,12 +77,10 @@ from typing import (
     Dict,
     Iterable,
     List,
-    Mapping,
     Optional,
     Sequence,
     Tuple,
     Type,
-    Union,
 )
 
 from repro import codec
@@ -946,7 +944,7 @@ class CryptoShredBackend(StorageBackend):
       supports.  :meth:`sanitize_many` amortizes the overwrite sweep per
       touched group.
 
-    Space: ~``group_capacity`` units share one 512-byte group header and
+    Space: ``GROUP_CAPACITY`` (16) units share one 512-byte group header and
     one vault (injectable, so a :class:`BackendGroup` shares it across
     namespaces), versus a whole LUKS header per unit in the original
     layout — the Table-2 factor drops from ~3x the relational heap toward
@@ -966,14 +964,12 @@ class CryptoShredBackend(StorageBackend):
         cost: CostModel,
         row_bytes: int = 70,
         vault: Optional[KeyVault] = None,
-        group_capacity: int = GROUP_CAPACITY,
     ) -> None:
         super().__init__()
         self._cost = cost
         self._row_bytes = row_bytes
         self._owns_vault = vault is None
         self._vault = vault if vault is not None else KeyVault()
-        self._group_capacity = group_capacity
         self._entries: Dict[Any, _ShredEntry] = {}
         # Dead entries displaced by a re-insert over their unit id: their
         # keys are still intact, so they stay in the retention accounting
@@ -1018,7 +1014,7 @@ class CryptoShredBackend(StorageBackend):
             self._partial.pop()
         if not self._partial:
             self._group_counter += 1
-            group = SectorGroup(self._group_counter, capacity=self._group_capacity)
+            group = SectorGroup(self._group_counter, capacity=GROUP_CAPACITY)
             self._groups.append(group)
             self._partial.append(group)
         group = self._partial[-1]
@@ -1444,31 +1440,28 @@ class BackendGroup:
 
     ``engine_opts`` is a typed :class:`~repro.config.BackendConfig`
     (family-specific tuning for the shared :class:`RelationalEngine` on
-    psql, or each per-namespace backend constructor elsewhere); legacy
-    mappings are still accepted via a deprecation shim that validates keys
-    through :meth:`BackendConfig.from_mapping`.
+    psql, or each per-namespace backend constructor elsewhere).
     """
 
     def __init__(
         self,
         name: str,
         cost: CostModel,
-        engine_opts: Union[BackendConfig, Mapping[str, Any], None] = None,
+        engine_opts: Optional[BackendConfig] = None,
     ) -> None:
         if name not in BACKENDS:
             raise KeyError(
                 f"unknown backend {name!r}; choose from {sorted(BACKENDS)}"
             )
-        if isinstance(engine_opts, BackendConfig):
-            if engine_opts.backend != name:
-                raise ValueError(
-                    f"BackendGroup({name!r}) got a config for "
-                    f"{engine_opts.backend!r}"
-                )
-            config = engine_opts
-        else:
-            config = BackendConfig.coerce(
-                name, engine_opts, owner="BackendGroup", param="engine_opts"
+        if engine_opts is not None and not isinstance(engine_opts, BackendConfig):
+            raise TypeError(
+                f"engine_opts must be a BackendConfig, not "
+                f"{type(engine_opts).__name__}"
+            )
+        config = engine_opts or BackendConfig(backend=name)
+        if config.backend != name:
+            raise ValueError(
+                f"BackendGroup({name!r}) got a config for {config.backend!r}"
             )
         if config.table is not None or config.flag_column is not None:
             raise ValueError(
@@ -1484,16 +1477,16 @@ class BackendGroup:
             if name == PsqlBackend.name
             else None
         )
-        #: One pooled cache budget across every LSM namespace.
-        self.block_cache: Optional[SharedBlockCache] = (
-            SharedBlockCache(
-                config.block_cache_capacity
-                or config.shared_block_cache_capacity
-                or 1024
+        #: One pooled cache budget across every LSM namespace; an explicit
+        #: ``block_cache_capacity=0`` turns it off, as on a bare backend.
+        self.block_cache: Optional[SharedBlockCache] = None
+        if name == LsmBackend.name:
+            capacity = config.block_cache_capacity
+            if capacity is None:
+                capacity = config.shared_block_cache_capacity
+            self.block_cache = SharedBlockCache(
+                capacity if capacity is not None else 1024
             )
-            if name == LsmBackend.name
-            else None
-        )
         #: One key table across every crypto-shred namespace.
         self.vault: Optional[KeyVault] = (
             KeyVault() if name == CryptoShredBackend.name else None
@@ -1531,19 +1524,12 @@ class BackendGroup:
                 namespace=namespace,
                 **self._create_kwargs(),
             )
-        elif self.vault is not None:
-            store = make_backend(
-                self.name,
-                self._cost,
-                row_bytes=row_bytes,
-                vault=self.vault,
-                **self._create_kwargs(),
-            )
         else:
             store = make_backend(
                 self.name,
                 self._cost,
                 row_bytes=row_bytes,
+                vault=self.vault,
                 **self._create_kwargs(),
             )
         self._stores[namespace] = store

@@ -33,7 +33,7 @@ to drive high-volume workloads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.access.errors import AccessDenied
 from repro.audit.log import ActionLog
@@ -145,32 +145,26 @@ class CompliantDatabase:
         row_bytes: int = 70,
         cost_book: Optional[CostBook] = None,
         backend: Union[str, StorageBackend, BackendConfig] = "psql",
-        backend_opts: Optional[Dict[str, Any]] = None,
     ) -> None:
         if not controller.is_controller:
             raise ValueError("the owning entity must hold the controller role")
         self.controller = controller
         self.clock = SimClock()
         self.cost = CostModel(self.clock, cost_book or CostBook())
-        if isinstance(backend, (str, BackendConfig)):
-            config = BackendConfig.coerce(
-                backend, backend_opts, owner="CompliantDatabase"
-            )
-            if config.shared_block_cache is not None or config.shared_vault:
+        if isinstance(backend, str):
+            backend = BackendConfig(backend=backend)
+        if isinstance(backend, BackendConfig):
+            if backend.shared_block_cache is not None:
                 raise ValueError(
-                    "shared_block_cache/shared_vault pool one resource "
-                    "across many nodes — they apply to ReplicatedStore "
-                    "and BackendGroup, not a single-backend facade"
+                    "shared_block_cache pools one cache across many nodes — "
+                    "it applies to ReplicatedStore and BackendGroup, not a "
+                    "single-backend facade"
                 )
             backend = make_backend(
-                config.backend,
+                backend.backend,
                 self.cost,
                 row_bytes=row_bytes,
-                **config.backend_kwargs(),
-            )
-        elif backend_opts:
-            raise ValueError(
-                "backend_opts only applies when the backend is built by name"
+                **backend.backend_kwargs(),
             )
         self.backend = backend
         #: The raw engine object (RelationalEngine or LSMEngine) — exposed

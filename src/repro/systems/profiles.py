@@ -37,7 +37,7 @@ tables), so the residual compliance overhead on ordinary traffic is small.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Union
+from typing import Dict, Optional
 
 from repro.config import BackendConfig
 from repro.core.entities import controller, processor
@@ -74,17 +74,20 @@ PROFILE_ENGINE_OPTS: Dict[str, BackendConfig] = {
     "crypto-shred": BackendConfig(backend="crypto-shred"),
 }
 
+#: One policy/metadata row per record in the metadata table.
+META_ROW_BYTES = 72
+#: Seed of the Mall dataset the load phase generates.
+MALL_SEED = 42
+
 
 @dataclass
 class ProfileConfig:
     """Tunable parameters shared by all profiles."""
 
     record_bytes: int = RECORD_BYTES
-    metadata_row_bytes: int = 72  # one policy/metadata row per record
     vacuum_interval: int = 1_000        # deletes between reclamations (P_Base)
     vacuum_full_interval: int = 2_000   # deletes between full reclaims (P_SYS)
     cost_book: CostBook = field(default_factory=CostBook)
-    dataset_seed: int = 42
 
 
 @dataclass(frozen=True)
@@ -132,23 +135,22 @@ class ComplianceProfile:
         self,
         config: Optional[ProfileConfig] = None,
         backend: str = "psql",
-        engine_opts: Union[BackendConfig, Dict[str, Any], None] = None,
+        engine_opts: Optional[BackendConfig] = None,
     ) -> None:
         self.config = config or ProfileConfig()
         self.clock = SimClock()
         self.cost = CostModel(self.clock, self.config.cost_book)
         self.backend_name = backend
-        if isinstance(engine_opts, BackendConfig):
-            overrides = engine_opts
-            if overrides.backend != backend:
-                raise ValueError(
-                    f"profile backend {backend!r} got a config for "
-                    f"{overrides.backend!r}"
-                )
-        else:
-            overrides = BackendConfig.coerce(
-                backend, engine_opts, owner=type(self).__name__,
-                param="engine_opts",
+        if engine_opts is not None and not isinstance(engine_opts, BackendConfig):
+            raise TypeError(
+                f"engine_opts must be a BackendConfig, not "
+                f"{type(engine_opts).__name__}"
+            )
+        overrides = engine_opts or BackendConfig(backend=backend)
+        if overrides.backend != backend:
+            raise ValueError(
+                f"profile backend {backend!r} got a config for "
+                f"{overrides.backend!r}"
             )
         base = PROFILE_ENGINE_OPTS.get(backend) or BackendConfig(backend=backend)
         self.backend_config = base.merged(overrides)
@@ -181,9 +183,7 @@ class ComplianceProfile:
         )
         self.meta: Optional[StorageBackend] = None
         if self._has_metadata_table():
-            self.meta = self.storage.create(
-                META_TABLE, self.config.metadata_row_bytes
-            )
+            self.meta = self.storage.create(META_TABLE, META_ROW_BYTES)
 
     def _setup(self) -> None:  # pragma: no cover - overridden
         raise NotImplementedError
@@ -277,7 +277,7 @@ class ComplianceProfile:
         if dataset is None:
             dataset = MallDataset(
                 n_devices=max(1, n_records // 100),
-                seed=self.config.dataset_seed,
+                seed=MALL_SEED,
             )
         stream = dataset.stream()
         for _ in range(n_records):

@@ -168,15 +168,16 @@ def bare_leg(name, seed):
 
 
 def store_leg(name, seed):
+    from repro.config import BackendConfig
     from repro.distributed.store import ReplicatedStore
     from repro.sim.clock import SimClock
     from repro.sim.costs import CostBook, CostModel
 
     clock = SimClock()
-    opts = {**ENGINE, "compaction_mode": "deferred"} if name == "lsm" else None
+    opts = {**ENGINE, "compaction_mode": "deferred"} if name == "lsm" else {}
     store = ReplicatedStore(
-        CostModel(clock, CostBook()), n_replicas=1, shards=3, backend=name,
-        backend_opts=opts,
+        CostModel(clock, CostBook()), n_replicas=1, shards=3,
+        backend=BackendConfig(backend=name, **opts),
     )
     rng = random.Random(seed)
     for n, (op, key, value) in enumerate(_sequence(rng)):

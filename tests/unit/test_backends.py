@@ -4,10 +4,13 @@ import random
 
 import pytest
 
+from repro.config import BackendConfig
 from repro.core.locations import CopyLocation
+from repro.crypto.sectors import GROUP_CAPACITY
 from repro.sim.clock import SimClock
 from repro.sim.costs import CostBook, CostModel
 from repro.storage.errors import StorageError, TupleNotFoundError
+from repro.systems import make_profile
 from repro.systems.backends import (
     BACKENDS,
     BackendGroup,
@@ -16,6 +19,7 @@ from repro.systems.backends import (
     PsqlBackend,
     make_backend,
 )
+from repro.workloads.ycsb import ycsb_c_workload
 
 
 def make_cost():
@@ -391,6 +395,15 @@ class TestCryptoShredSpecific:
         assert not PsqlBackend(make_cost()).supports_sanitize
         assert not LsmBackend(make_cost()).supports_sanitize
 
+    def test_units_pack_group_capacity_to_a_group(self):
+        b = CryptoShredBackend(make_cost())
+        for i in range(GROUP_CAPACITY):
+            b.insert(i, "v")
+        assert len({b._entries[i].group for i in range(GROUP_CAPACITY)}) == 1
+        b.insert(GROUP_CAPACITY, "v")
+        assert b._entries[GROUP_CAPACITY].group is not b._entries[0].group
+        assert b._entries[0].group.capacity == GROUP_CAPACITY
+
     def test_values_rest_encrypted(self):
         """A forensic look at the sectors must see ciphertext, never the
         plaintext value."""
@@ -749,3 +762,43 @@ class TestBackendGroup:
         data.erase("k")
         assert group.reclaim_count == 1
         assert group.reclaim_full_count == 0
+
+    def test_zero_block_cache_capacity_turns_the_pooled_cache_off(self):
+        # Same meaning as on a bare LsmBackend: an explicit 0 is "no
+        # cache", not "unset, use the 1024-entry default".
+        config = BackendConfig(
+            backend="lsm", block_cache_capacity=0, memtable_capacity=16
+        )
+        profile = make_profile("P_Base", backend="lsm", engine_opts=config)
+        profile.run(ycsb_c_workload(200, 400, seed=3), personal=False)
+        cache = profile.storage.block_cache
+        assert cache.capacity == 0
+        assert cache.misses > 0  # the read phase searched the runs
+        assert cache.hits == 0
+
+    @pytest.mark.parametrize(
+        "block_cache_capacity,shared_block_cache,expected",
+        [
+            (None, None, 1024),
+            (None, 256, 256),
+            (64, 256, 64),
+            (0, 256, 0),
+        ],
+    )
+    def test_pooled_cache_capacity_prefers_the_explicit_field(
+        self, block_cache_capacity, shared_block_cache, expected
+    ):
+        config = BackendConfig(
+            backend="lsm",
+            block_cache_capacity=block_cache_capacity,
+            shared_block_cache=shared_block_cache,
+        )
+        group = BackendGroup("lsm", make_cost(), engine_opts=config)
+        assert group.block_cache.capacity == expected
+
+    def test_crypto_shred_namespaces_share_the_group_vault(self):
+        group = BackendGroup("crypto-shred", make_cost())
+        data = group.create("data", 70)
+        meta = group.create("meta", 72)
+        assert data._vault is meta._vault is group.vault
+        assert group.block_cache is None

