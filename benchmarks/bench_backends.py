@@ -85,7 +85,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import codec
 from repro.analysis import invariants as invariant_oracle
-from repro.config import BackendConfig
+from repro.config import BackendConfig, StoreConfig
 from repro.core.entities import controller, data_subject
 from repro.core.erasure import ErasureInterpretation
 from repro.core.policy import Policy, Purpose
@@ -967,15 +967,17 @@ def run_compaction_throttle(
     cost = CostModel(SimClock(), CostBook())
     store = ReplicatedStore(
         cost,
-        n_replicas=1,
-        replication_lag=10_000,
-        cache_ttl=10**12,
-        shards=2,
-        backend=BackendConfig(
-            backend="lsm",
-            compaction="leveled",
-            compaction_mode="deferred",
-            memtable_capacity=memtable_capacity,
+        StoreConfig(
+            n_replicas=1,
+            replication_lag=10_000,
+            cache_ttl=10**12,
+            shards=2,
+            backend=BackendConfig(
+                backend="lsm",
+                compaction="leveled",
+                compaction_mode="deferred",
+                memtable_capacity=memtable_capacity,
+            ),
         ),
     )
     world = invariant_oracle.World.observe(store)
@@ -1206,12 +1208,14 @@ def run_store_mid_erase(n_keys: int = 80) -> int:
     cost = CostModel(SimClock(), CostBook())
     store = ReplicatedStore(
         cost,
-        n_replicas=1,
-        replication_lag=10_000,
-        cache_ttl=10**12,
-        shards=2,
-        backend=BackendConfig(
-            backend="lsm", shared_block_cache=256, memtable_capacity=32
+        StoreConfig(
+            n_replicas=1,
+            replication_lag=10_000,
+            cache_ttl=10**12,
+            shards=2,
+            backend=BackendConfig(
+                backend="lsm", shared_block_cache=256, memtable_capacity=32
+            ),
         ),
     )
     for i in range(n_keys):
@@ -1421,12 +1425,13 @@ def run_distributed_erase_clean(
     cost = CostModel(SimClock(), CostBook())
     store = ReplicatedStore(
         cost,
-        n_replicas=1,
-        replication_lag=50_000,
-        cache_ttl=10**12,
-        shards=2,
-        backend=BackendConfig(
-            backend="lsm", compaction=policy, memtable_capacity=32
+        StoreConfig(
+            n_replicas=1,
+            cache_ttl=10**12,
+            shards=2,
+            backend=BackendConfig(
+                backend="lsm", compaction=policy, memtable_capacity=32
+            ),
         ),
     )
     for i in range(n_keys):

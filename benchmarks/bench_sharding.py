@@ -78,6 +78,7 @@ from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.invariants import store_invariants
+from repro.config import BackendConfig, StoreConfig
 from repro.distributed.antientropy import AntiEntropySweeper, range_digests
 from repro.distributed.faults import FaultPlan, ShardUnavailableError
 from repro.distributed.ring import stable_hash
@@ -252,11 +253,13 @@ def _loaded_store(
     caches warmed — every copy location populated before the erase."""
     store = ReplicatedStore(
         cost,
-        n_replicas=n_replicas,
-        replication_lag=REPLICATION_LAG,
-        cache_ttl=10**12,
-        shards=shards,
-        backend=backend,
+        StoreConfig(
+            backend=BackendConfig(backend=backend),
+            shards=shards,
+            n_replicas=n_replicas,
+            replication_lag=REPLICATION_LAG,
+            cache_ttl=10**12,
+        ),
     )
     for i in range(n_keys):
         store.put(f"u{i:06d}", (i, "payload"))

@@ -14,14 +14,15 @@ distributed erase and verifies nothing lingers.
 Run:  python examples/distributed_erasure.py
 """
 
-from repro import CostBook, CostModel, ReplicatedStore, SimClock
+from repro import CostBook, CostModel, ReplicatedStore, SimClock, StoreConfig
 
 
 def main() -> None:
     clock = SimClock()
     cost = CostModel(clock, CostBook())
     store = ReplicatedStore(
-        cost, n_replicas=2, replication_lag=50_000, cache_ttl=500_000
+        cost,
+        StoreConfig(n_replicas=2, replication_lag=50_000, cache_ttl=500_000),
     )
 
     # Collect a user's record; replication and caching do their normal job.

@@ -9,7 +9,7 @@ fastest profile.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Set
+from typing import Dict, Set
 
 from repro.access.errors import AccessDenied
 from repro.sim.costs import CostModel
@@ -87,9 +87,6 @@ class RbacController:
 
     def remove_member(self, entity_name: str, role_name: str) -> None:
         self._members.get(entity_name, set()).discard(role_name)
-
-    def roles_of(self, entity_name: str) -> FrozenSet[str]:
-        return frozenset(self._members.get(entity_name, set()))
 
     # ---------------------------------------------------------------- checks
     def is_allowed(

@@ -6,8 +6,7 @@ Each driver regenerates one artifact of the paper's evaluation section:
 * :func:`repro.bench.experiments.fig4a` — erasure implementations on PSQL;
 * :func:`repro.bench.experiments.fig4b` — profile × workload completion times;
 * :func:`repro.bench.experiments.fig4c` — scalability in record count;
-* :func:`repro.bench.experiments.table2` — space factors;
-* :mod:`repro.bench.ablations` — design-choice sweeps beyond the paper.
+* :func:`repro.bench.experiments.table2` — space factors.
 
 Drivers accept scale parameters (records / transactions) defaulting to the
 paper's; ``benchmarks/`` wires them into pytest-benchmark and prints the

@@ -131,6 +131,7 @@ def _cmd_fig4c(args: argparse.Namespace) -> int:
 def _cmd_rebalance(args: argparse.Namespace) -> int:
     """Elastic-sharding demo: online (optionally background) resize or
     reweight with grounded key migration."""
+    from repro.config import BackendConfig, StoreConfig
     from repro.distributed.ring import stable_hash
     from repro.distributed.store import (
         CopyLocation,
@@ -166,10 +167,12 @@ def _cmd_rebalance(args: argparse.Namespace) -> int:
     cost = CostModel(SimClock(), CostBook())
     store = ReplicatedStore(
         cost,
-        n_replicas=args.replicas,
-        shards=args.shards,
-        backend=args.backend,
-        cache_ttl=10**12,
+        StoreConfig(
+            backend=BackendConfig(backend=args.backend),
+            shards=args.shards,
+            n_replicas=args.replicas,
+            cache_ttl=10**12,
+        ),
     )
     keys = [f"u{i:06d}" for i in range(args.keys)]
     for i, key in enumerate(keys):
@@ -195,14 +198,9 @@ def _cmd_rebalance(args: argparse.Namespace) -> int:
         for key in keys
         if stable_hash(key) % args.shards != stable_hash(key) % args.to
     )
-    if reweight_only:
-        rebalance = store.begin_reweight(
-            args.weights, batch_size=args.batch_size
-        )
-    else:
-        rebalance = store.begin_resize(
-            args.to, batch_size=args.batch_size, weights=args.weights
-        )
+    rebalance = store.begin_resize(
+        args.to, batch_size=args.batch_size, weights=args.weights
+    )
     rebalance.step()  # copy step: first batch goes in flight
     migration_sites = [
         (key, name)
@@ -293,6 +291,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     background resize while replicas crash and shards partition, with the
     runtime invariant registry as the oracle."""
     from repro.analysis.invariants import store_invariants
+    from repro.config import BackendConfig, StoreConfig
     from repro.distributed.antientropy import AntiEntropySweeper
     from repro.distributed.faults import FaultPlan
     from repro.distributed.store import RebalanceDriver, ReplicatedStore
@@ -313,9 +312,11 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         cost = CostModel(SimClock(), CostBook())
         store = ReplicatedStore(
             cost,
-            shards=args.shards,
-            n_replicas=args.replicas,
-            backend=args.backend,
+            StoreConfig(
+                backend=BackendConfig(backend=args.backend),
+                shards=args.shards,
+                n_replicas=args.replicas,
+            ),
         )
         workload = erasure_study_workload(args.keys, args.ops, seed=seed)
         load_store(store, workload)
@@ -396,17 +397,18 @@ def _run_invariant_scenario() -> int:
     """Execute the runtime invariant registry over a scripted
     rebalance-under-erasure run (the CI-shaped live-oracle check)."""
     from repro.analysis.invariants import store_invariants
-    from repro.distributed.store import ReplicatedStore
+    from repro.config import StoreConfig
+    from repro.distributed.store import RebalanceDriver, ReplicatedStore
     from repro.sim.clock import SimClock
     from repro.sim.costs import CostBook, CostModel
     from repro.workloads.driver import load_store, run_interleaved
     from repro.workloads.gdprbench import erasure_study_workload
 
     cost = CostModel(SimClock(), CostBook())
-    store = ReplicatedStore(cost, shards=4, n_replicas=1)
+    store = ReplicatedStore(cost, StoreConfig(shards=4, n_replicas=1))
     workload = erasure_study_workload(300, 400, seed=4)
     load_store(store, workload)
-    driver = store.begin_background_resize(5, batch_size=12)
+    driver = RebalanceDriver(store.begin_resize(5, batch_size=12))
     result = run_interleaved(
         store,
         workload,

@@ -12,8 +12,8 @@ misspelled option (``shared_block_cach=256``) fails at construction with a
   setting a field on the wrong family raises ``ValueError``.
 * :class:`StoreConfig` — a full :class:`ReplicatedStore` topology
   (shards, replicas, lag, ring geometry) around a nested
-  :class:`BackendConfig`; ``ReplicatedStore.from_config`` and the
-  ``repro.cli serve`` front door consume it.
+  :class:`BackendConfig` — the store's only constructor argument besides
+  its cost model.
 * :class:`ServiceConfig` — the :class:`~repro.service.ComplianceService`
   concurrency knobs (worker pools, admission-queue depth, erase batching,
   maintenance cadence).
@@ -173,10 +173,10 @@ class BackendConfig:
 class StoreConfig:
     """A whole :class:`~repro.distributed.store.ReplicatedStore` topology.
 
-    ``ReplicatedStore.from_config`` expands this into the constructor;
-    the ``serve`` CLI and :class:`~repro.service.ComplianceService` treat
-    it as the single declarative description of the deployment under
-    service.
+    The store's one construction argument: ``ReplicatedStore(cost,
+    config)`` builds every shard, node, and the ring from it.  The
+    ``serve`` CLI and :class:`~repro.service.ComplianceService` treat it as
+    the single declarative description of the deployment under service.
     """
 
     backend: BackendConfig = field(default_factory=BackendConfig)
@@ -197,11 +197,10 @@ class StoreConfig:
             raise ValueError("lag and TTL must be non-negative")
         if self.vnodes < 1:
             raise ValueError("vnodes must be >= 1")
-        if self.shard_weights is not None and not isinstance(
-            self.shard_weights, tuple
-        ):
+        if self.shard_weights is not None:
             # Accept any mapping/sequence-of-pairs at construction but
-            # store the canonical hashable form.
+            # store the canonical hashable form, so equal topologies
+            # compare (and hash) equal whatever order they were given in.
             object.__setattr__(
                 self,
                 "shard_weights",

@@ -13,7 +13,7 @@ deployments keep inventing new ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import FrozenSet, Iterable, Iterator, List, Optional, Set
 
 from repro.core.entities import Entity
 
@@ -36,23 +36,6 @@ class Purpose:
     SECURITY = "security"
     LEGAL_OBLIGATION = "legal-obligation"
     SERVICE = "service-provision"
-
-    _ALL = (
-        BILLING,
-        RETENTION,
-        COMPLIANCE_ERASE,
-        ANALYTICS,
-        ADVERTISING,
-        CONTRACT,
-        AUDIT,
-        SECURITY,
-        LEGAL_OBLIGATION,
-        SERVICE,
-    )
-
-    @classmethod
-    def well_known(cls) -> Tuple[str, ...]:
-        return cls._ALL
 
 
 @dataclass(frozen=True)

@@ -19,13 +19,10 @@ against:
 * :meth:`~repro.distributed.store.ReplicatedStore.erase_all_copies` — the
   grounded distributed erase: delete + vacuum every node, invalidate every
   cache, scrub the logs, verify via the tracker — even mid-rebalance;
-* :meth:`~repro.distributed.store.ReplicatedStore.resize` /
-  :meth:`~repro.distributed.store.ReplicatedStore.add_shard` /
-  :meth:`~repro.distributed.store.ReplicatedStore.remove_shard` /
-  :meth:`~repro.distributed.store.ReplicatedStore.reweight` — online
-  topology and capacity changes (per-shard ring weights) whose every key
-  move is grounded at the source and announced as a
-  :class:`~repro.distributed.store.MoveEvent`;
+* :meth:`~repro.distributed.store.ReplicatedStore.begin_resize` — the one
+  entry point for online topology and capacity changes (shard count and
+  per-shard ring weights) whose every key move is grounded at the source
+  and announced as a :class:`~repro.distributed.store.MoveEvent`;
 * :class:`~repro.distributed.store.RebalanceDriver` — drives the same
   migration in bounded ``step(budget_keys=…)`` increments so live traffic
   interleaves with key movement;

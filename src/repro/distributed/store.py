@@ -4,15 +4,15 @@ weighted sharding with background (budgeted) rebalancing.
 Topology: ``shards`` independent shard groups, each a primary plus
 ``n_replicas`` asynchronous replicas; keys route to their shard over a
 consistent-hash ring (:mod:`repro.distributed.ring`) so the topology can
-change *online*: :meth:`ReplicatedStore.resize` / :meth:`add_shard` /
-:meth:`remove_shard` / :meth:`reweight` migrate only the ring-affected key
-fraction instead of reshuffling the whole keyspace the way modulo routing
-would, and per-shard **weights** let heterogeneous-capacity nodes take a
-proportional keyspace share.  Every node is a
-:class:`~repro.systems.backends.StorageBackend` (``psql``, ``lsm``, or
-``crypto-shred``), so the distributed erase story is engine-pluggable: the
-same copy-tracking machinery runs over MVCC dead tuples, LSM shadowed
-values, or unshredded key volumes.
+change *online*: :meth:`ReplicatedStore.begin_resize` — the one entry
+point for growing, shrinking, and reweighting — migrates only the
+ring-affected key fraction instead of reshuffling the whole keyspace the
+way modulo routing would, and per-shard **weights** let
+heterogeneous-capacity nodes take a proportional keyspace share.  Every
+node is a :class:`~repro.systems.backends.StorageBackend` (``psql``,
+``lsm``, or ``crypto-shred``), so the distributed erase story is
+engine-pluggable: the same copy-tracking machinery runs over MVCC dead
+tuples, LSM shadowed values, or unshredded key volumes.
 
 Replication model (per shard): the primary appends every mutation to a
 replication log; a log entry becomes *applicable* at ``now +
@@ -119,7 +119,7 @@ from repro.distributed.faults import (
     ShardUnavailableError,
 )
 from repro.distributed.replication_log import SCRUBBED, ReplicationLog, _OpType
-from repro.distributed.ring import DEFAULT_VNODES, HashRing, hash_range_of
+from repro.distributed.ring import HashRing, hash_range_of
 from repro.lsm.cache import SharedBlockCache
 from repro.lsm.compaction import EMPTY_COMPACTION_STATS, CompactionStats
 from repro.sim.costs import CostModel
@@ -806,10 +806,10 @@ class _Shard:
 class Rebalance:
     """One online topology change, migrated batch by batch.
 
-    Built by :meth:`ReplicatedStore.begin_resize` (and the ``add`` /
-    ``remove`` variants); :meth:`run` drives it to completion, or
-    :meth:`step` advances one half-batch at a time so callers can interleave
-    traffic — reads, writes, and erases all keep working mid-rebalance.
+    Built by :meth:`ReplicatedStore.begin_resize`; :meth:`run` drives it
+    to completion, or :meth:`step` advances one half-batch at a time so
+    callers can interleave traffic — reads, writes, and erases all keep
+    working mid-rebalance.
 
     Each batch takes two steps.  The *copy* step exports the batch from its
     source shard (``StorageBackend.export_encoded_range``) and imports it at
@@ -906,16 +906,6 @@ class Rebalance:
         """Migration traffic honors partitions like client traffic does."""
         injector = getattr(self._store, "_fault_injector", None)
         return injector is not None and injector.is_partitioned(shard_index)
-
-    @property
-    def keys_pending(self) -> int:
-        """Keys planned to move whose copy step has not run yet."""
-        return len(self._pending)
-
-    @property
-    def keys_in_flight(self) -> int:
-        """Keys copied to their destination but not yet grounded at source."""
-        return len(self._in_flight)
 
     @property
     def keys_moved(self) -> int:
@@ -1117,14 +1107,15 @@ class RebalanceDriver:
     """Background rebalancing: advance a migration in bounded increments
     interleaved with live traffic.
 
-    Wraps a :class:`Rebalance` (from the ``begin_*`` stepwise variants) and
-    drives it ``budget_keys`` keys at a time: each :meth:`step` advances
-    whole half-batches until at least that many keys have been copied or
-    grounded, then drains the store's pending read repairs — the background
-    maintenance loop a deployment runs between serving requests.  Because a
-    batch never splits, a single call overshoots the budget by at most one
-    half-batch (``batch_size - 1`` keys); pick ``batch_size <= budget_keys``
-    at ``begin_*`` time for tight budgets.
+    Wraps the :class:`Rebalance` :meth:`ReplicatedStore.begin_resize`
+    returns and drives it ``budget_keys`` keys at a time: each
+    :meth:`step` advances whole half-batches until at least that many keys
+    have been copied or grounded, then drains the store's pending read
+    repairs — the background maintenance loop a deployment runs between
+    serving requests.  Because a batch never splits, a single call
+    overshoots the budget by at most one half-batch (``batch_size - 1``
+    keys); pick ``batch_size <= budget_keys`` at ``begin_resize`` time for
+    tight budgets.
 
     Reads, writes, and grounded erases stay correct at every step boundary
     — the store dual-routes and tracks ``MIGRATION`` copy sites for as long
@@ -1218,39 +1209,22 @@ class RebalanceDriver:
 
 class ReplicatedStore:
     """``shards`` primaries, each with N asynchronous read-cached replicas,
-    over a pluggable storage backend and a weighted consistent-hash ring."""
+    over a pluggable storage backend and a weighted consistent-hash ring.
+
+    One :class:`StoreConfig` describes the whole store (``None`` takes its
+    defaults); :meth:`begin_resize` is the one way to reshape it."""
 
     def __init__(
-        self,
-        cost: CostModel,
-        n_replicas: int = 2,
-        replication_lag: int = 50_000,
-        cache_ttl: int = 500_000,
-        row_bytes: int = 70,
-        shards: int = 1,
-        backend: Union[str, BackendConfig] = "psql",
-        vnodes: int = DEFAULT_VNODES,
-        shard_weights: Optional[Mapping[int, float]] = None,
+        self, cost: CostModel, config: Optional[StoreConfig] = None
     ) -> None:
-        if n_replicas < 0:
-            raise ValueError("n_replicas must be non-negative")
-        if replication_lag < 0 or cache_ttl < 0:
-            raise ValueError("lag and TTL must be non-negative")
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
+        config = config or StoreConfig()
         self._cost = cost
-        config = (
-            backend
-            if isinstance(backend, BackendConfig)
-            else BackendConfig(backend=backend)
-        )
-        self.backend_name = config.backend
         #: The typed deployment description every node is built from.
-        self.backend_config = config
-        self._n_replicas = n_replicas
-        self._lag = replication_lag
-        self._cache_ttl = cache_ttl
-        self._row_bytes = row_bytes
+        self.backend_config = config.backend
+        self._n_replicas = config.n_replicas
+        self._lag = config.replication_lag
+        self._cache_ttl = config.cache_ttl
+        self._row_bytes = config.row_bytes
         #: Shared physical infrastructure across every node of every shard,
         #: mirroring :class:`repro.systems.backends.BackendGroup`: one
         #: pooled block-cache budget (``BackendConfig(backend="lsm",
@@ -1258,20 +1232,20 @@ class ReplicatedStore:
         #: node.
         self.block_cache: Optional[SharedBlockCache] = None
         extras: Dict[str, Any] = {}
-        if config.backend == "lsm":
-            capacity = config.shared_block_cache_capacity
+        if config.backend.backend == "lsm":
+            capacity = config.backend.shared_block_cache_capacity
             if capacity:
                 self.block_cache = SharedBlockCache(capacity)
                 extras["block_cache"] = self.block_cache
         self._node_extras = extras
         self._shards: Dict[int, _Shard] = {
-            index: self._make_shard(index, solo=(shards == 1))
-            for index in range(shards)
+            index: self._make_shard(index, solo=(config.shards == 1))
+            for index in range(config.shards)
         }
         self._ring = HashRing(
-            self._shards, vnodes=vnodes, weights=shard_weights
+            self._shards, vnodes=config.vnodes, weights=config.weights_mapping
         )
-        self._next_shard_id = shards
+        self._next_shard_id = config.shards
         self._rebalance: Optional[Rebalance] = None
         #: Attached by :class:`repro.distributed.faults.FaultInjector` —
         #: ``None`` means no fault layer, every shard reachable.
@@ -1285,19 +1259,8 @@ class ReplicatedStore:
 
     @classmethod
     def from_config(cls, cost: CostModel, config: StoreConfig) -> "ReplicatedStore":
-        """Build a store from one declarative :class:`StoreConfig` — the
-        construction surface the service layer and ``serve`` CLI use."""
-        return cls(
-            cost,
-            n_replicas=config.n_replicas,
-            replication_lag=config.replication_lag,
-            cache_ttl=config.cache_ttl,
-            row_bytes=config.row_bytes,
-            shards=config.shards,
-            backend=config.backend,
-            vnodes=config.vnodes,
-            shard_weights=config.weights_mapping,
-        )
+        """Build a store from one declarative :class:`StoreConfig`."""
+        return cls(cost, config)
 
     def _make_shard(self, index: int, solo: bool = False) -> _Shard:
         return _Shard(
@@ -1327,12 +1290,6 @@ class ReplicatedStore:
         """Shard id → ring weight (heavier shards own more keyspace)."""
         return self._ring.weights
 
-    @property
-    def rebalance_active(self) -> bool:
-        """Whether a begun rebalance has not yet finalized — reads and
-        erases dual-route while this holds."""
-        return self._rebalance is not None
-
     def shards_involved(self, key: Any) -> Tuple[int, ...]:
         """Every shard a read/write/erase of ``key`` may touch right now
         (sorted).  Outside a rebalance that is the single ring owner;
@@ -1356,16 +1313,6 @@ class ReplicatedStore:
     def shards(self) -> Iterator[_Shard]:
         for index in sorted(self._shards):
             yield self._shards[index]
-
-    @property
-    def primary(self) -> _Node:
-        """Legacy single-shard accessor: the lowest shard's primary."""
-        return self._shards[min(self._shards)].primary
-
-    @property
-    def replicas(self) -> List[_Node]:
-        """Legacy single-shard accessor: the lowest shard's replicas."""
-        return self._shards[min(self._shards)].replicas
 
     @property
     def replica_count(self) -> int:
@@ -1580,19 +1527,15 @@ class ReplicatedStore:
 
     def _begin(
         self,
-        added: Sequence[int],
+        new_ring: HashRing,
+        spawn: int,
         removed: Sequence[int],
         batch_size: int,
-        weights: Optional[
-            Union[Mapping[int, float], Sequence[float]]
-        ] = None,
     ) -> Rebalance:
-        survivors = [sid for sid in self._shards if sid not in set(removed)]
-        weight_map = self._resolve_weights(weights, survivors)
         rebalance = Rebalance(
             self,
-            self._ring.with_nodes(survivors, weights=weight_map),
-            added,
+            new_ring,
+            [self._spawn_shard() for _ in range(spawn)],
             removed,
             batch_size,
         )
@@ -1630,14 +1573,6 @@ class ReplicatedStore:
             )
         return dict(zip(ordered, listed))
 
-    def _check_can_rebalance(self, batch_size: int) -> None:
-        """Every validation, before any shard is spawned or drained — a
-        rejected begin_* call must leave the topology untouched."""
-        if self._rebalance is not None:
-            raise RuntimeError("a rebalance is already in progress")
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-
     def begin_resize(
         self,
         shards: int,
@@ -1646,103 +1581,36 @@ class ReplicatedStore:
             Union[Mapping[int, float], Sequence[float]]
         ] = None,
     ) -> Rebalance:
-        """Start an online resize to ``shards`` shard groups.
+        """Start an online topology change to ``shards`` shard groups — the
+        one way to grow, shrink, or reweight the store.
 
         Growing spawns fresh shards; shrinking drains the highest-id shards
-        into the survivors.  ``weights`` (a shard-id mapping, or one float
+        into the survivors; the same count with ``weights`` is a pure
+        capacity reweight.  ``weights`` (a shard-id mapping, or one float
         per target shard sorted by id) sets the target ring's capacity
         weights; omitted, surviving shards keep theirs and new shards get
-        1.0.  The returned :class:`Rebalance` must be driven (``run()``,
-        ``step()`` repeatedly, or a :class:`RebalanceDriver`) to complete
-        the change; until then the store dual-routes."""
-        self._check_can_rebalance(batch_size)
+        1.0.  The target ring is built over the would-be shard ids before
+        any shard is spawned, so a rejected call leaves the topology
+        untouched.  The returned :class:`Rebalance` must be driven
+        (``run()``, ``step()`` repeatedly, or a :class:`RebalanceDriver`)
+        to complete the change; until then the store dual-routes."""
+        if self._rebalance is not None:
+            raise RuntimeError("a rebalance is already in progress")
+        if batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         if shards < 1:
             raise ValueError("shards must be >= 1")
+        if weights is not None and not weights:
+            raise ValueError("weights must name at least one shard")
         current = sorted(self._shards)
-        added: List[int] = []
-        removed: List[int] = []
-        if shards > len(current):
-            added = [self._spawn_shard() for _ in range(shards - len(current))]
-        elif shards < len(current):
-            removed = current[shards:]
-        return self._begin(added, removed, batch_size, weights=weights)
-
-    def resize(
-        self,
-        shards: int,
-        batch_size: int = 64,
-        weights: Optional[
-            Union[Mapping[int, float], Sequence[float]]
-        ] = None,
-    ) -> RebalanceReport:
-        """Online resize, run to completion."""
-        return self.begin_resize(
-            shards, batch_size=batch_size, weights=weights
-        ).run()
-
-    def begin_add_shard(
-        self, batch_size: int = 64, weight: float = 1.0
-    ) -> Rebalance:
-        self._check_can_rebalance(batch_size)
-        new = self._spawn_shard()
-        return self._begin([new], [], batch_size, weights={new: weight})
-
-    def add_shard(
-        self, batch_size: int = 64, weight: float = 1.0
-    ) -> RebalanceReport:
-        """Grow by one shard (ring weight ``weight``), migrating only the
-        ring-affected keys."""
-        return self.begin_add_shard(batch_size=batch_size, weight=weight).run()
-
-    def begin_reweight(
-        self,
-        weights: Union[Mapping[int, float], Sequence[float]],
-        batch_size: int = 64,
-    ) -> Rebalance:
-        """Start an online capacity reweight: same shards, new ring weights.
-
-        Only the arcs that changed hands migrate — a capacity upgrade
-        rebalances exactly like a shard-count change, grounded moves and
-        all."""
-        self._check_can_rebalance(batch_size)
-        if not weights:
-            raise ValueError("reweight needs at least one shard weight")
-        return self._begin([], [], batch_size, weights=weights)
-
-    def reweight(
-        self,
-        weights: Union[Mapping[int, float], Sequence[float]],
-        batch_size: int = 64,
-    ) -> RebalanceReport:
-        """Online reweight, run to completion."""
-        return self.begin_reweight(weights, batch_size=batch_size).run()
-
-    def begin_background_resize(
-        self,
-        shards: int,
-        batch_size: int = 64,
-        weights: Optional[
-            Union[Mapping[int, float], Sequence[float]]
-        ] = None,
-    ) -> RebalanceDriver:
-        """A :class:`RebalanceDriver` over :meth:`begin_resize` — the
-        background, budget-stepped way to drive the same migration."""
-        return RebalanceDriver(
-            self.begin_resize(shards, batch_size=batch_size, weights=weights)
+        spawn = max(0, shards - len(current))
+        target = current[:shards] + list(
+            range(self._next_shard_id, self._next_shard_id + spawn)
         )
-
-    def begin_remove_shard(self, index: int, batch_size: int = 64) -> Rebalance:
-        self._check_can_rebalance(batch_size)
-        if index not in self._shards:
-            raise KeyError(f"no shard {index!r}")
-        if len(self._shards) == 1:
-            raise ValueError("cannot remove the last shard")
-        return self._begin([], [index], batch_size)
-
-    def remove_shard(self, index: int, batch_size: int = 64) -> RebalanceReport:
-        """Drain shard ``index`` into the survivors and drop it, verified
-        clean (grounded erase of every moved key, then decommission)."""
-        return self.begin_remove_shard(index, batch_size=batch_size).run()
+        new_ring = self._ring.with_nodes(
+            target, weights=self._resolve_weights(weights, target)
+        )
+        return self._begin(new_ring, spawn, current[shards:], batch_size)
 
     def _spawn_shard(self) -> int:
         index = self._next_shard_id

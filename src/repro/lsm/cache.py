@@ -121,10 +121,6 @@ class SharedBlockCache:
     def __len__(self) -> int:
         return len(self._cache)
 
-    def entries_for(self, token: int) -> int:
-        """How many cache slots the namespace currently occupies."""
-        return sum(1 for t, _k in self._cache if t == token)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"SharedBlockCache(capacity={self.capacity}, used={len(self)}, "

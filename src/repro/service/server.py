@@ -65,6 +65,7 @@ import queue
 from repro.analysis.invariants import RuntimeInvariant, World, check_invariants
 from repro.config import ServiceConfig
 from repro.distributed.ring import stable_hash
+from repro.distributed.store import RebalanceDriver
 from repro.service.api import (
     CollectRequest,
     EraseRequest,
@@ -344,8 +345,10 @@ class ComplianceService:
         with self._topology.write():
             if self._driver is not None and not self._driver.done:
                 raise RuntimeError("a rebalance is already in progress")
-            driver = self._store.begin_background_resize(
-                shards, batch_size=batch_size, weights=weights
+            driver = RebalanceDriver(
+                self._store.begin_resize(
+                    shards, batch_size=batch_size, weights=weights
+                )
             )
             self._driver = driver
             if self._world is not None:

@@ -75,11 +75,6 @@ class Page:
     def dead_count(self) -> int:
         return self._dead_count
 
-    @property
-    def slot_count(self) -> int:
-        """Occupied slots (live + dead), holes excluded."""
-        return self._live_count + self._dead_count
-
     def fits(self, payload_size: int) -> bool:
         return payload_size + TUPLE_OVERHEAD <= self._free
 

@@ -226,10 +226,6 @@ class CompliantDatabase:
     def selected_erasure(self) -> ErasureInterpretation:
         return self.default_erasure
 
-    # -------------------------------------------------------------- entities
-    def register_entity(self, entity: Entity) -> Entity:
-        return self.entities.register(entity)
-
     # ------------------------------------------------------------ collection
     def collect(
         self,

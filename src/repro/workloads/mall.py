@@ -142,10 +142,6 @@ class MallDataset:
             self._time += TICK_MICROS
 
     # --------------------------------------------------------------- queries
-    @property
-    def device_count(self) -> int:
-        return self._n_devices
-
     @staticmethod
     def total_bytes(records: List[MallRecord]) -> int:
         return sum(r.size_bytes for r in records)

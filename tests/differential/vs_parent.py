@@ -168,17 +168,17 @@ def bare_leg(name, seed):
 
 
 def store_leg(name, seed):
-    from repro.config import BackendConfig
+    from repro.config import BackendConfig, StoreConfig
     from repro.distributed.store import ReplicatedStore
     from repro.sim.clock import SimClock
     from repro.sim.costs import CostBook, CostModel
 
     clock = SimClock()
     opts = {**ENGINE, "compaction_mode": "deferred"} if name == "lsm" else {}
-    store = ReplicatedStore(
-        CostModel(clock, CostBook()), n_replicas=1, shards=3,
-        backend=BackendConfig(backend=name, **opts),
+    config = StoreConfig(
+        backend=BackendConfig(backend=name, **opts), shards=3, n_replicas=1
     )
+    store = ReplicatedStore.from_config(CostModel(clock, CostBook()), config)
     rng = random.Random(seed)
     for n, (op, key, value) in enumerate(_sequence(rng)):
         if op == "collect":

@@ -16,6 +16,7 @@ anti-entropy healing divergence no quorum read ever observed.
 import pytest
 
 from repro.analysis.invariants import store_invariants
+from repro.config import BackendConfig, StoreConfig
 from repro.distributed.antientropy import AntiEntropySweeper, range_digests
 from repro.distributed.faults import (
     FaultInjector,
@@ -35,11 +36,12 @@ def make_store(shards=4, n_replicas=2, backend="psql"):
     cost = CostModel(SimClock(), CostBook())
     store = ReplicatedStore(
         cost,
-        shards=shards,
-        n_replicas=n_replicas,
-        backend=backend,
-        replication_lag=50_000,
-        cache_ttl=10**12,
+        StoreConfig(
+            backend=BackendConfig(backend=backend),
+            shards=shards,
+            n_replicas=n_replicas,
+            cache_ttl=10**12,
+        ),
     )
     return store, cost
 

@@ -21,6 +21,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from repro.config import StoreConfig
 from repro.distributed.faults import FaultError, FaultInjector
 from repro.distributed.store import ReplicatedStore
 from repro.sim.clock import SimClock
@@ -36,10 +37,9 @@ class ReplicationMachine(RuleBasedStateMachine):
         cost = CostModel(SimClock(), CostBook())
         self.store = ReplicatedStore(
             cost,
-            shards=2,
-            n_replicas=1,
-            replication_lag=1_000,
-            cache_ttl=10**12,
+            StoreConfig(
+                shards=2, n_replicas=1, replication_lag=1_000, cache_ttl=10**12
+            ),
         )
         self.injector = FaultInjector(self.store)
         self.model = {}

@@ -16,6 +16,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from repro.config import BackendConfig, StoreConfig
 from repro.distributed.replication_log import SCRUBBED, ReplicationLog, _OpType
 from repro.distributed.store import ReplicatedStore
 from repro.sim.clock import SimClock
@@ -150,9 +151,11 @@ def shard_and_ref(request):
     fed the same history."""
     store = ReplicatedStore(
         CostModel(SimClock(), CostBook()),
-        n_replicas=1,
-        replication_lag=1_000,
-        backend=request.param,
+        StoreConfig(
+            backend=BackendConfig(backend=request.param),
+            n_replicas=1,
+            replication_lag=1_000,
+        ),
     )
     ref = ListScanLog()
     for i in range(12):

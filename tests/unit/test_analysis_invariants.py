@@ -16,8 +16,9 @@ from repro.analysis.invariants import (
     check_invariants,
     store_invariants,
 )
+from repro.config import StoreConfig
 from repro.distributed.faults import FaultInjector
-from repro.distributed.store import ReplicatedStore
+from repro.distributed.store import RebalanceDriver, ReplicatedStore
 from repro.sim.clock import SimClock
 from repro.sim.costs import CostBook, CostModel
 from repro.workloads.driver import load_store, run_interleaved
@@ -26,7 +27,7 @@ from repro.workloads.gdprbench import erasure_study_workload
 
 def make_store(shards=2, n_replicas=1):
     cost = CostModel(SimClock(), CostBook())
-    return ReplicatedStore(cost, shards=shards, n_replicas=n_replicas)
+    return ReplicatedStore(cost, StoreConfig(shards=shards, n_replicas=n_replicas))
 
 
 def violated(world):
@@ -98,7 +99,7 @@ class TestEachInvariantBites:
         store = make_store(shards=4)
         for i in range(64):
             store.put(f"u{i:06d}", (i, "payload"))
-        driver = store.begin_background_resize(5, batch_size=8)
+        driver = RebalanceDriver(store.begin_resize(5, batch_size=8))
         world = World.observe(store, driver=driver)
         driver.run(budget_keys=8)
         assert len(world.moves) == driver.rebalance.keys_moved
@@ -150,7 +151,7 @@ class TestDriverHook:
         store = make_store(shards=4, n_replicas=1)
         workload = erasure_study_workload(300, 400, seed=4)
         load_store(store, workload)
-        driver = store.begin_background_resize(5, batch_size=12)
+        driver = RebalanceDriver(store.begin_resize(5, batch_size=12))
         return store, workload, driver
 
     def test_interleaved_run_evaluates_registry(self, scenario):

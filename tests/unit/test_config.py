@@ -93,7 +93,7 @@ class TestFacadeValidation:
         # is assembled so a repo-wide grep for it stays empty).
         legacy = {"backend" + "_opts": {"memtable_capacity": 16}}
         with pytest.raises(TypeError, match="unexpected keyword"):
-            ReplicatedStore(_cost(), backend="lsm", **legacy)
+            ReplicatedStore(_cost(), **legacy)
 
     def test_compliant_database_rejects_option_mappings(self):
         legacy = {"backend" + "_opts": {"memtable_capacit": 16}}
@@ -143,14 +143,35 @@ class TestStoreConfig:
         )
         store = ReplicatedStore.from_config(_cost(), config)
         assert len(store.shard_ids) == 3
-        assert store.backend_name == "lsm"
+        assert store.backend_config.backend == "lsm"
         store.put("k", "v")
         assert store.read("k") == "v"
+
+    def test_config_is_the_only_constructor_argument(self):
+        default = ReplicatedStore(_cost())
+        assert default.shard_ids == (0,)
+        assert default.replica_count == StoreConfig().n_replicas
+        assert default.backend_config == BackendConfig()
+        config = StoreConfig(shards=2, n_replicas=0, shard_weights={1: 3.0})
+        store = ReplicatedStore(_cost(), config)
+        assert store.shard_weights == {0: 1.0, 1: 3.0}
+        assert store.replica_count == 0
+        with pytest.raises(TypeError):
+            ReplicatedStore(_cost(), config, 2)
 
     def test_shard_weights_normalize(self):
         config = StoreConfig(shard_weights={1: 2.0, 0: 1.0})
         assert config.shard_weights == ((0, 1.0), (1, 2.0))
         assert config.weights_mapping == {0: 1.0, 1: 2.0}
+
+    def test_shard_weights_canonical_for_any_input(self):
+        """Equal topologies compare and hash equal whether the weights
+        came as a mapping or as pairs in any order."""
+        from_pairs = StoreConfig(shards=2, shard_weights=((1, 2.0), (0, 1.0)))
+        from_mapping = StoreConfig(shards=2, shard_weights={0: 1.0, 1: 2.0})
+        assert from_pairs == from_mapping
+        assert hash(from_pairs) == hash(from_mapping)
+        assert from_pairs.shard_weights == ((0, 1.0), (1, 2.0))
 
     def test_topology_validation(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from repro.config import BackendConfig
+from repro.config import BackendConfig, StoreConfig
 from repro.distributed.store import (
     CopyLocation,
     ReplicatedStore,
@@ -30,13 +30,14 @@ def backend(request):
     return request.param
 
 
-def make_store(**kwargs):
+def make_store(backend="psql", **kwargs):
+    """A store over ``backend`` (a name or a full BackendConfig); every
+    other keyword is a :class:`StoreConfig` field."""
+    if isinstance(backend, str):
+        backend = BackendConfig(backend=backend)
     clock = SimClock()
-    cost = CostModel(clock, CostBook())
-    kwargs.setdefault("n_replicas", 2)
-    kwargs.setdefault("replication_lag", 50_000)
-    kwargs.setdefault("cache_ttl", 500_000)
-    return ReplicatedStore(cost, **kwargs), clock
+    config = StoreConfig(backend=backend, **kwargs)
+    return ReplicatedStore(CostModel(clock, CostBook()), config), clock
 
 
 def advance(clock, micros):
@@ -79,12 +80,10 @@ class TestReplication:
         assert store.read("k", replica=1) == "v2"
 
     def test_invalid_params(self):
-        clock = SimClock()
-        cost = CostModel(clock)
         with pytest.raises(ValueError):
-            ReplicatedStore(cost, n_replicas=-1)
+            make_store(n_replicas=-1)
         with pytest.raises(ValueError):
-            ReplicatedStore(cost, replication_lag=-1)
+            make_store(replication_lag=-1)
 
 
 class TestCaching:
@@ -241,8 +240,9 @@ class TestReplicationLogRetention:
         survives in the log must still count as a lingering copy."""
         store, _ = make_store(n_replicas=0, cache_ttl=0)
         store.put("pii", "sensitive")
-        store.primary.engine.delete("replicated_data", "pii")
-        store.primary.engine.vacuum("replicated_data")
+        primary = next(store.shards()).primary
+        primary.engine.delete("replicated_data", "pii")
+        primary.engine.vacuum("replicated_data")
         # no node, cache, or dead tuple holds the value — only the log does
         assert store.copies_of("pii") == [(CopyLocation.LOG, "primary")]
 
@@ -333,7 +333,7 @@ class TestEraseRewritesOnlyTheVictimsRuns:
             store.put(i, ("v", i))
             if i == foreign_writes // 2:
                 store.update(0, "still secret")
-        engines = [n.backend.engine for n in (store.primary, *store.replicas)]
+        engines = [n.backend.engine for n in store.nodes()]
         report = store.erase_all_copies(0)  # the barrier replays the replica
         assert report.verified_clean
         rewritten = 0
@@ -364,7 +364,7 @@ class TestEraseRewritesOnlyTheVictimsRuns:
         )
         for i in range(40):
             store.put(i, ("v", i))
-        engine = store.primary.backend.engine
+        engine = next(store.shards()).primary.backend.engine
         before = {r.table_id: r.get_encoded(17) is not None for r in engine.runs()}
         assert sum(before.values()) == 1
         assert store.erase_all_copies(17).verified_clean
@@ -401,7 +401,7 @@ class TestEraseVacuumsOnlyTheVictimsPages:
         assert built == []  # no index entry is rebuilt
         pages = sum(
             n.backend.engine.stats(n.backend.table).pages
-            for n in (store.primary, *store.replicas)
+            for n in store.nodes()
         )
         return len(pruned), pages
 
@@ -451,9 +451,8 @@ class TestSharding:
             assert store.shard_of(key) == owner  # stable
 
     def test_invalid_shard_count(self):
-        clock = SimClock()
         with pytest.raises(ValueError):
-            ReplicatedStore(CostModel(clock), shards=0)
+            make_store(shards=0)
 
     def test_put_read_roundtrip_across_shards(self, backend):
         store, clock = make_store(backend=backend, shards=4, n_replicas=1)

@@ -8,8 +8,8 @@ replicas that trail the primary.  These tests pin the hazards:
 * a migration copies a key before the source is erased — the in-flight
   window must be a tracked ``MIGRATION`` copy site, and an erase landing
   inside it must still verify clean on *both* owners;
-* ``remove_shard`` drains every key to the survivors and must leave the
-  decommissioned shard holding nothing at all;
+* a shrinking ``begin_resize`` drains every key to the survivors and must
+  leave the decommissioned shard holding nothing at all;
 * a stale replica whose backlog contains the victim's DELETE happily
   serves the erased value to a pinned read — a quorum read must apply the
   backlog first and refuse.
@@ -17,6 +17,7 @@ replicas that trail the primary.  These tests pin the hazards:
 
 import pytest
 
+from repro.config import BackendConfig, StoreConfig
 from repro.core.actions import ActionType
 from repro.core.entities import controller, data_subject
 from repro.core.policy import Policy, Purpose
@@ -38,13 +39,14 @@ def backend(request):
     return request.param
 
 
-def make_store(**kwargs):
-    clock = SimClock()
-    cost = CostModel(clock, CostBook())
+def make_store(backend="psql", **kwargs):
+    """A store over the named backend; every other keyword is a
+    :class:`StoreConfig` field (one replica, caches that never expire)."""
     kwargs.setdefault("n_replicas", 1)
-    kwargs.setdefault("replication_lag", 50_000)
     kwargs.setdefault("cache_ttl", 10**12)
-    return ReplicatedStore(cost, **kwargs), clock
+    config = StoreConfig(backend=BackendConfig(backend=backend), **kwargs)
+    clock = SimClock()
+    return ReplicatedStore(CostModel(clock, CostBook()), config), clock
 
 
 def load_keys(store, clock, n, warm=True):
@@ -72,17 +74,17 @@ class TestResize:
     def test_resize_moves_only_ring_affected_keys(self, backend):
         store, clock = make_store(backend=backend, shards=4)
         keys = load_keys(store, clock, 120)
-        report = store.resize(5)
+        report = store.begin_resize(5).run()
         assert report.verified_clean
         assert 0 < report.keys_moved < len(keys) // 2  # ~K/5, never ~all
         assert report.shards_to == (0, 1, 2, 3, 4)
         for i, key in enumerate(keys):
             assert store.read(key) == i
 
-    def test_add_shard_equivalent_to_grow_resize(self, backend):
+    def test_grow_by_one_feeds_the_newcomer(self, backend):
         store, clock = make_store(backend=backend, shards=2)
         keys = load_keys(store, clock, 60, warm=False)
-        report = store.add_shard()
+        report = store.begin_resize(3).run()
         assert report.verified_clean
         assert store.shard_count == 3
         assert {store.shard_of(k) for k in keys} >= {2}  # newcomer got keys
@@ -99,7 +101,7 @@ class TestResize:
         pre_shards = dict(zip(store.shard_ids, store.shards()))
         moves = []
         store.add_move_listener(moves.append)
-        report = store.resize(4)
+        report = store.begin_resize(4).run()
         assert report.keys_moved == len(moves) > 0
         for event in moves:
             assert store.shard_of(event.key) == event.dest
@@ -122,7 +124,7 @@ class TestResize:
         for key in victims:
             store.naive_delete(key)
             assert store.copies_of(key)  # the §1 hazard is armed
-        report = store.resize(3)
+        report = store.begin_resize(3).run()
         assert report.verified_clean
         assert report.keys_grounded_residue > 0
         relocated = [
@@ -164,7 +166,7 @@ class TestResize:
         keys = load_keys(store, clock, 40)
         moves = []
         store.add_move_listener(moves.append)
-        store.resize(3)
+        store.begin_resize(3).run()
         clock.charge(60_000, "post-rebalance lag elapses")
         for event in moves:
             idx = int(str(event.key)[1:])
@@ -175,7 +177,7 @@ class TestResize:
         load_keys(store, clock, 20, warm=False)
         store.begin_resize(3)
         with pytest.raises(RuntimeError):
-            store.resize(4)
+            store.begin_resize(4)
 
     def test_step_only_driving_finalizes(self, backend):
         """Regression: `while r.step(): pass` must commit the topology just
@@ -183,7 +185,7 @@ class TestResize:
         dropped, rebalance state cleared, report available."""
         store, clock = make_store(backend=backend, shards=3)
         keys = load_keys(store, clock, 60, warm=False)
-        rebalance = store.begin_remove_shard(2, batch_size=8)
+        rebalance = store.begin_resize(2, batch_size=8)
         while rebalance.step():
             pass
         assert store.shard_ids == (0, 1)
@@ -191,23 +193,28 @@ class TestResize:
         assert rebalance.report is not None
         assert rebalance.report.verified_clean
         assert rebalance.run() is rebalance.report  # idempotent
-        store.resize(3)  # the store is free for the next topology change
+        store.begin_resize(3).run()  # free for the next topology change
         for i, key in enumerate(keys):
             assert store.read(key) == i
 
     def test_rejected_begin_leaves_topology_untouched(self):
-        """Regression: a begin_* call that fails validation must not leak
-        freshly spawned (unrouted) shards into the store."""
+        """Regression: a begin_resize that fails validation — its own, the
+        weights', or the target ring's — must not leak freshly spawned
+        (unrouted) shards into the store."""
         store, clock = make_store(shards=2)
         load_keys(store, clock, 10, warm=False)
         for call in (
             lambda: store.begin_resize(4, batch_size=0),
-            lambda: store.begin_add_shard(batch_size=-1),
+            lambda: store.begin_resize(3, batch_size=-1),
+            lambda: store.begin_resize(4, weights=[1.0, 1.0]),  # 2 for 4
+            lambda: store.begin_resize(3, weights=[1.0, 1.0, -2.0]),
         ):
             with pytest.raises(ValueError):
                 call()
-            assert store.shard_count == 2
+            assert store.shard_ids == (0, 1)
             assert not store.rebalance_in_progress
+        # No shard id was burnt either: the next grow spawns shard 2.
+        assert store.begin_resize(3).run().shards_to == (0, 1, 2)
 
     def test_writes_during_rebalance_land_once(self, backend):
         store, clock = make_store(backend=backend, shards=2)
@@ -332,20 +339,20 @@ class TestRemoveShard:
     def test_remove_drains_to_survivors(self, backend):
         store, clock = make_store(backend=backend, shards=3)
         keys = load_keys(store, clock, 60)
-        drained = [k for k in keys if store.shard_of(k) == 1]
-        assert drained, "expected shard 1 to own some keys"
-        report = store.remove_shard(1)
+        drained = [k for k in keys if store.shard_of(k) == 2]
+        assert drained, "expected shard 2 to own some keys"
+        report = store.begin_resize(2).run()
         assert report.verified_clean
-        assert store.shard_ids == (0, 2)
+        assert store.shard_ids == (0, 1)
         for i, key in enumerate(keys):
             assert store.read(key) == i
-            assert store.shard_of(key) != 1
+            assert store.shard_of(key) != 2
 
     def test_removed_shard_holds_nothing(self, backend):
         store, clock = make_store(backend=backend, shards=3)
         keys = load_keys(store, clock, 60)
         doomed = store._shards[2]
-        store.remove_shard(2)
+        store.begin_resize(2).run()
         assert doomed.holds_nothing()
         for node in doomed.nodes():
             stats = node.backend.stats()
@@ -357,12 +364,8 @@ class TestRemoveShard:
     def test_cannot_remove_last_shard(self):
         store, _ = make_store(shards=1)
         with pytest.raises(ValueError):
-            store.remove_shard(0)
-
-    def test_remove_unknown_shard(self):
-        store, _ = make_store(shards=2)
-        with pytest.raises(KeyError):
-            store.remove_shard(9)
+            store.begin_resize(0)
+        assert store.shard_ids == (0,)
 
 
 class TestQuorumReads:
@@ -387,7 +390,8 @@ class TestQuorumReads:
         )
         store.put("k", "v")
         store.read("k", consistency="quorum")
-        seqnos = sorted(n.applied_seqno for n in store.replicas)
+        replicas = next(store.shards()).replicas
+        seqnos = sorted(n.applied_seqno for n in replicas)
         # Majority of 3 nodes = primary + 1 replica: exactly one replica
         # was force-applied, the other still lags.
         assert seqnos == [0, 1]
@@ -419,8 +423,9 @@ class TestQuorumReads:
         with pytest.raises(TupleNotFoundError):
             store.read("pii", consistency="quorum")
         # The participating replica applied the victim's DELETE en route.
-        assert store.replicas[0].applied_seqno == 2
-        assert not store.replicas[0].backend.exists("pii")
+        replica = next(store.shards()).replicas[0]
+        assert replica.applied_seqno == 2
+        assert not replica.backend.exists("pii")
 
     def test_quorum_reads_work_mid_rebalance(self, backend):
         store, clock = make_store(backend=backend, shards=2, n_replicas=1)
@@ -447,7 +452,7 @@ class TestWeightedShards:
     def test_resize_with_weights_feeds_the_heavy_newcomer(self, backend):
         store, clock = make_store(backend=backend, shards=2)
         keys = load_keys(store, clock, 200, warm=False)
-        report = store.resize(3, weights=[1.0, 1.0, 2.0])
+        report = store.begin_resize(3, weights=[1.0, 1.0, 2.0]).run()
         assert report.verified_clean
         assert store.shard_weights[2] == 2.0
         counts = {sid: 0 for sid in store.shard_ids}
@@ -465,7 +470,7 @@ class TestWeightedShards:
         pre_shards = dict(zip(store.shard_ids, store.shards()))
         moves = []
         store.add_move_listener(moves.append)
-        report = store.reweight({0: 3.0})
+        report = store.begin_resize(2, weights={0: 3.0}).run()
         assert report.verified_clean
         assert report.keys_moved == len(moves) > 0
         assert store.shard_weights == {0: 3.0, 1: 1.0}
@@ -477,10 +482,10 @@ class TestWeightedShards:
         for i, key in enumerate(keys):
             assert store.read(key) == i
 
-    def test_add_shard_with_weight(self):
+    def test_grow_with_light_newcomer(self):
         store, clock = make_store(shards=2)
         load_keys(store, clock, 60, warm=False)
-        report = store.add_shard(weight=0.5)
+        report = store.begin_resize(3, weights={2: 0.5}).run()
         assert report.verified_clean
         assert store.shard_weights[2] == 0.5
 
@@ -498,12 +503,12 @@ class TestWeightedShards:
         with pytest.raises(ValueError):
             store.begin_resize(3, weights={9: 1.0})  # unknown shard id
         with pytest.raises(ValueError):
-            store.begin_reweight({0: -1.0})  # weights must be positive
+            store.begin_resize(2, weights={0: -1.0})  # must be positive
         with pytest.raises(ValueError):
-            store.begin_reweight({})
+            store.begin_resize(2, weights={})
         # Rejected begins left no rebalance state behind.
         assert not store.rebalance_in_progress
-        store.resize(3)  # the store still works
+        store.begin_resize(3).run()  # the store still works
 
 
 class TestRebalanceDriver:
@@ -524,15 +529,6 @@ class TestRebalanceDriver:
         assert driver.report is not None and driver.report.verified_clean
         assert not store.rebalance_in_progress
         assert store.shard_ids == (0, 1, 2, 3)
-
-    def test_begin_background_resize_convenience(self):
-        store, clock = make_store(shards=2)
-        load_keys(store, clock, 40, warm=False)
-        driver = store.begin_background_resize(3, batch_size=8)
-        assert isinstance(driver, RebalanceDriver)
-        report = driver.run(budget_keys=8)
-        assert report.verified_clean
-        assert store.shard_count == 3
 
     def test_budget_validates(self):
         store, clock = make_store(shards=2)
@@ -674,7 +670,7 @@ class TestReadRepair:
         assert on_two
         store.read(on_two[0], use_cache=False, consistency="quorum")
         assert store.pending_repairs >= 1
-        store.remove_shard(2)
+        store.begin_resize(2).run()
         events = store.flush_repairs()
         assert all(e.shard != 2 for e in events)
 
@@ -700,7 +696,7 @@ class TestFacadeRepairAudit:
         db = CompliantDatabase(metaspace)
         clock = SimClock()
         cost = CostModel(clock, CostBook())
-        store = ReplicatedStore(cost, n_replicas=2, shards=1)
+        store = ReplicatedStore(cost, StoreConfig(n_replicas=2, shards=1))
         db.attach_replicated_store(store)
         window = (0, 10**12)
         for i in range(6):
@@ -752,7 +748,7 @@ class TestFacadeMoveAudit:
         db = CompliantDatabase(metaspace)
         clock = SimClock()
         cost = CostModel(clock, CostBook())
-        store = ReplicatedStore(cost, n_replicas=1, shards=2)
+        store = ReplicatedStore(cost, StoreConfig(n_replicas=1, shards=2))
         db.attach_replicated_store(store)
         window = (0, 10**12)
         for i in range(n):
@@ -772,7 +768,7 @@ class TestFacadeMoveAudit:
         db, store, clock = self._db_with_store()
         moves = []
         store.add_move_listener(moves.append)
-        report = store.resize(3)
+        report = store.begin_resize(3).run()
         assert report.keys_moved == len(moves) > 0
         for event in moves:
             history = db.history.of(event.key)
@@ -788,7 +784,7 @@ class TestFacadeMoveAudit:
         db, store, clock = self._db_with_store(n=4)
         store.put("engine-internal", "not a data unit")
         before = len(db.history)
-        store.resize(3)
+        store.begin_resize(3).run()
         assert "engine-internal" not in db.history
         # Modelled units may have gained MOVE records; nothing else did.
         assert all(
@@ -800,6 +796,6 @@ class TestFacadeMoveAudit:
 
     def test_move_does_not_trip_compliance_checks(self):
         db, store, _clock = self._db_with_store(n=10)
-        store.resize(3)
+        store.begin_resize(3).run()
         report = db.check_compliance()
         assert report.compliant, report.violations

@@ -257,13 +257,15 @@ class TestInterleavedDriver:
     background rebalance steps (repro.workloads.driver)."""
 
     def _store(self, shards=2, n_replicas=1):
+        from repro.config import StoreConfig
         from repro.distributed.store import ReplicatedStore
         from repro.sim.clock import SimClock
         from repro.sim.costs import CostBook, CostModel
 
         cost = CostModel(SimClock(), CostBook())
         store = ReplicatedStore(
-            cost, n_replicas=n_replicas, shards=shards, cache_ttl=10**12
+            cost,
+            StoreConfig(shards=shards, n_replicas=n_replicas, cache_ttl=10**12),
         )
         return store, cost.clock
 
