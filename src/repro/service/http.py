@@ -22,6 +22,9 @@ erase        ``/erase``    ``{"key": k}``
 sar          ``/sar``      ``{"subject": s}``
 ===========  =======  ==================================================
 
+``key`` and ``subject`` are JSON strings and ``consistency`` is one of
+:data:`~repro.distributed.store.CONSISTENCY_LEVELS`; any other body is a 400.
+
 ``GET /stats`` returns the service counters; ``GET /healthz`` returns 200
 while the service accepts traffic.  Response HTTP status codes are the
 service's :class:`~repro.service.api.Status` values verbatim — a full
@@ -36,6 +39,7 @@ from dataclasses import asdict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 
+from repro.distributed.store import CONSISTENCY_LEVELS
 from repro.service.api import (
     CollectRequest,
     EraseRequest,
@@ -48,18 +52,24 @@ from repro.service.api import (
 )
 from repro.service.server import ComplianceService
 
+
+def _string(body: Dict[str, Any], field: str, default: Optional[str] = None) -> str:
+    value = body[field] if default is None else body.get(field, default)
+    if not isinstance(value, str):  # an int key beside str keys breaks every sort
+        raise TypeError(f"{field} must be a JSON string, not {type(value).__name__}")
+    if field == "consistency" and value not in CONSISTENCY_LEVELS:
+        raise ValueError(f"consistency must be one of {CONSISTENCY_LEVELS}")
+    return value
+
+
 _ROUTES = {
     "/collect": lambda body: CollectRequest(
-        key=body["key"],
-        value=body.get("value"),
-        subject=body.get("subject", "anonymous"),
+        _string(body, "key"), body.get("value"), _string(body, "subject", "anonymous")
     ),
-    "/read": lambda body: ReadRequest(
-        key=body["key"], consistency=body.get("consistency", "one")
-    ),
-    "/update": lambda body: UpdateRequest(key=body["key"], value=body.get("value")),
-    "/erase": lambda body: EraseRequest(key=body["key"]),
-    "/sar": lambda body: SarRequest(subject=body["subject"]),
+    "/read": lambda body: ReadRequest(_string(body, "key"), _string(body, "consistency", "one")),
+    "/update": lambda body: UpdateRequest(_string(body, "key"), body.get("value")),
+    "/erase": lambda body: EraseRequest(_string(body, "key")),
+    "/sar": lambda body: SarRequest(_string(body, "subject")),
 }
 
 #: Largest request body read; a longer ``Content-Length`` is a 413.

@@ -25,7 +25,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from repro.service.api import (
     CollectRequest,
@@ -38,6 +38,11 @@ from repro.service.api import (
 from repro.service.server import ComplianceService
 from repro.workloads.base import OpKind, Operation, Workload
 from repro.workloads.driver import unit_key
+
+#: Every read's consistency level, and the 429 retry policy (see :func:`run_loadgen`).
+CONSISTENCY = "one"
+MAX_RETRIES = 50
+BACKOFF_SECONDS = 0.001
 
 
 @dataclass(frozen=True)
@@ -72,42 +77,28 @@ def _percentile(sorted_values: List[float], fraction: float) -> float:
     return sorted_values[index]
 
 
-def _build_request(
-    op: Operation,
-    key_fn: Callable[[int], str],
-    consistency: str,
-    subject_fn: Callable[[int], str],
-) -> Optional[Request]:
+def _build_request(op: Operation) -> Optional[Request]:
     if op.kind is OpKind.CREATE:
         return CollectRequest(
-            key=key_fn(op.key),
-            value=op.payload or (op.key, "payload"),
-            subject=subject_fn(op.key),
+            unit_key(op.key), op.payload or (op.key, "payload"), f"subject-{op.key % 97}"
         )
     if op.kind is OpKind.READ:
-        return ReadRequest(key=key_fn(op.key), consistency=consistency)
+        return ReadRequest(key=unit_key(op.key), consistency=CONSISTENCY)
     if op.kind is OpKind.UPDATE:
-        return UpdateRequest(key=key_fn(op.key), value=op.payload or (op.key, "rw"))
+        return UpdateRequest(key=unit_key(op.key), value=op.payload or (op.key, "rw"))
     if op.kind is OpKind.DELETE:
-        return EraseRequest(key=key_fn(op.key))
+        return EraseRequest(key=unit_key(op.key))
     return None  # metadata traffic has no service counterpart
 
 
 def run_loadgen(
-    service: ComplianceService,
-    workload: Workload,
-    clients: int = 8,
-    consistency: str = "one",
-    key_fn: Callable[[int], str] = unit_key,
-    subject_fn: Callable[[int], str] = lambda k: f"subject-{k % 97}",
-    max_retries: int = 50,
-    backoff_seconds: float = 0.001,
+    service: ComplianceService, workload: Workload, clients: int = 8
 ) -> LoadgenReport:
     """Replay ``workload`` against ``service`` from ``clients`` threads.
 
     Returns once every client has driven its slice to completion.  A 429
-    sleeps ``backoff_seconds`` (doubling, capped at 50 ms) and retries up
-    to ``max_retries`` times; a request still rejected after that counts
+    sleeps :data:`BACKOFF_SECONDS` (doubling, capped at 50 ms) and retries
+    up to :data:`MAX_RETRIES` times; a request still rejected after that counts
     in ``rejected`` and is dropped — the loadgen never blocks forever on
     a saturated service.
     """
@@ -132,15 +123,15 @@ def run_loadgen(
 
     def _client(ops: List[Operation], tally: _ClientTally) -> None:
         for op in ops:
-            request = _build_request(op, key_fn, consistency, subject_fn)
+            request = _build_request(op)
             if request is None:
                 tally.metadata += 1
                 continue
             start = time.perf_counter()
             response = service.call(request)
-            delay = backoff_seconds
+            delay = BACKOFF_SECONDS
             attempts = 0
-            while response.rejected and attempts < max_retries:
+            while response.rejected and attempts < MAX_RETRIES:
                 time.sleep(delay)
                 delay = min(delay * 2, 0.05)
                 attempts += 1

@@ -22,9 +22,8 @@ movement every ``ops_per_step`` operations:
 * metadata operations (policy/subject-record traffic) have no replicated-
   store counterpart and are counted but not applied.
 
-``bench_sharding.py``'s rebalance-under-load section and ``python -m repro
-rebalance --background`` are both thin wrappers over
-:func:`run_interleaved`.
+``python -m repro rebalance --background`` and ``python -m repro chaos``
+are thin wrappers over :func:`run_interleaved`.
 """
 
 from __future__ import annotations
@@ -39,8 +38,7 @@ from repro.workloads.base import OpKind, Workload
 
 
 def unit_key(key: int) -> str:
-    """The store key for a workload's integer key (matches the ``u%06d``
-    convention the sharding benches load with)."""
+    """The store key for a workload's integer key: ``u%06d``."""
     return f"u{key:06d}"
 
 

@@ -155,27 +155,29 @@ def test_erase_many_checks_every_involved_shard_before_mutating():
 def test_antientropy_heals_divergence_without_quorum_reads():
     """Divergence injected directly on a replica backend is invisible to
     the read path (no quorum read ever issued) yet the digest sweep finds
-    it, queues range repairs, and the flush restores digest equality."""
-    store, _cost = make_store(shards=2, n_replicas=1)
-    for i in range(80):
-        store.put(f"u{i:06d}", (i, "payload"))
-    for shard in store.shards():
-        for node in shard.replicas:
-            shard._apply_backlog(node, force=True)
-    shard = next(store.shards())
-    node = shard.replicas[0]
-    held = sorted(k for k, _v in node.backend.export_range(lambda _k: True))
-    assert held, "replica should hold keys"
-    for key in held[:4]:
-        node.backend.update(key, ("diverged", key))
-    report, events = store.anti_entropy_sweep(n_ranges=8)
-    assert report.divergent_ranges > 0
-    assert report.repairs_queued == report.divergent_ranges
-    assert events and all(e.key.startswith("antientropy:") for e in events)
-    for s in store.shards():
-        primary = range_digests(s.primary.backend, 8)
-        for replica in s.replicas:
-            assert range_digests(replica.backend, 8) == primary
+    it, queues range repairs, and the flush restores digest equality —
+    on every backend."""
+    for backend in ("psql", "lsm", "crypto-shred"):
+        store, _cost = make_store(shards=2, n_replicas=1, backend=backend)
+        for i in range(80):
+            store.put(f"u{i:06d}", (i, "payload"))
+        for shard in store.shards():
+            for node in shard.replicas:
+                shard._apply_backlog(node, force=True)
+        shard = next(store.shards())
+        node = shard.replicas[0]
+        held = sorted(k for k, _v in node.backend.export_range(lambda _k: True))
+        assert held, "replica should hold keys"
+        for key in held[:4]:
+            node.backend.update(key, ("diverged", key))
+        report, events = store.anti_entropy_sweep(n_ranges=8)
+        assert report.divergent_ranges > 0, backend
+        assert report.repairs_queued == report.divergent_ranges
+        assert events and all(e.key.startswith("antientropy:") for e in events)
+        for s in store.shards():
+            primary = range_digests(s.primary.backend, 8)
+            for replica in s.replicas:
+                assert range_digests(replica.backend, 8) == primary, backend
 
 
 def test_sweeper_skips_partitioned_shards_and_flush_requeues():

@@ -605,14 +605,6 @@ class TestLsmCopySites:
     """Per-SSTable copy tracking on LSM nodes — copies_of must reflect every
     pre-compaction physical copy until compaction rewrites it away."""
 
-    def _lsm_store(self, compaction="leveled"):
-        return make_store(
-            n_replicas=1,
-            backend=BackendConfig(
-                backend="lsm", compaction=compaction, memtable_capacity=4
-            ),
-        )
-
     def test_shadowed_sstable_copies_each_get_an_entry(self):
         # A lazy tier threshold keeps both version-holding runs on disk —
         # exactly the pre-compaction state whose copies must stay visible.
@@ -641,8 +633,13 @@ class TestLsmCopySites:
         assert all("[" in name for name in primary_sites)
 
     def test_erase_all_copies_clears_every_site(self):
-        for compaction in ("size", "leveled"):
-            store, clock = self._lsm_store(compaction)
+        for backend in (
+            BackendConfig(backend="lsm", compaction="size", memtable_capacity=4),
+            BackendConfig(backend="lsm", compaction="leveled", memtable_capacity=4),
+            # The primary and its replica pool one block cache.
+            BackendConfig(backend="lsm", shared_block_cache=256, memtable_capacity=4),
+        ):
+            store, clock = make_store(n_replicas=1, backend=backend)
             store.put("pii", "sensitive")
             for i in range(12):
                 store.put(f"pad{i}", i)

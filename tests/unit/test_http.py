@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from repro.config import StoreConfig
+from repro.config import BackendConfig, StoreConfig
 from repro.distributed.store import ReplicatedStore
 from repro.service import ComplianceService
 from repro.service import http as front_door
@@ -179,6 +179,48 @@ class TestPersistentConnection:
         conn.request("POST", "/read", '{"key": "a"}')
         assert conn.getresponse().read() == b'{"status": 200, "value": "{1, 2}"}'
         conn.close()
+
+
+class TestRequestValidation:
+    """Keys and subjects are JSON strings, ``consistency`` a known level:
+    any other body is a 400 that reaches no store and no subject index."""
+
+    MALFORMED = [
+        ("/collect", {"key": 7, "value": "v", "subject": "s"}),
+        ("/collect", {"key": {"a": 1}, "value": "v", "subject": "s"}),
+        ("/collect", {"key": "k", "value": "v", "subject": 7}),
+        ("/read", {"key": 7}),
+        ("/read", {"key": "k", "consistency": "bogus"}),
+        ("/update", {"key": [1], "value": "v"}),
+        ("/erase", {"key": 7}),
+        ("/sar", {"subject": ["s"]}),
+    ]
+
+    @pytest.mark.parametrize("backend", ["psql", "lsm", "crypto-shred"])
+    def test_malformed_body_is_a_400_that_leaves_nothing(self, backend):
+        store = ReplicatedStore(
+            CostModel(SimClock(), CostBook()),
+            StoreConfig(shards=1, n_replicas=1, backend=BackendConfig(backend=backend)),
+        )
+        service = ComplianceService(store)
+        server = serve_in_background(service)
+        conn = http.client.HTTPConnection(*server.address, timeout=BOUND_S)
+        try:
+            for path, body in self.MALFORMED:
+                status, reply = post(conn, path, body)
+                assert status == 400 and "bad request" in reply["error"], (path, body)
+            assert post(conn, "/collect", {"key": "k", "value": "v", "subject": "s"})[0] == 201
+            assert post(conn, "/read", {"key": "k", "consistency": "quorum"}) == (
+                200, {"status": 200, "value": "v"}
+            )
+            status, reply = post(conn, "/sar", {"subject": "s"})
+            assert status == 200 and [unit["key"] for unit in reply["units"]] == ["k"]
+        finally:
+            conn.close()
+            server.shutdown()
+            server.server_close()
+            service.close()
+        assert store.copies_of(7) == []
 
 
 class TestRepliesThatClose:

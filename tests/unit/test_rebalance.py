@@ -21,6 +21,7 @@ from repro.config import BackendConfig, StoreConfig
 from repro.core.actions import ActionType
 from repro.core.entities import controller, data_subject
 from repro.core.policy import Policy, Purpose
+from repro.distributed.ring import HashRing
 from repro.distributed.store import (
     CopyLocation,
     RebalanceDriver,
@@ -77,6 +78,8 @@ class TestResize:
         report = store.begin_resize(5).run()
         assert report.verified_clean
         assert 0 < report.keys_moved < len(keys) // 2  # ~K/5, never ~all
+        ring = HashRing(range(4))
+        assert report.keys_moved == len(ring.moved_keys(keys, ring.with_nodes(range(5))))
         assert report.shards_to == (0, 1, 2, 3, 4)
         for i, key in enumerate(keys):
             assert store.read(key) == i

@@ -128,13 +128,19 @@ class TestElasticity:
         assert 0.08 <= len(moved) / len(KEYS) <= 0.35
 
     def test_growing_moves_far_fewer_than_modulo(self):
+        """A 4 -> 5 grow moves <= 30% of the keys, modulo routing >= 60%,
+        and the ring <= 0.45x modulo: measured 0.173 / 0.787 / 0.220 over
+        150 ``u%06d`` keys and 0.175 / 0.785 / 0.223 over 200, the sizes
+        the bounds were set at.  A store's resize moves exactly the ring's
+        moved set (``test_rebalance.py``)."""
         old = HashRing(range(4))
         new = old.with_nodes(range(5))
-        ring_moved = len(old.moved_keys(KEYS, new))
-        modulo_moved = sum(
-            1 for k in KEYS if stable_hash(k) % 4 != stable_hash(k) % 5
-        )
-        assert ring_moved < modulo_moved / 2
+        for keys in (KEYS, [f"u{i:06d}" for i in range(150)], [f"u{i:06d}" for i in range(200)]):
+            ring = len(old.moved_keys(keys, new)) / len(keys)
+            modulo = sum(1 for k in keys if stable_hash(k) % 4 != stable_hash(k) % 5) / len(keys)
+            assert ring <= 0.30
+            assert modulo >= 0.60
+            assert ring / modulo <= 0.45
 
     def test_moved_keys_all_route_to_the_new_node_on_grow(self):
         old = HashRing(range(4))

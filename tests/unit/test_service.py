@@ -319,6 +319,8 @@ class TestConcurrentSmoke:
 
         assert report.clients == 8
         assert report.erases > 0 and report.reads > 0
+        # Closed loop: every op that is not metadata resolved exactly once.
+        assert report.ops == report.reads + report.writes + report.erases + report.rejected
         assert report.errors == 0
         assert report.erases_verified_clean
         assert service.rebalance_done
