@@ -53,23 +53,28 @@ from repro.service.api import (
 from repro.service.server import ComplianceService
 
 
-def _string(body: Dict[str, Any], field: str, default: Optional[str] = None) -> str:
-    value = body[field] if default is None else body.get(field, default)
+def _string(value: Any, field: str) -> str:
     if not isinstance(value, str):  # an int key beside str keys breaks every sort
         raise TypeError(f"{field} must be a JSON string, not {type(value).__name__}")
-    if field == "consistency" and value not in CONSISTENCY_LEVELS:
+    return value
+
+
+def _consistency(body: Dict[str, Any]) -> str:
+    value = body.get("consistency", "one")
+    if value not in CONSISTENCY_LEVELS:
         raise ValueError(f"consistency must be one of {CONSISTENCY_LEVELS}")
     return value
 
 
 _ROUTES = {
     "/collect": lambda body: CollectRequest(
-        _string(body, "key"), body.get("value"), _string(body, "subject", "anonymous")
+        _string(body["key"], "key"), body.get("value"),
+        _string(body.get("subject", "anonymous"), "subject"),
     ),
-    "/read": lambda body: ReadRequest(_string(body, "key"), _string(body, "consistency", "one")),
-    "/update": lambda body: UpdateRequest(_string(body, "key"), body.get("value")),
-    "/erase": lambda body: EraseRequest(_string(body, "key")),
-    "/sar": lambda body: SarRequest(_string(body, "subject")),
+    "/read": lambda body: ReadRequest(_string(body["key"], "key"), _consistency(body)),
+    "/update": lambda body: UpdateRequest(_string(body["key"], "key"), body.get("value")),
+    "/erase": lambda body: EraseRequest(_string(body["key"], "key")),
+    "/sar": lambda body: SarRequest(_string(body["subject"], "subject")),
 }
 
 #: Largest request body read; a longer ``Content-Length`` is a 413.

@@ -163,12 +163,8 @@ def run_loadgen(
                     tally.errors += 1
 
     threads = [
-        threading.Thread(
-            target=_client,
-            args=(slices[i], tallies[i]),
-            name=f"loadgen-client-{i}",
-        )
-        for i in range(clients)
+        threading.Thread(target=_client, args=(ops, tally), name=f"loadgen-client-{i}")
+        for i, (ops, tally) in enumerate(zip(slices, tallies))
     ]
     wall_start = time.perf_counter()
     for thread in threads:
@@ -177,9 +173,7 @@ def run_loadgen(
         thread.join()
     wall = time.perf_counter() - wall_start
 
-    latencies = sorted(
-        latency for tally in tallies for latency in tally.latencies
-    )
+    latencies = sorted(latency for tally in tallies for latency in tally.latencies)
     total_ops = len(latencies)
     return LoadgenReport(
         workload=workload.name,

@@ -1,10 +1,12 @@
 """Deterministic performance bounds, each at the configuration it was
 measured at.
 
-Every number here is simulated time or a byte count, so it is identical on
-every machine and every run.  Each docstring gives the bound and the value
-measured at its configuration; a change that moves a value past its bound
-must say why in the same commit.  Wall-clock cost is the measurement
+Every number here is simulated time or a byte count, so it does not depend
+on the machine.  It can depend on the hash seed: LSM Bloom probes follow the
+salted ``hash(bytes)``, so the LSM read-path values move a little between
+processes.  Each docstring gives the bound and the value measured at its
+configuration under ``PYTHONHASHSEED=0``; a change that moves a value past
+its bound must say why in the same commit.  Wall-clock cost is the measurement
 spine's job (``benchmarks/spine/``), not this file's.
 """
 
