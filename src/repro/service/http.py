@@ -1,16 +1,21 @@
 """Stdlib HTTP transport for the compliance service.
 
 A thin JSON mapping over :class:`~repro.service.server.ComplianceService`
-using ``ThreadingHTTPServer`` (one thread per connection; the service's
-admission control — not the socket layer — bounds concurrency).
+on a ``socketserver.ThreadingTCPServer``: a thread per connection, at most
+:data:`MAX_CONNECTIONS` (the accepting thread answers one more 503).
 
-Transport: HTTP/1.1 persistent connections, one ``send`` per reply.  Every
-reply leaves the stream at a request boundary or closes it: the body is
-read before any reply (a 404 included); a ``Content-Length`` that is no
-non-negative integer (400) or above :data:`MAX_BODY_BYTES` (413) closes,
-the body's end being unknown, and so does a 503 (service closed).  A
-connection silent for ``_Handler.timeout`` seconds, idle or mid-body, is
-dropped; HTTP/1.0 and ``Connection: close`` get one reply, then EOF.  Routes:
+Transport: HTTP/1.1 persistent connections, framed here.  Each connection
+reads into one ``bytearray``: a request is a head (at most
+:data:`MAX_HEAD_BYTES`, else 431) and exactly ``Content-Length`` bytes,
+zeroed once parsed, so no buffer holds an erased value past its request.
+A reply is one ``sendall``, its ``Date`` cached for a second.  Every reply
+leaves the stream at a request boundary or closes it: the body is read
+before any reply (a 404 included); a ``Content-Length`` that is not one
+ASCII ``1*DIGIT`` (repeats must agree), a chunked body, a bad request line
+(400), a length above :data:`MAX_BODY_BYTES` (413), a method but GET /
+POST (501) and a 503 (service closed) close.  A connection silent for
+``_Handler.timeout`` seconds, idle or mid-body, is dropped; HTTP/1.0 and
+``Connection: close`` get one reply, then EOF.  Routes:
 
 ===========  =======  ==================================================
 ``POST``     path     body
@@ -33,11 +38,16 @@ admission queue is a literal ``429``.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import socket
+import socketserver
 import threading
+import time
 from dataclasses import asdict
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple
+from functools import lru_cache
+from http import HTTPStatus
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.distributed.store import CONSISTENCY_LEVELS
 from repro.service.api import (
@@ -79,10 +89,39 @@ _ROUTES = {
 
 #: Largest request body read; a longer ``Content-Length`` is a 413.
 MAX_BODY_BYTES = 1 << 20
+#: Largest request head, and each connection's buffer; a longer head is a 431.
+MAX_HEAD_BYTES = 1 << 14
+#: Connections served at once; one more is answered 503 and closed.
+MAX_CONNECTIONS = 128
 
 
 def _dumps(payload: Dict[str, Any]) -> bytes:
     return json.dumps(payload).encode()
+
+
+def _error(code: int, error: str) -> bytes:
+    return _dumps({"status": code, "error": error})
+
+
+@lru_cache(maxsize=1)
+def _http_date(second: int) -> str:  # RFC 9110 §6.6.1: once a second, not per reply
+    return time.strftime("%a, %d %b %Y %H:%M:%S GMT", time.gmtime(second))
+
+
+def _frame(code: int, body: bytes, close: bool) -> bytes:
+    """One reply's bytes; ``close`` adds ``Connection: close``."""
+    head = (
+        f"HTTP/1.1 {code} {HTTPStatus(code).phrase}\r\nDate: {_http_date(int(time.time()))}\r\n"
+        f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n"
+    )
+    return (head + ("Connection: close\r\n\r\n" if close else "\r\n")).encode() + body
+
+
+def _content_length(values: List[bytes]) -> int:
+    """``-1`` unless every copy is one ASCII ``1*DIGIT`` (RFC 9112 §6.3)."""
+    if len(set(values)) != 1 or not values[0].isdigit():
+        return -1
+    return int(values[0]) if len(values[0]) <= 16 else MAX_BODY_BYTES + 1  # int() caps digits
 
 
 def _encode(response: Response) -> bytes:
@@ -100,92 +139,113 @@ def _encode(response: Response) -> bytes:
         return _dumps(payload)
 
 
-class _Handler(BaseHTTPRequestHandler):
+class _Handler(socketserver.BaseRequestHandler):
+    """One connection: HTTP/1.1 framed out of one buffer the handler owns."""
+
     server: "ServiceHTTPServer"
-    protocol_version = "HTTP/1.1"
-    # Buffered, so status line, headers and body leave in one send; a reply
-    # longer than one send must not wait on Nagle + delayed ACK.
-    wbufsize = -1
-    disable_nagle_algorithm = True
     #: Seconds a connection may stay silent before its thread is given back.
     timeout = 30.0
 
-    # Silence the default per-request stderr logging.
-    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        pass
+    def handle(self) -> None:
+        self.buf = bytearray(MAX_HEAD_BYTES)
+        self.end = 0  # received, not yet parsed; buf[end:] is all zero
+        self.request.settimeout(self.timeout)
+        # A reply longer than one send must not wait on Nagle + delayed ACK.
+        self.request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        close = False
+        with contextlib.suppress(OSError, EOFError):  # silent too long, reset, closed early
+            while not close:
+                code, body, close = self._serve_one()
+                self.request.sendall(_frame(code, body, close))
 
-    def _reply(self, code: int, body: bytes, close: bool = False) -> None:
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if close or self.close_connection:  # told to the client, and sets the flag
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
+    def finish(self) -> None:
+        self.server.slots.release()
 
-    def _error(self, code: int, error: str, close: bool = False) -> None:
-        self._reply(code, _dumps({"status": code, "error": error}), close)
+    def _recv(self) -> None:
+        got = self.request.recv_into(memoryview(self.buf)[self.end:])
+        if not got:
+            raise EOFError
+        self.end += got
 
-    def _read_body(self) -> Optional[bytes]:
-        """The request's body — ``None`` after a closing 400 / 413: no
-        telling where it ends."""
-        try:
-            length = int(self.headers.get("Content-Length") or 0)
-        except ValueError:
-            length = -1
-        if 0 <= length <= MAX_BODY_BYTES and "Transfer-Encoding" not in self.headers:
-            self.wfile.flush()  # a buffered "100 Continue" leaves before the wait
-            return self.rfile.read(length)
-        code = 413 if length > MAX_BODY_BYTES else int(Status.BAD_REQUEST)
-        self._error(code, f"Content-Length must be 0..{MAX_BODY_BYTES}, not chunked", True)
-        return None
+    def _serve_one(self) -> Tuple[int, bytes, bool]:
+        """Read and forget one request: ``(status, body, closes)``."""
+        buf = self.buf
+        while (head_end := buf.find(b"\r\n\r\n", 0, self.end)) < 0:
+            if self.end >= MAX_HEAD_BYTES:  # also once a long body has grown the buffer
+                return 431, _error(431, f"request head over {MAX_HEAD_BYTES} bytes"), True
+            self._recv()
+        line, *fields = bytes(buf[:head_end]).split(b"\r\n")
+        headers: Dict[bytes, List[bytes]] = {}
+        for field in fields:
+            name, _, value = field.lower().partition(b":")
+            headers.setdefault(name.strip(), []).append(value.strip())
+        words = line.decode("latin-1").split()
+        if len(words) != 3 or words[2] not in ("HTTP/1.0", "HTTP/1.1"):
+            return 400, _error(400, f"bad request line {line[:80]!r}"), True
+        method, path, version = words
+        if method not in ("GET", "POST"):
+            return 501, _error(501, f"unsupported method {method!r}"), True
+        length = _content_length(headers.get(b"content-length", [b"0"]))
+        if b"transfer-encoding" in headers or not 0 <= length <= MAX_BODY_BYTES:
+            code = 413 if length > MAX_BODY_BYTES else int(Status.BAD_REQUEST)
+            return code, _error(code, f"need Content-Length 0..{MAX_BODY_BYTES}"), True
+        if version == "HTTP/1.1" and headers.get(b"expect") == [b"100-continue"]:
+            self.request.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
+        start, stop = head_end + 4, head_end + 4 + length
+        if stop > len(buf):  # a body past the buffer: grow it to hold the body
+            buf.extend(bytes(stop - len(buf)))
+        while self.end < stop:
+            self._recv()
+        raw = bytes(buf[start:stop])
+        # Forget the request: pipelined bytes move to the front, zeros follow.
+        buf[: self.end] = buf[stop : self.end] + bytes(stop)
+        self.end -= stop
+        code, body, close = self._answer(method, path, raw)
+        close = close or version == "HTTP/1.0" or headers.get(b"connection") == [b"close"]
+        return code, body, close
 
-    def do_GET(self) -> None:  # noqa: N802 (stdlib handler API)
-        if self._read_body() is None:
-            return
-        if self.path == "/healthz":
-            self._reply(200, _dumps({"status": 200, "ok": True}))
-        elif self.path == "/stats":
-            self._reply(200, _dumps(asdict(self.server.service.stats())))
-        else:
-            self._error(404, "unknown path")
-
-    def do_POST(self) -> None:  # noqa: N802 (stdlib handler API)
-        raw = self._read_body()
-        if raw is None:
-            return
-        builder = _ROUTES.get(self.path)
+    def _answer(self, method: str, path: str, raw: bytes) -> Tuple[int, bytes, bool]:
+        if method == "GET" and path == "/healthz":
+            return 200, _dumps({"status": 200, "ok": True}), False
+        if method == "GET" and path == "/stats":
+            return 200, _dumps(asdict(self.server.service.stats())), False
+        builder = _ROUTES.get(path) if method == "POST" else None
         if builder is None:
-            self._error(404, "unknown path")
-            return
+            return 404, _error(404, "unknown path"), False
         try:
             request: Request = builder(json.loads(raw or b"{}"))
         except (ValueError, KeyError, TypeError, RecursionError) as exc:
-            self._error(int(Status.BAD_REQUEST), f"bad request: {exc}")
-            return
+            return 400, _error(400, f"bad request: {exc}"), False
         response = self.server.service.call(request)
-        if self.path == "/sar" and response.ok:
+        if path == "/sar" and response.ok:
             # SAR units are dataclasses — flatten for the wire.
             units = [asdict(unit) for unit in response.value or ()]
             body = _dumps({"status": int(response.status), "units": units})
         else:
             body = _encode(response)
-        self._reply(int(response.status), body, response.status is Status.SHUTTING_DOWN)
+        return int(response.status), body, response.status is Status.SHUTTING_DOWN
 
 
-class ServiceHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer bound to one :class:`ComplianceService`."""
+class ServiceHTTPServer(socketserver.ThreadingTCPServer):
+    """A thread per connection, up to :data:`MAX_CONNECTIONS`, for one service."""
 
     daemon_threads = True
+    allow_reuse_address = True
 
     def __init__(
-        self,
-        service: ComplianceService,
-        host: str = "127.0.0.1",
-        port: int = 0,
+        self, service: ComplianceService, host: str = "127.0.0.1", port: int = 0
     ) -> None:
         super().__init__((host, port), _Handler)
         self.service = service
+        #: Free connection slots; a handler gives its slot back as it ends.
+        self.slots = threading.BoundedSemaphore(MAX_CONNECTIONS)
+
+    def process_request(self, request: Any, client_address: Any) -> None:
+        if self.slots.acquire(blocking=False):
+            return super().process_request(request, client_address)
+        with contextlib.suppress(OSError):  # over the cap: answered here, no thread
+            request.sendall(_frame(503, _error(503, "too many connections"), True))
+        self.shutdown_request(request)
 
     @property
     def address(self) -> Tuple[str, int]:

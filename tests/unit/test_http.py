@@ -7,12 +7,20 @@ behaviour does.  Every socket carries a timeout, so a hang is a failure
 inside seconds, not a stuck suite.
 """
 
+import contextlib
 import http.client
+import itertools
 import json
+import re
+import secrets
 import socket
+import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from residue import holders
 
 from repro.config import BackendConfig, StoreConfig
 from repro.distributed.store import ReplicatedStore
@@ -226,7 +234,10 @@ class TestRequestValidation:
 class TestRepliesThatClose:
     @pytest.mark.parametrize(
         "length, status",
-        [("abc", 400), ("-5", 400), (str(MAX_BODY_BYTES + 1), 413), ("1000000000", 413)],
+        [
+            ("abc", 400), ("-5", 400), (str(MAX_BODY_BYTES + 1), 413), ("1000000000", 413),
+            ("1_2", 400), ("+12", 400), ("0x10", 400),
+        ],
     )
     def test_malformed_content_length(self, front, length, status, capfd):
         # At HTTP/1.0 "abc" was a traceback and no reply, and a billion
@@ -238,6 +249,46 @@ class TestRepliesThatClose:
             assert headers["connection"] == "close"
             assert_eof(stream)
         assert capfd.readouterr().err == ""
+
+    def test_conflicting_content_lengths_close(self, front):
+        # RFC 9112 §6.3: copies that disagree are a framing error (the first
+        # copy used to win); copies that agree are one length.
+        front.store.put("a", 1)
+        body = json.dumps({"key": "a"}).encode()
+        twice = [f"Content-Length: {len(body)}"] * 2
+        with front.socket() as sock, sock.makefile("rb") as stream:
+            sock.sendall(request("POST", "/read", headers=twice) + body)
+            assert read_reply(stream)[2]["value"] == 1
+            sock.sendall(request("POST", "/read", headers=[twice[0], "Content-Length: 5"]) + body)
+            status, headers, _ = read_reply(stream)
+            assert (status, headers["connection"]) == (400, "close")
+            assert_eof(stream)
+
+    @pytest.mark.parametrize(
+        "head, status",
+        [
+            (b"NONSENSE\r\n\r\n", 400),
+            (b"GET /healthz HTTP/2.0\r\n\r\n", 400),
+            (b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * front_door.MAX_HEAD_BYTES, 431),
+        ],
+        ids=["no-request-line", "http-2", "head-over-the-limit"],
+    )
+    def test_unparseable_head_is_refused_and_closes(self, front, head, status):
+        with front.socket() as sock, sock.makefile("rb") as stream:
+            sock.sendall(head)
+            got, headers, payload = read_reply(stream)
+            assert (got, payload["status"], headers["connection"]) == (status, status, "close")
+            assert_eof(stream)
+
+    def test_a_buffer_grown_by_a_long_body_keeps_the_head_limit(self, front):
+        long_body = request("POST", "/nope", b"x" * 2 * front_door.MAX_HEAD_BYTES)
+        long_head = b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * front_door.MAX_HEAD_BYTES
+        with front.socket() as sock, sock.makefile("rb") as stream:
+            sock.sendall(long_body + long_head)
+            assert read_reply(stream)[0] == 404
+            status, headers, _ = read_reply(stream)
+            assert (status, headers["connection"]) == (431, "close")
+            assert_eof(stream)
 
     def test_chunked_body_is_refused_not_misread(self, front):
         with front.socket() as sock, sock.makefile("rb") as stream:
@@ -343,3 +394,158 @@ def test_serve_forever_closes_its_listening_socket(monkeypatch):
     front_door.serve_forever(service, port=0, announce=None)
     assert served[0].socket.fileno() == -1
     assert service.call(front_door.ReadRequest("a")).status == 503
+
+
+@contextlib.contextmanager
+def serving(backend):
+    """A one-shard service on ``backend`` behind its own front door."""
+    store = ReplicatedStore(
+        CostModel(SimClock(), CostBook()),
+        StoreConfig(shards=1, n_replicas=1, backend=BackendConfig(backend=backend)),
+    )
+    service = ComplianceService(store)
+    server = serve_in_background(service)
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        service.close()
+
+
+def collect_reversed(conn, key, reversed_value):
+    """Collect ``reversed_value[::-1]``; the value lives only in this frame."""
+    return post(conn, "/collect", {"key": key, "value": reversed_value[::-1], "subject": "s"})[0]
+
+
+class TestNoResidue:
+    @pytest.mark.parametrize("backend", ["psql", "lsm", "crypto-shred"])
+    def test_kept_alive_connection_forgets_an_erased_value(self, backend):
+        """After a verified erase and one shorter request on the same open
+        connection, no live object in the process holds the value — the
+        connection's read buffer included.  Only the reversed value is kept
+        here, so the test is no holder itself."""
+        reversed_value = secrets.token_hex(24)
+        with serving(backend) as server:
+            conn = http.client.HTTPConnection(*server.address, timeout=BOUND_S)
+            assert collect_reversed(conn, "k", reversed_value) == 201
+            assert holders(reversed_value)  # the walk sees a value that is held
+            assert post(conn, "/erase", {"key": "k"})[1]["verified_clean"] is True
+            assert post(conn, "/read", {"key": "x"})[0] == 404
+            assert holders(reversed_value) == []
+            conn.close()
+
+
+class TestConnectionCap:
+    def test_connections_over_the_cap_get_a_503_and_no_thread(self, monkeypatch):
+        monkeypatch.setattr(front_door, "MAX_CONNECTIONS", 4)  # read when the server starts
+        front = Front(monkeypatch)
+        try:
+            baseline = threading.active_count()
+            held = []
+            for _ in range(4):  # each answered once, then left idle
+                sock = front.socket()
+                stream = sock.makefile("rb")
+                held.append((sock, stream))
+                sock.sendall(request("GET", "/healthz"))
+                assert read_reply(stream)[0] == 200
+            for _ in range(6):
+                with front.socket() as sock, sock.makefile("rb") as stream:
+                    status, headers, _ = read_reply(stream)
+                    assert (status, headers["connection"]) == (503, "close")
+                    assert_eof(stream)
+            assert threading.active_count() <= baseline + 4 + 1
+            for sock, stream in held:
+                stream.close()
+                sock.close()
+            deadline = time.monotonic() + BOUND_S
+            while threading.active_count() > baseline:  # a slot is back before its thread ends
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            with front.socket() as sock, sock.makefile("rb") as stream:
+                sock.sendall(request("GET", "/healthz"))
+                assert read_reply(stream)[0] == 200
+        finally:
+            front.close()
+
+
+def _raw_reply(stream):
+    """The next reply's exact bytes (an interim ``100`` included)."""
+    head = b"".join(iter(stream.readline, b"\r\n")) + b"\r\n"
+    length = re.search(rb"Content-Length: (\d+)", head)
+    return head + stream.read(int(length[1]) if length else 0)
+
+
+def _without_date(data):
+    return re.sub(rb"Date: [^\r]*\r\n", b"", data)
+
+
+#: Requests whose replies no request in the mix changes: ``(method, path,
+#: body for a pad of n bytes)``.
+FRAMED = [
+    ("POST", "/read", lambda pad: {"key": "a", "pad": pad}),
+    ("POST", "/update", lambda pad: {"key": "b", "value": pad}),
+    ("POST", "/sar", lambda pad: {"subject": "nobody", "pad": pad}),
+    ("POST", "/nope", lambda pad: {"pad": pad}),
+    ("POST", "/read", lambda pad: b"{not json" + pad.encode()),
+    ("GET", "/healthz", lambda pad: pad.encode()),
+]
+A_REQUEST = st.tuples(st.integers(0, len(FRAMED) - 1), st.integers(0, 2048), st.booleans())
+
+
+class TestFraming:
+    def test_any_split_of_a_pipeline_gets_the_replies_sent_whole(self, front, monkeypatch):
+        monkeypatch.setattr(front_door._Handler, "timeout", 0.2)
+        front.store.put("a", "first")
+        front.store.put("b", "v")
+        baseline = threading.active_count()
+
+        def whole_replies(requests):
+            with front.socket() as sock, sock.makefile("rb") as stream:
+                replies = []
+                for raw, expect in requests:
+                    sock.sendall(raw)
+                    replies.append(b"".join(_raw_reply(stream) for _ in range(1 + expect)))
+                assert_eof(stream)
+            return replies
+
+        @settings(max_examples=40, deadline=None)
+        @given(st.lists(A_REQUEST, min_size=1, max_size=5), st.data())
+        def check(drawn, data):
+            requests = []
+            for route, n, expect in drawn:
+                method, path, body = FRAMED[route]
+                extra = ["Expect: 100-continue"] if expect else []
+                requests.append((request(method, path, body("x" * n), headers=extra), expect))
+            requests.append((request("GET", "/healthz", headers=["Connection: close"]), False))
+            replies = [_without_date(reply) for reply in whole_replies(requests)]
+            stream = b"".join(raw for raw, _ in requests)
+            ending = data.draw(st.sampled_from(["complete", "truncated", "early close"]))
+            sent = len(stream)
+            if ending != "complete":
+                sent = data.draw(st.integers(0, len(stream) - 1), label="cut")
+            cuts = data.draw(st.lists(st.integers(1, max(1, sent - 1)), max_size=24, unique=True))
+            bounds = [0, *sorted(c for c in cuts if c < sent), sent]
+            with front.socket() as sock:
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                for lo, hi in zip(bounds, bounds[1:]):
+                    sock.sendall(stream[lo:hi])
+                if ending == "early close":
+                    sock.shutdown(socket.SHUT_WR)
+                start = time.perf_counter()
+                got = _without_date(b"".join(iter(lambda: sock.recv(1 << 16), b"")))
+                waited = time.perf_counter() - start
+            if ending == "complete":
+                assert got == b"".join(replies)
+            else:  # the replies of every whole request, then EOF, not a hang
+                ends = itertools.accumulate(len(raw) for raw, _ in requests)
+                whole = sum(1 for end in ends if end <= sent)
+                assert b"".join(replies).startswith(got)
+                assert got.startswith(b"".join(replies[:whole]))
+                assert waited < front_door._Handler.timeout + 0.5  # slack for a loaded box
+            deadline = time.monotonic() + 1.0
+            while threading.active_count() > baseline:
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+
+        check()

@@ -533,21 +533,28 @@ class TestVictimCompaction:
 
 
 class TestCosts:
-    def test_reads_cost_grows_with_runs(self):
-        """Read amplification: more runs -> more probes for missing keys."""
+    def test_reads_cost_grows_with_runs(self, monkeypatch):
+        """Read amplification: more runs -> more probes for missing keys.
+
+        Every Bloom filter passes, so a missing key probes every run.  With
+        real filters the two engines differ only by false positives, which
+        follow the salted ``hash()``: under some ``PYTHONHASHSEED`` values
+        neither engine paid a probe and the costs tied."""
+        monkeypatch.setattr(SSTable, "might_contain_pair", lambda self, pair: True)
         few, clock_few = make_engine(memtable_capacity=4, tier_threshold=100)
         many, clock_many = make_engine(memtable_capacity=4, tier_threshold=100)
         for i in range(8):
             few.put(f"k{i}", i)
         for i in range(64):
             many.put(f"k{i}", i)
+        assert (few.run_count, many.run_count) == (2, 16)
         w1 = clock_few.stopwatch()
         for i in range(8):
-            few.get(f"k{i}")
+            few.get(f"missing{i}")
         cost_few = w1.stop()
         w2 = clock_many.stopwatch()
         for i in range(8):
-            many.get(f"k{i}")
+            many.get(f"missing{i}")
         cost_many = w2.stop()
         assert cost_many > cost_few
 
