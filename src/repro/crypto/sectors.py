@@ -127,17 +127,19 @@ class SectorGroup:
         return sectors
 
     def read(self, slot: int, subkey: bytes, sectors: int, nbytes: int) -> bytes:
-        """Decrypt the slot's payload back to ``nbytes`` of plaintext."""
+        """Decrypt the slot's payload back to ``nbytes`` of plaintext.
+        Only the value's own bytes are deciphered: the last sector's zero
+        padding never costs a keystream block."""
         base = self._slot_base(slot)
         parts = []
         for i in range(sectors):
             sector_no = base + i
             parts.append(
                 self._sector_cipher(subkey, sector_no).apply(
-                    self._sectors[sector_no]
+                    self._sectors[sector_no][: max(0, nbytes - i * SECTOR)]
                 )
             )
-        return b"".join(parts)[:nbytes]
+        return b"".join(parts)
 
     def read_sector(self, slot: int, subkey: bytes, index: int) -> bytes:
         """Decrypt one slot-relative sector."""

@@ -7,13 +7,18 @@ simulates that contention; this module creates it.
 
 Request lifecycle
 -----------------
-``submit()`` routes a typed request (:mod:`repro.service.api`) to the
-bounded queue of its owning shard's worker pool.  A full queue rejects the
-request *immediately* with ``Status.REJECTED`` (429) — admission control
-bounds latency instead of queue depth growing without limit — and touches
+``submit()`` routes a typed request (:mod:`repro.service.api`) to its
+owning shard's worker pool: a ``queue.SimpleQueue`` (its ``get`` blocks in
+C) and an exact count of the requests queued and not yet taken.  A pool
+holding ``ServiceConfig.queue_depth`` of them rejects the request
+*immediately* with ``Status.REJECTED`` (429) — admission control bounds
+latency instead of queue depth growing without limit — and touches
 nothing else: no store access, no audit event, no world bookkeeping.
-Accepted requests resolve a :class:`concurrent.futures.Future` with a
-:class:`Response` once a worker executes them.
+Accepted requests get a one-shot reply slot whose lock a worker releases
+once it has stored the :class:`Response`; ``result(timeout)`` waits in C
+too and raises the builtin ``TimeoutError``.  The ``_closed`` check, the
+count and the enqueue share the lock ``close()`` sets ``_closed`` under:
+every request is answered 503 or drained.
 
 Locking discipline (what G06 checks statically)
 -----------------------------------------------
@@ -55,10 +60,8 @@ shard locks.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import Future
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import queue
 
@@ -90,6 +93,47 @@ COMPACTION_SLICE_BYTES = 1 << 20
 CALL_TIMEOUT_S = 30.0
 
 
+class _Hold:
+    """A ``with`` block over an acquire/release pair: two plain calls, where
+    a ``@contextmanager`` builds and steps a generator on every entry."""
+
+    __slots__ = ("_acquire", "_release")
+
+    def __init__(self, acquire: Callable[[], Any], release: Callable[[], Any]) -> None:
+        self._acquire = acquire
+        self._release = release
+
+    def __enter__(self) -> None:
+        self._acquire()
+
+    def __exit__(self, *exc: Any) -> None:
+        self._release()
+
+
+class _Reply:
+    """One-shot reply slot.  Its lock is held from creation until
+    ``set_result`` stores the response, so ``result`` waits in C.  A slot
+    built with a response is already resolved (a 429 or 503)."""
+
+    __slots__ = ("_ready", "_response")
+
+    def __init__(self, response: Optional[Response] = None) -> None:
+        self._response = response
+        self._ready = threading.Lock()
+        if response is None:
+            self._ready.acquire()
+
+    def set_result(self, response: Response) -> None:
+        self._response = response
+        self._ready.release()
+
+    def result(self, timeout: Optional[float] = None) -> Response:
+        if not self._ready.acquire(timeout=-1 if timeout is None else timeout):
+            raise TimeoutError(f"no response within {timeout} s")
+        self._ready.release()
+        return self._response
+
+
 class _TopologyLock:
     """Readers/writer lock with writer preference.
 
@@ -105,6 +149,8 @@ class _TopologyLock:
         self._readers = 0
         self._writers_waiting = 0
         self._writer_active = False
+        self._read = _Hold(self.acquire_read, self.release_read)
+        self._write = _Hold(self.acquire_write, self.release_write)
 
     def acquire_read(self) -> None:
         with self._mutex:
@@ -115,7 +161,7 @@ class _TopologyLock:
     def release_read(self) -> None:
         with self._mutex:
             self._readers -= 1
-            if self._readers == 0:
+            if not self._readers and self._writers_waiting:
                 self._writers_ok.notify()
 
     def acquire_write(self) -> None:
@@ -132,21 +178,11 @@ class _TopologyLock:
             self._writers_ok.notify()
             self._readers_ok.notify_all()
 
-    @contextmanager
-    def read(self) -> Iterator[None]:
-        self.acquire_read()
-        try:
-            yield
-        finally:
-            self.release_read()
+    def read(self) -> _Hold:
+        return self._read
 
-    @contextmanager
-    def write(self) -> Iterator[None]:
-        self.acquire_write()
-        try:
-            yield
-        finally:
-            self.release_write()
+    def write(self) -> _Hold:
+        return self._write
 
 
 @dataclass
@@ -173,11 +209,14 @@ class ServiceStats:
 
 
 class _Pool:
-    """One shard's bounded admission queue plus its worker threads."""
+    """One shard's admission queue plus its worker threads."""
 
-    def __init__(self, shard_id: int, depth: int) -> None:
+    def __init__(self, shard_id: int) -> None:
         self.shard_id = shard_id
-        self.queue: "queue.Queue[Any]" = queue.Queue(maxsize=depth)
+        self.queue: "queue.SimpleQueue[Any]" = queue.SimpleQueue()
+        #: Requests queued and not yet taken (``_STOP`` is not one);
+        #: guarded by the service's ``_guard``.
+        self.pending = 0
         self.workers: List[threading.Thread] = []
 
 
@@ -218,13 +257,14 @@ class ComplianceService:
         self.config = config or ServiceConfig()
         self._topology = _TopologyLock()
         self._shard_locks: Dict[int, threading.Lock] = {}
-        self._shard_locks_guard = threading.Lock()
         self._pools: Dict[int, _Pool] = {}
         self._pools_guard = threading.Lock()
         self._subjects: Dict[str, set] = {}
         self._subjects_guard = threading.Lock()
         self._stats = ServiceStats()
-        self._stats_guard = threading.Lock()
+        #: Guards the counters, ``_closed`` and every pool's ``pending``:
+        #: admission reads and writes all three at once.
+        self._guard = threading.Lock()
         self._invariants = list(invariants) if invariants is not None else None
         self._world: Optional[World] = None
         if self._invariants is not None:
@@ -265,14 +305,14 @@ class ComplianceService:
         workers exit — an in-flight grounded erase always completes (no
         half-grounded unit), then repairs flush and the final invariant
         sweep runs.  Idempotent."""
-        if self._closed:
-            return
-        self._closed = True
-        if not self._started:
-            # Never started: start now so staged queues drain through the
-            # same worker path (erase batching included).
-            self._closed = False
-            self.start()
+        # Never started: start now so staged queues drain through the same
+        # worker path (erase batching included).
+        self.start()
+        with self._guard:
+            if self._closed:
+                return
+            # A submit that saw _closed unset has enqueued by now, so the
+            # stop sentinels queue behind every accepted request.
             self._closed = True
         with self._pools_guard:
             pools = list(self._pools.values())
@@ -288,7 +328,7 @@ class ComplianceService:
         with self._topology.write():
             repairs = len(self._store.flush_repairs())
             if repairs:
-                with self._stats_guard:
+                with self._guard:
                     self._stats.repairs += repairs
             if self._invariants is not None:
                 self._check_invariants_locked()
@@ -300,36 +340,29 @@ class ComplianceService:
         self.close()
 
     # ------------------------------------------------------------- admission
-    def submit(self, request: Request) -> "Future[Response]":
-        """Route the request to its shard pool.  Returns immediately: a
-        full queue (or a closed service) resolves the future right here
-        with a 429/503 — by design the rejection path performs **no**
-        store access, audit action, or world bookkeeping."""
-        future: "Future[Response]" = Future()
-        if self._closed:
-            future.set_result(
-                Response(Status.SHUTTING_DOWN, error="service is closed")
-            )
-            with self._stats_guard:
-                self._stats.rejected += 1
-            return future
+    def submit(self, request: Request) -> _Reply:
+        """Route the request to its shard pool and return its reply slot.
+        Returns immediately: a full pool (or a closed service) answers
+        right here with a 429/503 — by design the rejection path performs
+        **no** store access, audit action, or world bookkeeping."""
         pool = self._pool_for(request)
-        try:
-            pool.queue.put_nowait((request, future))
-        except queue.Full:
-            with self._stats_guard:
-                self._stats.rejected += 1
-            future.set_result(
-                Response(
+        with self._guard:
+            if self._closed:
+                response = Response(Status.SHUTTING_DOWN, error="service is closed")
+            elif pool.pending >= self.config.queue_depth:
+                response = Response(
                     Status.REJECTED,
                     error=f"shard {pool.shard_id} admission queue full "
                     f"(depth {self.config.queue_depth})",
                 )
-            )
-        else:
-            with self._stats_guard:
+            else:
+                pool.pending += 1
                 self._stats.accepted += 1
-        return future
+                reply = _Reply()
+                pool.queue.put((request, reply))
+                return reply
+            self._stats.rejected += 1
+        return _Reply(response)
 
     def call(self, request: Request, timeout: float = CALL_TIMEOUT_S) -> Response:
         """Synchronous ``submit`` — the closed-loop client path."""
@@ -377,7 +410,7 @@ class ComplianceService:
     def stats(self) -> ServiceStats:
         with self._topology.read():
             comp = self._store.compaction_stats()
-        with self._stats_guard:
+        with self._guard:
             snapshot = replace(self._stats)
         snapshot.merges_run = comp.merges_run
         snapshot.bytes_compacted = comp.bytes_compacted
@@ -412,9 +445,11 @@ class ComplianceService:
     def _ensure_pool_locked(self, shard_id: int) -> _Pool:
         pool = self._pools.get(shard_id)
         if pool is None:
-            pool = _Pool(shard_id, self.config.queue_depth)
+            pool = _Pool(shard_id)
             self._pools[shard_id] = pool
-            if self._started:
+            # A pool born after close() took its snapshot of the pools gets
+            # no workers: nothing is admitted to it, and none would stop.
+            if self._started and not self._closed:
                 self._start_workers(pool)
         return pool
 
@@ -431,18 +466,27 @@ class ComplianceService:
 
     def _worker(self, pool: _Pool) -> None:
         # Nothing stays bound across the blocking get: an idle worker must
-        # not keep its last request's future (and the value in its
+        # not keep its last request's reply slot (and the value in its
         # response) alive.
-        while self._serve(pool, pool.queue.get()):
+        while self._serve(pool, self._take(pool)):
             pass
+
+    def _take(self, pool: _Pool, block: bool = True) -> Any:
+        """The pool's next item (``queue.Empty`` when ``block`` is false
+        and there is none); a taken request leaves the pending count."""
+        item = pool.queue.get(block)
+        if item is not _STOP:
+            with self._guard:
+                pool.pending -= 1
+        return item
 
     def _serve(self, pool: _Pool, item: Any) -> bool:
         """Execute one dequeued item; ``False`` once the worker must stop."""
         if item is _STOP:
             return False
-        request, future = item
+        request, reply = item
         if not isinstance(request, EraseRequest):
-            self._run_one(request, future)
+            self._run_one(request, reply)
             return True
         batch = [item]
         carried = None
@@ -451,7 +495,7 @@ class ComplianceService:
         # erase_many call amortizes the reclamation pass.
         while len(batch) < self.config.erase_batch:
             try:
-                nxt = pool.queue.get_nowait()
+                nxt = self._take(pool, block=False)
             except queue.Empty:
                 break
             if nxt is _STOP:
@@ -469,31 +513,34 @@ class ComplianceService:
 
     # ------------------------------------------------------------- execution
     def _shard_lock(self, shard_id: int) -> threading.Lock:
-        with self._shard_locks_guard:
-            lock = self._shard_locks.get(shard_id)
-            if lock is None:
-                lock = threading.Lock()
-                self._shard_locks[shard_id] = lock
-            return lock
+        lock = self._shard_locks.get(shard_id)
+        if lock is None:
+            # setdefault is atomic: racing creators all get the one stored.
+            lock = self._shard_locks.setdefault(shard_id, threading.Lock())
+        return lock
 
-    @contextmanager
-    def _locked_shards(self, keys: Iterable[Any]) -> Iterator[None]:
+    def _locked_shards(self, keys: Iterable[Any]) -> Any:
         """Per-shard locks for every shard the keys may touch, acquired in
-        sorted shard-id order (deadlock-free).  Caller must already hold
-        the topology read lock."""
+        sorted shard-id order (deadlock-free) by the returned ``with``
+        holder.  Caller must already hold the topology read lock."""
         involved: set = set()
         for key in keys:
             involved.update(self._store.shards_involved(key))
         locks = [self._shard_lock(shard_id) for shard_id in sorted(involved)]
-        for lock in locks:
-            lock.acquire()
-        try:
-            yield
-        finally:
+        if len(locks) == 1:
+            return locks[0]
+
+        def acquire() -> None:
+            for lock in locks:
+                lock.acquire()
+
+        def release() -> None:
             for lock in reversed(locks):
                 lock.release()
 
-    def _run_one(self, request: Request, future: "Future[Response]") -> None:
+        return _Hold(acquire, release)
+
+    def _run_one(self, request: Request, reply: _Reply) -> None:
         try:
             if isinstance(request, ReadRequest):
                 response = self._do_read(request)
@@ -516,11 +563,11 @@ class ComplianceService:
             response = Response(
                 Status.ERROR, error=f"{type(exc).__name__}: {exc}"
             )
-        with self._stats_guard:
+        with self._guard:
             self._stats.completed += 1
             if response.status in (Status.ERROR, Status.BAD_REQUEST):
                 self._stats.errors += 1
-        future.set_result(response)
+        reply.set_result(response)
 
     def _do_read(self, request: ReadRequest) -> Response:
         with self._topology.read():
@@ -580,19 +627,19 @@ class ComplianceService:
             response = Response(
                 Status.ERROR, error=f"{type(exc).__name__}: {exc}"
             )
-            with self._stats_guard:
+            with self._guard:
                 self._stats.completed += len(batch)
                 self._stats.errors += len(batch)
-            for _, future in batch:
-                future.set_result(response)
+            for _, reply in batch:
+                reply.set_result(response)
             return
         response = Response(Status.OK, verified_clean=report.verified_clean)
-        with self._stats_guard:
+        with self._guard:
             self._stats.completed += len(batch)
             self._stats.erase_batches += 1
             self._stats.erased_keys += len(keys)
-        for _, future in batch:
-            future.set_result(response)
+        for _, reply in batch:
+            reply.set_result(response)
 
     # ----------------------------------------------------------- maintenance
     def _maintain(self) -> None:
@@ -613,7 +660,7 @@ class ComplianceService:
             # stalling a writer (same interleaving contract as the
             # rebalance driver's bounded step).
             self._store.maintain(max_bytes=COMPACTION_SLICE_BYTES)
-        with self._stats_guard:
+        with self._guard:
             self._stats.maintenance_ticks += 1
             self._stats.repairs += repairs
             ticks = self._stats.maintenance_ticks
@@ -627,7 +674,7 @@ class ComplianceService:
         for message in messages:
             if message not in self.violations:
                 self.violations.append(message)
-        with self._stats_guard:
+        with self._guard:
             self._stats.invariant_checks += len(self._invariants)
             self._stats.invariant_violations += len(violations)
         return messages

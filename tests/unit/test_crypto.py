@@ -171,7 +171,7 @@ class TestSectorGroup:
         subkey = derive_subkey(self.MASTER, group.group_id, slot)
         return slot, subkey, group.write(slot, subkey, blob)
 
-    @pytest.mark.parametrize("nbytes", [16, 511, 512, 513, 4096])
+    @pytest.mark.parametrize("nbytes", [1, 16, 511, 512, 513, 1300, 4096])
     def test_roundtrip_and_opacity(self, nbytes):
         group = SectorGroup(1)
         blob = _blob(nbytes)

@@ -7,6 +7,8 @@ the invariant registry as oracle.
 
 import gc
 import json
+import sys
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -28,6 +30,7 @@ from repro.service import (
     run_loadgen,
 )
 from repro.service.http import serve_in_background
+from repro.service.server import _TopologyLock
 from repro.sim.clock import SimClock
 from repro.sim.costs import CostBook, CostModel
 from repro.storage.errors import TupleNotFoundError
@@ -180,6 +183,173 @@ class TestAdmissionControl:
         assert service.stats().rejected == 1
         assert service.stats().accepted == 1
         service.close()
+
+
+class TestHandOff:
+    """The worker hand-off: admission count, reply slots, the topology
+    lock's writer preference, and shutdown racing admission.  Every wait
+    is bounded, so a broken hand-off fails instead of hanging."""
+
+    def test_waiting_writer_blocks_new_readers_and_wakes_on_last_exit(self):
+        lock = _TopologyLock()
+        lock.acquire_read()
+        writer_in, writer_may_leave, reader_in = (
+            threading.Event(), threading.Event(), threading.Event()
+        )
+
+        def writer():
+            with lock.write():
+                writer_in.set()
+                writer_may_leave.wait(5)
+
+        def late_reader():
+            with lock.read():
+                reader_in.set()
+
+        threading.Thread(target=writer, daemon=True).start()
+        deadline = time.monotonic() + 5
+        while not lock._writers_waiting:
+            assert time.monotonic() < deadline, "writer never queued"
+            time.sleep(0.001)
+        threading.Thread(target=late_reader, daemon=True).start()
+        # Writer preference: a waiting writer holds new readers off.
+        assert not reader_in.wait(0.05)
+        assert not writer_in.is_set()
+        lock.release_read()  # the last reader leaves: the writer wakes
+        assert writer_in.wait(2), "the last reader's exit did not wake the writer"
+        assert not reader_in.is_set()
+        writer_may_leave.set()
+        assert reader_in.wait(2)
+
+    def test_contended_admission_accepts_exactly_the_depth(self):
+        service, store = make_service(shards=1, queue_depth=5)
+        store.put("k", "v")
+        start = threading.Barrier(8)
+        replies = [[] for _ in range(8)]
+
+        def client(mine):
+            start.wait(5)
+            for _ in range(4):
+                mine.append(service.submit(ReadRequest("k")))
+
+        threads = [threading.Thread(target=client, args=(r,)) for r in replies]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(5)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        replies = [reply for mine in replies for reply in mine]
+        assert len(replies) == 32
+        (pool,) = service._pools.values()
+        assert pool.pending == 5
+        service.close()
+        answers = [r.result(timeout=5) for r in replies]
+        assert sum(a.status is Status.REJECTED for a in answers) == 27
+        assert sum(a.ok and a.value == "v" for a in answers) == 5
+        stats = service.stats()
+        assert (stats.accepted, stats.rejected, stats.completed) == (5, 27, 5)
+
+    def test_pending_count_survives_racing_submits_and_takes(self):
+        """Eight clients against two live workers and a depth of 4: every
+        take must cancel its admission, or the count drifts and the pool
+        either over-admits or rejects forever."""
+        service, store = make_service(shards=1, queue_depth=4, workers_per_shard=2)
+        store.put("k", "v")
+        service.start()
+        answers = []
+
+        def client():
+            replies = [service.submit(ReadRequest("k")) for _ in range(100)]
+            answers.extend(r.result(timeout=10).status for r in replies)
+
+        threads = [threading.Thread(target=client) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        service.close()
+        (pool,) = service._pools.values()
+        assert pool.pending == 0
+        stats = service.stats()
+        assert stats.accepted + stats.rejected == len(answers) == 800
+        assert stats.completed == stats.accepted == answers.count(Status.OK)
+
+    def test_stop_sentinels_leave_the_pending_count_alone(self):
+        service, store = make_service(shards=1, queue_depth=4, workers_per_shard=2)
+        store.put("k", "v")
+        replies = [service.submit(ReadRequest("k")) for _ in range(3)]
+        (pool,) = service._pools.values()
+        assert pool.pending == 3
+        service.close()  # two stop sentinels follow the three reads
+        assert all(r.result(timeout=5).ok for r in replies)
+        assert pool.pending == 0
+
+    def test_call_times_out_on_a_held_shard_lock_and_forgets_the_reply(self):
+        service, store = make_service(shards=1, workers_per_shard=1)
+        secret = "hand-off-timeout-sentinel"
+        store.put("k", secret)
+        service.start()
+        shard_lock = service._shard_lock(store.shard_ids[0])
+        with shard_lock:
+            with pytest.raises(TimeoutError):
+                service.call(ReadRequest("k"), timeout=0.05)
+        # The caller abandoned its slot; the worker fills it all the same.
+        deadline = time.monotonic() + 5
+        while service.stats().completed < 1:
+            assert time.monotonic() < deadline, "the worker never answered"
+            time.sleep(0.001)
+        assert _responses_holding(secret) == 0
+        service.close()
+
+    def test_close_racing_submit_never_strands_an_erase(self):
+        """close() runs while a submit is between its routing and its
+        enqueue: the erase is either answered 503 or drained — never
+        queued behind the stop sentinels with no worker left to run it."""
+        service, store = make_service(shards=1)
+        store.put("k", "v")
+        service.start()
+        routed, release = threading.Event(), threading.Event()
+        pool_for = service._pool_for
+
+        def gated_pool_for(request):
+            routed.set()
+            release.wait(5)
+            return pool_for(request)
+
+        service._pool_for = gated_pool_for
+        replies = []
+        submitter = threading.Thread(
+            target=lambda: replies.append(service.submit(EraseRequest("k")))
+        )
+        submitter.start()
+        assert routed.wait(5)
+        closer = threading.Thread(target=service.close)
+        closer.start()
+        closer.join(0.2)
+        release.set()
+        submitter.join(5)
+        closer.join(5)
+        assert not submitter.is_alive() and not closer.is_alive()
+        response = replies[0].result(timeout=2)
+        stats = service.stats()
+        assert stats.accepted == stats.completed
+        if response.status is Status.SHUTTING_DOWN:
+            assert store.read("k", use_cache=False) == "v"
+        else:
+            assert response.ok and response.verified_clean
+            with pytest.raises(TupleNotFoundError):
+                store.read("k", use_cache=False)
 
 
 class TestCompactionCounters:
