@@ -3,25 +3,22 @@
 Two halves, one discipline:
 
 * :mod:`repro.analysis.engine` / :mod:`repro.analysis.rules` — the
-  AST-based grounding linter (rules G01–G06) with a committed,
-  line-independent baseline ratchet;
+  AST-based grounding linter (rules G01–G06); any finding fails it;
 * :mod:`repro.analysis.invariants` — the declarative runtime invariant
   registry the interleaved workload driver executes after every
   background-rebalance step.
 
-Entry point: ``python -m repro.cli analyze [--baseline] [--invariants]``.
+Entry point: ``python -m repro.cli analyze [--path PATH]``.  The
+interleaved driver (:func:`repro.workloads.driver.run_interleaved`) and
+``python -m repro chaos`` run the invariant registry.
 """
 
 from repro.analysis.engine import (
     ERROR,
     WARNING,
-    BaselineEntry,
     Finding,
     Module,
     Rule,
-    baseline_path,
-    classify,
-    load_baseline,
     package_root,
     render_report,
     run_rules,
@@ -38,18 +35,14 @@ from repro.analysis.rules import default_rules, rule_catalogue
 __all__ = [
     "ERROR",
     "WARNING",
-    "BaselineEntry",
     "Finding",
     "InvariantViolation",
     "Module",
     "Rule",
     "RuntimeInvariant",
     "World",
-    "baseline_path",
     "check_invariants",
-    "classify",
     "default_rules",
-    "load_baseline",
     "package_root",
     "render_report",
     "rule_catalogue",

@@ -1,4 +1,4 @@
-"""Rule engine for the grounding linter — AST walks, findings, baseline.
+"""Rule engine for the grounding linter — AST walks and findings.
 
 The paper's §1 claim is that erasure grounding is a *system-wide* property:
 every location that can physically hold a copy of a unit's value (WAL,
@@ -9,17 +9,8 @@ module turns the discipline those fixes established into *checkable
 objects* at the source level.  Each :class:`Rule` walks a module's ``ast``
 tree and yields :class:`Finding`\\ s (``file:line``, rule id, message,
 severity); :func:`run_rules` applies the registered rule set over a whole
-package.
-
-**Baseline ratchet.**  Pre-existing debt is not asserted away: a committed
-baseline file (``src/repro/analysis/baseline.json``) lists the findings the
-codebase is allowed to keep, each with a tracking note explaining the
-design change that would retire it.  :func:`classify` splits a fresh run
-into *new* findings (CI-blocking), *matched* findings (baselined), and
-*stale* baseline entries (debt that was paid off — the entry must be
-deleted, which is what makes the baseline a ratchet rather than a
-suppression list).  Baseline keys are ``rule:file:symbol`` — line-number
-free, so unrelated edits cannot invalidate them.
+package.  There is no tolerated debt: any finding fails
+``python -m repro.cli analyze``.
 
 The rule set itself lives in :mod:`repro.analysis.rules`; the runtime
 (declarative) half of the invariant story is
@@ -29,10 +20,9 @@ The rule set itself lives in :mod:`repro.analysis.rules`; the runtime
 from __future__ import annotations
 
 import ast
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 #: Severity vocabulary, mirrored after the compatibility auditor's levels.
 ERROR = "error"
@@ -43,9 +33,7 @@ WARNING = "warning"
 class Finding:
     """One rule violation at a source location.
 
-    ``symbol`` is the enclosing ``Class.method`` (or ``<module>``) — the
-    stable half of the baseline key, so a baseline entry survives line
-    drift but dies with the code it describes.
+    ``symbol`` is the enclosing ``Class.method`` (or ``<module>``).
     """
 
     rule: str
@@ -54,11 +42,6 @@ class Finding:
     symbol: str
     message: str
     severity: str = ERROR
-
-    @property
-    def key(self) -> str:
-        """Line-independent identity used for baseline matching."""
-        return f"{self.rule}:{self.file}:{self.symbol}"
 
     def __str__(self) -> str:
         return (
@@ -166,7 +149,7 @@ def iter_modules(root: Path) -> Iterator[Module]:
     """Parse every ``*.py`` under ``root`` (or ``root`` itself, if a file).
 
     ``relpath`` is computed against the root's parent so a default scan of
-    ``src/repro`` yields the ``repro/...`` paths the baseline is keyed by.
+    ``src/repro`` reports ``repro/...`` paths.
     """
     root = root.resolve()
     paths = [root] if root.is_file() else sorted(root.rglob("*.py"))
@@ -205,107 +188,8 @@ def package_root() -> Path:
     return Path(repro.__file__).resolve().parent
 
 
-# ------------------------------------------------------------------- baseline
-BASELINE_FILE = "baseline.json"
-
-
-def baseline_path() -> Path:
-    """The committed baseline beside this module."""
-    return Path(__file__).resolve().parent / BASELINE_FILE
-
-
-@dataclass(frozen=True)
-class BaselineEntry:
-    """One tolerated finding, with the note that tracks why it stays."""
-
-    rule: str
-    file: str
-    symbol: str
-    note: str
-
-    @property
-    def key(self) -> str:
-        return f"{self.rule}:{self.file}:{self.symbol}"
-
-
-#: Rules whose baseline debt has been fully paid off.  The ratchet may
-#: never regrow silently: a baseline entry for a retired rule is a load
-#: error, not tolerated debt.  G01 (untyped copy-location sites) retired
-#: with the engine-level WAL CopyLocation unification — every engine now
-#: reports its log/cache sites typed.
-RETIRED_RULES = frozenset({"G01"})
-
-
-def load_baseline(path: Optional[Path] = None) -> List[BaselineEntry]:
-    path = path or baseline_path()
-    if not path.exists():
-        return []
-    payload = json.loads(path.read_text())
-    entries = [
-        BaselineEntry(
-            rule=entry["rule"],
-            file=entry["file"],
-            symbol=entry["symbol"],
-            note=entry.get("note", ""),
-        )
-        for entry in payload.get("entries", [])
-    ]
-    regrown = [e.key for e in entries if e.rule in RETIRED_RULES]
-    if regrown:
-        raise ValueError(
-            "baseline entries for retired rule(s) — the ratchet may not "
-            f"regrow: {', '.join(sorted(regrown))}"
-        )
-    return entries
-
-
-def classify(
-    findings: Sequence[Finding], baseline: Sequence[BaselineEntry]
-) -> Tuple[List[Finding], List[Finding], List[BaselineEntry]]:
-    """Split a fresh run against the baseline.
-
-    Returns ``(new, matched, stale)``: findings with no baseline entry
-    (CI-blocking), findings the baseline tolerates, and baseline entries no
-    fresh finding matches (paid-off debt whose entry must be removed — the
-    ratchet direction).
-    """
-    allowed = {entry.key: entry for entry in baseline}
-    matched_keys = set()
-    new: List[Finding] = []
-    matched: List[Finding] = []
-    for finding in findings:
-        if finding.key in allowed:
-            matched.append(finding)
-            matched_keys.add(finding.key)
-        else:
-            new.append(finding)
-    stale = [entry for entry in baseline if entry.key not in matched_keys]
-    return new, matched, stale
-
-
-def render_report(
-    findings: Sequence[Finding],
-    baseline: Optional[Sequence[BaselineEntry]] = None,
-) -> str:
-    """Human-readable report; with a baseline, new/matched/stale sections."""
-    lines: List[str] = []
-    if baseline is None:
-        for finding in findings:
-            lines.append(str(finding))
-        lines.append(f"{len(findings)} finding(s)")
-        return "\n".join(lines)
-    new, matched, stale = classify(findings, baseline)
-    for finding in new:
-        lines.append(f"NEW   {finding}")
-    for finding in matched:
-        lines.append(f"KNOWN {finding}")
-    for entry in stale:
-        lines.append(
-            f"STALE baseline entry {entry.key} no longer fires — "
-            "remove it (ratchet)"
-        )
-    lines.append(
-        f"{len(new)} new, {len(matched)} baselined, {len(stale)} stale "
-        f"baseline entr{'y' if len(stale) == 1 else 'ies'}"
-    )
+def render_report(findings: Sequence[Finding]) -> str:
+    """Human-readable report: one line per finding, then the count."""
+    lines = [str(finding) for finding in findings]
+    lines.append(f"{len(findings)} finding(s)")
     return "\n".join(lines)

@@ -393,72 +393,16 @@ def _cmd_regulations(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_invariant_scenario() -> int:
-    """Execute the runtime invariant registry over a scripted
-    rebalance-under-erasure run (the CI-shaped live-oracle check)."""
-    from repro.analysis.invariants import store_invariants
-    from repro.config import StoreConfig
-    from repro.distributed.store import RebalanceDriver, ReplicatedStore
-    from repro.sim.clock import SimClock
-    from repro.sim.costs import CostBook, CostModel
-    from repro.workloads.driver import load_store, run_interleaved
-    from repro.workloads.gdprbench import erasure_study_workload
-
-    cost = CostModel(SimClock(), CostBook())
-    store = ReplicatedStore(cost, StoreConfig(shards=4, n_replicas=1))
-    workload = erasure_study_workload(300, 400, seed=4)
-    load_store(store, workload)
-    driver = RebalanceDriver(store.begin_resize(5, batch_size=12))
-    result = run_interleaved(
-        store,
-        workload,
-        driver,
-        ops_per_step=20,
-        budget_keys=12,
-        consistency="quorum",
-        invariants=store_invariants(),
-    )
-    print(
-        f"invariants: {result.invariants_checked} evaluation(s), "
-        f"{len(result.invariant_violations)} violation(s)"
-    )
-    for violation in result.invariant_violations:
-        print(f"  VIOLATION {violation}")
-    if not result.erases_verified_clean:
-        print("  VIOLATION grounded erase did not verify clean")
-        return 1
-    return 1 if result.invariant_violations else 0
-
-
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    """The grounding linter (and, optionally, the runtime invariants)."""
+    """The grounding linter: exit 1 on any finding."""
     from pathlib import Path
 
-    from repro.analysis.engine import (
-        baseline_path,
-        classify,
-        load_baseline,
-        package_root,
-        render_report,
-        run_rules,
-    )
+    from repro.analysis.engine import package_root, render_report, run_rules
 
     root = Path(args.path) if args.path else package_root()
     findings = run_rules(root)
-    if args.baseline:
-        baseline = load_baseline(baseline_path())
-        print(render_report(findings, baseline))
-        new, _matched, stale = classify(findings, baseline)
-        # A stale entry means debt was paid off and the baseline must
-        # shrink — but only a full package scan can prove absence, so a
-        # --path partial scan never fails on staleness alone.
-        status = 1 if (new or (stale and args.path is None)) else 0
-    else:
-        print(render_report(findings))
-        status = 1 if findings else 0
-    if args.invariants and status == 0:
-        status = _run_invariant_scenario()
-    return status
+    print(render_report(findings))
+    return 1 if findings else 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -703,18 +647,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "analyze",
-        help="grounding linter (AST rules G01-G06) + runtime invariants",
+        help="grounding linter (AST rules G01-G06)",
     )
     p.add_argument("--path", default=None,
                    help="file or directory to lint (default: the installed "
                         "repro package)")
-    p.add_argument("--baseline", action="store_true",
-                   help="ratchet against the committed baseline: exit "
-                        "nonzero only on NEW findings or STALE baseline "
-                        "entries")
-    p.add_argument("--invariants", action="store_true",
-                   help="also execute the runtime invariant registry over "
-                        "a scripted rebalance-under-erasure scenario")
     p.set_defaults(func=_cmd_analyze)
 
     return parser

@@ -4,14 +4,14 @@
 :class:`~repro.systems.backends.BackendGroup`,
 :class:`~repro.distributed.store.ReplicatedStore` (and its ``_Node``s) and
 the §4.2 profiles all take their storage tuning as a frozen dataclass, so a
-misspelled option (``shared_block_cach=256``) fails at construction with a
+misspelled option (``memtable_capacit=256``) fails at construction with a
 ``TypeError`` instead of leaving the deployment silently un-tuned:
 
 * :class:`BackendConfig` — one storage deployment's knobs.  Every field
   belongs to a declared engine family ("psql" / "lsm" / "crypto-shred");
   setting a field on the wrong family raises ``ValueError``.
 * :class:`StoreConfig` — a full :class:`ReplicatedStore` topology
-  (shards, replicas, lag, ring geometry) around a nested
+  (shards, replicas, lag, cache TTL) around a nested
   :class:`BackendConfig` — the store's only constructor argument besides
   its cost model.
 * :class:`ServiceConfig` — the :class:`~repro.service.ComplianceService`
@@ -21,14 +21,14 @@ misspelled option (``shared_block_cach=256``) fails at construction with a
 Injected *objects* (a live :class:`SharedBlockCache`, a shared
 :class:`KeyVault`, an existing engine) are deliberately **not** config
 fields: configs describe deployments declaratively and stay picklable /
-comparable; object injection remains an internal constructor concern of the
-pool owner (``BackendGroup`` / ``ReplicatedStore``).
+comparable; object injection remains an internal constructor concern of
+``BackendGroup``, the one owner that pools them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple
 
 #: Engine families a config can target — mirrors
 #: ``repro.systems.backends.BACKENDS`` (kept as literals here so the config
@@ -50,13 +50,7 @@ _FIELD_FAMILIES: Dict[str, Tuple[str, ...]] = {
     "block_cache_capacity": ("lsm",),
     "compaction": ("lsm",),
     "compaction_mode": ("lsm",),
-    "namespace": ("lsm",),
-    "shared_block_cache": ("lsm",),
 }
-
-#: Fields consumed by the *pool owner* (ReplicatedStore / BackendGroup),
-#: never forwarded to a backend constructor.
-_POOL_FIELDS: Tuple[str, ...] = ("shared_block_cache",)
 
 #: psql fields that configure the shared :class:`RelationalEngine` itself
 #: (as opposed to one table's backend view of it).
@@ -96,11 +90,6 @@ class BackendConfig:
     block_cache_capacity: Optional[int] = None
     compaction: Optional[Any] = None
     compaction_mode: Optional[str] = None
-    namespace: Optional[str] = None
-    #: Pool one block-cache budget across every node/namespace (capacity,
-    #: or ``True`` for the 1024-entry default) — consumed by the pool
-    #: owner, not forwarded to ``make_backend``.
-    shared_block_cache: Optional[Union[int, bool]] = None
 
     def __post_init__(self) -> None:
         if self.backend not in BACKEND_FAMILIES:
@@ -132,12 +121,8 @@ class BackendConfig:
 
     def backend_kwargs(self) -> Dict[str, Any]:
         """Keyword arguments for ``make_backend(self.backend, cost, ...)``
-        — every explicitly-set field except the pool-owner ones."""
-        return {
-            name: value
-            for name, value in self._set_fields().items()
-            if name not in _POOL_FIELDS
-        }
+        — every explicitly-set field."""
+        return self._set_fields()
 
     def engine_kwargs(self) -> Dict[str, Any]:
         """The psql subset that configures a shared
@@ -158,16 +143,6 @@ class BackendConfig:
             )
         return replace(self, **other._set_fields())
 
-    @property
-    def shared_block_cache_capacity(self) -> Optional[int]:
-        """The pooled-cache capacity this config asks for (``None`` when
-        pooling is off; ``True`` normalizes to the 1024-entry default)."""
-        if not self.shared_block_cache:
-            return None
-        if self.shared_block_cache is True:
-            return 1024
-        return int(self.shared_block_cache)
-
 
 @dataclass(frozen=True)
 class StoreConfig:
@@ -185,8 +160,6 @@ class StoreConfig:
     replication_lag: int = 50_000
     cache_ttl: int = 500_000
     row_bytes: int = 70
-    vnodes: int = 64
-    shard_weights: Optional[Tuple[Tuple[int, float], ...]] = None
 
     def __post_init__(self) -> None:
         if self.shards < 1:
@@ -195,23 +168,6 @@ class StoreConfig:
             raise ValueError("n_replicas must be non-negative")
         if self.replication_lag < 0 or self.cache_ttl < 0:
             raise ValueError("lag and TTL must be non-negative")
-        if self.vnodes < 1:
-            raise ValueError("vnodes must be >= 1")
-        if self.shard_weights is not None:
-            # Accept any mapping/sequence-of-pairs at construction but
-            # store the canonical hashable form, so equal topologies
-            # compare (and hash) equal whatever order they were given in.
-            object.__setattr__(
-                self,
-                "shard_weights",
-                tuple(sorted(dict(self.shard_weights).items())),
-            )
-
-    @property
-    def weights_mapping(self) -> Optional[Dict[int, float]]:
-        if self.shard_weights is None:
-            return None
-        return dict(self.shard_weights)
 
 
 @dataclass(frozen=True)

@@ -120,7 +120,6 @@ from repro.distributed.faults import (
 )
 from repro.distributed.replication_log import SCRUBBED, ReplicationLog, _OpType
 from repro.distributed.ring import HashRing, hash_range_of
-from repro.lsm.cache import SharedBlockCache
 from repro.lsm.compaction import EMPTY_COMPACTION_STATS, CompactionStats
 from repro.sim.costs import CostModel
 from repro.storage.errors import TupleNotFoundError
@@ -264,22 +263,12 @@ class _Node:
         cost: CostModel,
         row_bytes: int,
         config: BackendConfig,
-        extras: Optional[Mapping[str, Any]] = None,
     ) -> None:
         self.name = name
         opts = config.backend_kwargs()
-        # ``extras`` carries injected *objects* the store pools across its
-        # nodes (a SharedBlockCache) — deliberately not config
-        # fields (configs stay declarative/comparable).
-        opts.update(extras or {})
         if config.backend == "psql":
             opts.setdefault("table", TABLE)
             opts.setdefault("wal_checkpoint_every", 5_000)
-        elif config.backend == "lsm" and "block_cache" in opts:
-            # Nodes sharing one block cache must not share cache entries:
-            # each node is a distinct physical machine, so its cached
-            # copies are tracked (and invalidated) under its own name.
-            opts.setdefault("namespace", name)
         self.backend: StorageBackend = make_backend(
             config.backend, cost, row_bytes=row_bytes, **opts
         )
@@ -293,15 +282,8 @@ class _Node:
         self.down = False
 
     def crash(self) -> None:
-        """Crash-stop with storage loss.  The node's heap, WAL, private
-        cache, and pooled block-cache share all go with the machine — and
-        so does its slice of the pooled cache's *capacity ledger*: the
-        namespace is invalidated so a crashed node's cached values cannot
-        linger as untracked physical copies."""
-        cache = getattr(self.engine, "_block_cache", None)
-        token = getattr(self.engine, "_cache_token", None)
-        if cache is not None and token is not None:
-            cache.invalidate_namespace(token)
+        """Crash-stop with storage loss.  The node's heap, WAL, read cache
+        and block cache all go with the machine."""
         self.down = True
         self.cache.clear()
         self.backend = None  # type: ignore[assignment]
@@ -344,7 +326,6 @@ class _Shard:
         row_bytes: int,
         config: BackendConfig,
         solo: bool,
-        extras: Optional[Mapping[str, Any]] = None,
         repair_sink: Optional[Callable[[int, Any, int], None]] = None,
     ) -> None:
         self.index = index
@@ -358,19 +339,16 @@ class _Shard:
         # (add/remove/revive) provisions fresh nodes long after __init__.
         self._row_bytes = row_bytes
         self._config = config
-        self._extras = extras
         # Single-shard deployments keep the legacy node names.
         self._prefix = prefix = "" if solo else f"shard-{index}/"
-        self.primary = _Node(
-            f"{prefix}primary", cost, row_bytes, config, extras
-        )
+        self.primary = _Node(f"{prefix}primary", cost, row_bytes, config)
         self.replicas = [
-            _Node(f"{prefix}replica-{i}", cost, row_bytes, config, extras)
+            _Node(f"{prefix}replica-{i}", cost, row_bytes, config)
             for i in range(n_replicas)
         ]
         #: Monotonic name counter — names stay unique across add/remove
-        #: cycles (a re-used name would alias audit trails and cache
-        #: namespaces of two different physical machines).
+        #: cycles (a re-used name would alias the audit trails of two
+        #: different physical machines).
         self._replica_seq = n_replicas
         self._log = ReplicationLog()
 
@@ -700,9 +678,7 @@ class _Shard:
         if name is None:
             name = f"{self._prefix}replica-{self._replica_seq}"
             self._replica_seq += 1
-        return _Node(
-            name, self._cost, self._row_bytes, self._config, self._extras
-        )
+        return _Node(name, self._cost, self._row_bytes, self._config)
 
     def add_replica(self) -> int:
         """Join a fresh replica and catch it up by replaying the shard's
@@ -1225,26 +1201,11 @@ class ReplicatedStore:
         self._lag = config.replication_lag
         self._cache_ttl = config.cache_ttl
         self._row_bytes = config.row_bytes
-        #: Shared physical infrastructure across every node of every shard,
-        #: mirroring :class:`repro.systems.backends.BackendGroup`: one
-        #: pooled block-cache budget (``BackendConfig(backend="lsm",
-        #: shared_block_cache=capacity)``) instead of a private slice per
-        #: node.
-        self.block_cache: Optional[SharedBlockCache] = None
-        extras: Dict[str, Any] = {}
-        if config.backend.backend == "lsm":
-            capacity = config.backend.shared_block_cache_capacity
-            if capacity:
-                self.block_cache = SharedBlockCache(capacity)
-                extras["block_cache"] = self.block_cache
-        self._node_extras = extras
         self._shards: Dict[int, _Shard] = {
             index: self._make_shard(index, solo=(config.shards == 1))
             for index in range(config.shards)
         }
-        self._ring = HashRing(
-            self._shards, vnodes=config.vnodes, weights=config.weights_mapping
-        )
+        self._ring = HashRing(self._shards)
         self._next_shard_id = config.shards
         self._rebalance: Optional[Rebalance] = None
         #: Attached by :class:`repro.distributed.faults.FaultInjector` —
@@ -1272,7 +1233,6 @@ class ReplicatedStore:
             self._row_bytes,
             self.backend_config,
             solo=solo,
-            extras=self._node_extras,
             repair_sink=self._queue_repair,
         )
 

@@ -2,8 +2,7 @@
 
 Before this module each :class:`~repro.lsm.engine.LSMEngine` owned a
 private LRU over its run-search outcomes, so a ``BackendGroup`` with K
-namespaces (or a multi-shard ``ReplicatedStore`` on one box) held K
-fixed-size caches: a hot namespace thrashed its private slice while cold
+namespaces held K fixed-size caches: a hot namespace thrashed its private slice while cold
 namespaces pinned idle capacity.  :class:`SharedBlockCache` is that cache
 extracted into an injectable object: one LRU, one capacity bound, entries
 keyed ``(namespace token, key)`` so namespaces stay isolated while the
@@ -95,13 +94,6 @@ class SharedBlockCache:
     def clear(self) -> None:
         """Drop every entry (all namespaces) — test/fault-injection hook."""
         self._cache.clear()
-
-    def invalidate_namespace(self, token: int) -> int:
-        """Drop every entry of one namespace (engine decommission)."""
-        victims = [k for k in self._cache if k[0] == token]
-        for cache_key in victims:
-            del self._cache[cache_key]
-        return len(victims)
 
     # ------------------------------------------------------------ forensics
     def holds_value(self, token: int, key: Any) -> bool:

@@ -59,7 +59,10 @@ shard locks.
 
 from __future__ import annotations
 
+import sys
 import threading
+import time
+import traceback
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -91,6 +94,25 @@ REBALANCE_STEP_KEYS = 32
 COMPACTION_SLICE_BYTES = 1 << 20
 #: Default ``call()`` timeout in seconds.
 CALL_TIMEOUT_S = 30.0
+#: Seconds ``close()`` waits, in all, for the workers and the maintenance
+#: thread to exit before it raises :class:`ShutdownTimeout`.
+CLOSE_TIMEOUT_S = 30.0
+
+
+class ShutdownTimeout(RuntimeError):
+    """``close()`` passed its deadline: the message names each thread still
+    running, with its stack.  The service stays broken — every later
+    ``close()`` raises the same error."""
+
+
+def _thread_stacks(threads: Iterable[threading.Thread]) -> str:
+    """Each thread's name and current stack (live threads only)."""
+    frames = sys._current_frames()
+    return "\n".join(
+        f"--- {thread.name} ---\n" + "".join(traceback.format_stack(frames[thread.ident]))
+        for thread in threads
+        if thread.ident in frames
+    )
 
 
 class _Hold:
@@ -278,6 +300,7 @@ class ComplianceService:
         self._maint_thread: Optional[threading.Thread] = None
         self._started = False
         self._closed = False
+        self._broken: Optional[ShutdownTimeout] = None
         if autostart:
             self.start()
 
@@ -304,12 +327,15 @@ class ComplianceService:
         """Drain and stop: every accepted request executes before the
         workers exit — an in-flight grounded erase always completes (no
         half-grounded unit), then repairs flush and the final invariant
-        sweep runs.  Idempotent."""
+        sweep runs.  Idempotent.  Raises :class:`ShutdownTimeout` when a
+        thread is still running after ``CLOSE_TIMEOUT_S``."""
         # Never started: start now so staged queues drain through the same
         # worker path (erase batching included).
         self.start()
         with self._guard:
             if self._closed:
+                if self._broken is not None:
+                    raise self._broken
                 return
             # A submit that saw _closed unset has enqueued by now, so the
             # stop sentinels queue behind every accepted request.
@@ -319,12 +345,21 @@ class ComplianceService:
         for pool in pools:
             for _ in pool.workers:
                 pool.queue.put(_STOP)
-        for pool in pools:
-            for worker in pool.workers:
-                worker.join()
+        deadline = time.monotonic() + CLOSE_TIMEOUT_S
+        threads = [worker for pool in pools for worker in pool.workers]
+        for worker in threads:
+            worker.join(max(0.0, deadline - time.monotonic()))
         self._maint_stop.set()
         if self._maint_thread is not None:
-            self._maint_thread.join()
+            threads.append(self._maint_thread)
+            self._maint_thread.join(max(0.0, deadline - time.monotonic()))
+        stuck = [thread for thread in threads if thread.is_alive()]
+        if stuck:
+            self._broken = ShutdownTimeout(
+                f"close() passed its {CLOSE_TIMEOUT_S} s deadline with "
+                f"{len(stuck)} thread(s) running:\n{_thread_stacks(stuck)}"
+            )
+            raise self._broken
         with self._topology.write():
             repairs = len(self._store.flush_repairs())
             if repairs:

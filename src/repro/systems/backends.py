@@ -642,9 +642,8 @@ class LsmBackend(StorageBackend):
     the flush, "deferred" queues them for :meth:`maintain`).  Either way
     the grounded erase (``reclaim`` / ``reclaim_full``) stays synchronous.
 
-    ``block_cache`` injects a :class:`SharedBlockCache` so several
-    namespaces (a :class:`BackendGroup`) or co-located shards pool one
-    cache budget; without it the engine builds a private cache of
+    ``block_cache`` injects a :class:`SharedBlockCache` so the namespaces
+    of a :class:`BackendGroup` pool one cache budget; without it the engine builds a private cache of
     ``block_cache_capacity`` entries.  ``namespace`` labels this backend's
     entries in the shared cache (and its ``CACHE`` copy sites).
     """
@@ -867,7 +866,6 @@ class _ShredEntry:
         "live",
         "flagged",
         "sanitized",
-        "volume",
     )
 
     def __init__(self, key_id: int) -> None:
@@ -879,45 +877,6 @@ class _ShredEntry:
         self.live = True
         self.flagged = False
         self.sanitized = False
-        self.volume: Optional["_SlotView"] = None
-
-
-class _SlotView:
-    """The old per-unit "volume" surface over a packed (group, slot).
-
-    Forensics (and the regression tests) address a unit's footprint as
-    "its volume"; this view keeps that address working over the packed
-    layout: sector indexes are slot-relative, ``is_shredded`` asks the
-    vault, and ``read_sector`` fails exactly like a shredded volume once
-    the unit's key is gone.
-    """
-
-    __slots__ = ("_vault", "_entry")
-
-    def __init__(self, vault: KeyVault, entry: _ShredEntry) -> None:
-        self._vault = vault
-        self._entry = entry
-
-    @property
-    def is_shredded(self) -> bool:
-        return self._vault.is_shredded(self._entry.key_id)
-
-    @property
-    def sector_count(self) -> int:
-        entry = self._entry
-        if entry.group is None:
-            return 0
-        return len(entry.group.slot_sector_numbers(entry.slot))
-
-    def raw_sector(self, index: int) -> bytes:
-        entry = self._entry
-        return entry.group.raw_sector(entry.group.sector_number(entry.slot, index))
-
-    def read_sector(self, index: int) -> bytes:
-        entry = self._entry
-        master = self._vault.master(entry.key_id)  # PermissionError if shredded
-        subkey = derive_subkey(master, entry.group.group_id, entry.slot)
-        return entry.group.read_sector(entry.slot, subkey, index)
 
 
 class CryptoShredBackend(StorageBackend):
@@ -1099,7 +1058,6 @@ class CryptoShredBackend(StorageBackend):
         key_id = self._vault.create_key(repr(unit_id))
         self._owned_ids.add(key_id)
         entry = _ShredEntry(key_id)
-        entry.volume = _SlotView(self._vault, entry)
         self._write_blob(entry, blob)
         self._entries[unit_id] = entry
 
@@ -1482,8 +1440,6 @@ class BackendGroup:
         self.block_cache: Optional[SharedBlockCache] = None
         if name == LsmBackend.name:
             capacity = config.block_cache_capacity
-            if capacity is None:
-                capacity = config.shared_block_cache_capacity
             self.block_cache = SharedBlockCache(
                 capacity if capacity is not None else 1024
             )
@@ -1494,11 +1450,9 @@ class BackendGroup:
 
     def _create_kwargs(self) -> Dict[str, Any]:
         """Per-namespace constructor kwargs: everything set on the config
-        except what the group itself provides (pooled cache budget,
-        namespace naming)."""
+        except the pooled cache budget, which the group itself provides."""
         kwargs = self.config.backend_kwargs()
         kwargs.pop("block_cache_capacity", None)
-        kwargs.pop("namespace", None)
         return kwargs
 
     def create(

@@ -154,12 +154,6 @@ class CompliantDatabase:
         if isinstance(backend, str):
             backend = BackendConfig(backend=backend)
         if isinstance(backend, BackendConfig):
-            if backend.shared_block_cache is not None:
-                raise ValueError(
-                    "shared_block_cache pools one cache across many nodes — "
-                    "it applies to ReplicatedStore and BackendGroup, not a "
-                    "single-backend facade"
-                )
             backend = make_backend(
                 backend.backend,
                 self.cost,
@@ -411,14 +405,7 @@ class CompliantDatabase:
         interpretation: Optional[ErasureInterpretation] = None,
     ) -> EraseOutcome:
         """Erase under the selected (or an explicit) interpretation."""
-        interpretation = interpretation or self.default_erasure
-        entity = entity or self.controller
-        unit = self.model.get(unit_id)
-        if interpretation is ErasureInterpretation.REVERSIBLY_INACCESSIBLE:
-            return self._erase_reversible(unit, entity)
-        if interpretation is ErasureInterpretation.PERMANENTLY_DELETED:
-            self._require_sanitization()
-        return self._erase_physical([unit.unit_id], interpretation, entity)[0]
+        return self.erase_many([unit_id], entity, interpretation)[0]
 
     def erase_many(
         self,

@@ -6,9 +6,8 @@ Three layers:
   violation (``gXX_bad.py``) and one clean (``gXX_ok.py``) file per rule,
   with ``# expect: GXX`` markers pinning the exact lines each rule must
   fire on (trailing marker = that line; own-line marker = the next line);
-* the baseline ratchet — a fresh run over the installed package must match
-  ``src/repro/analysis/baseline.json`` exactly: no NEW findings, no STALE
-  entries (drift in either direction fails CI);
+* the package itself — a fresh run over the installed package must be
+  clean (any finding fails CI);
 * mutation checks for the acceptance criterion: removing a tracked
   copy-site registration or an audit emission from
   ``distributed/store.py`` must make the linter fail.
@@ -19,14 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.engine import (
-    Finding,
-    baseline_path,
-    classify,
-    load_baseline,
-    package_root,
-    run_rules,
-)
+from repro.analysis.engine import Finding, package_root, run_rules
 from repro.analysis.rules import default_rules
 from repro.cli import main
 
@@ -103,45 +95,23 @@ class TestFixtures:
             "RacyStore.cancel_everything",
         }
         assert all(f.file == "g06_bad.py" for f in findings)
-        assert all(f.key == f"{f.rule}:{f.file}:{f.symbol}" for f in findings)
-
-
-class TestBaselineRatchet:
-    def test_fresh_run_matches_committed_baseline_exactly(self):
-        """The drift check both ways: every fresh finding is baselined
-        (no NEW debt) and every baseline entry still fires (no STALE
-        entries — paid-off debt must shrink the baseline)."""
-        findings = run_rules(package_root())
-        baseline = load_baseline(baseline_path())
-        new, matched, stale = classify(findings, baseline)
-        assert not new, f"unbaselined finding(s): {[str(f) for f in new]}"
-        assert not stale, f"stale baseline entr(ies): {[e.key for e in stale]}"
-        assert len(matched) == len(findings)
-
-    def test_every_baseline_entry_has_tracking_note(self):
-        for entry in load_baseline(baseline_path()):
-            assert entry.note.strip(), f"{entry.key} lacks a tracking note"
 
 
 class TestAnalyzeCli:
-    def test_repo_passes_with_baseline(self, capsys):
-        assert main(["analyze", "--baseline"]) == 0
-        assert "0 new" in capsys.readouterr().out
+    def test_repo_passes(self, capsys):
+        assert main(["analyze"]) == 0
+        assert "0 finding(s)" in capsys.readouterr().out
 
     @pytest.mark.parametrize("rule_id", RULE_IDS)
     def test_each_seeded_fixture_fails(self, rule_id, capsys):
         path = FIXTURES / f"{rule_id.lower()}_bad.py"
-        assert main(["analyze", "--path", str(path), "--baseline"]) == 1
+        assert main(["analyze", "--path", str(path)]) == 1
         assert rule_id in capsys.readouterr().out
 
     @pytest.mark.parametrize("rule_id", RULE_IDS)
     def test_each_clean_fixture_passes(self, rule_id, capsys):
         path = FIXTURES / f"{rule_id.lower()}_ok.py"
-        assert main(["analyze", "--path", str(path), "--baseline"]) == 0
-        capsys.readouterr()
-
-    def test_without_baseline_any_finding_fails(self, capsys):
-        assert main(["analyze", "--path", str(FIXTURES / "g04_bad.py")]) == 1
+        assert main(["analyze", "--path", str(path)]) == 0
         capsys.readouterr()
 
 

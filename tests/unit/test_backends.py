@@ -387,6 +387,13 @@ class TestLsmSpecific:
         assert detail["bytes_compacted"] > 0
 
 
+def _slot_sectors(entry):
+    """The sectors a crypto-shred entry's slot holds (0 once released)."""
+    if entry.group is None:
+        return 0
+    return len(entry.group.slot_sector_numbers(entry.slot))
+
+
 class TestCryptoShredSpecific:
     """The "permanently delete" retrofit: per-unit key volumes."""
 
@@ -410,7 +417,11 @@ class TestCryptoShredSpecific:
         b = CryptoShredBackend(make_cost())
         b.insert("k", "top-secret-payload")
         entry = b._entries["k"]
-        raw = b"".join(entry.volume.raw_sector(s) for s in range(entry.sectors))
+        group = entry.group
+        raw = b"".join(
+            group.raw_sector(group.sector_number(entry.slot, s))
+            for s in range(entry.sectors)
+        )
         assert b"top-secret-payload" not in raw
         assert b.read("k") == "top-secret-payload"
 
@@ -436,10 +447,10 @@ class TestCryptoShredSpecific:
         b.reclaim()
         entry = b._entries["k"]
         assert entry.sectors > 0  # ciphertext still occupies disk
-        assert entry.volume.is_shredded
+        assert b._vault.is_shredded(entry.key_id)
         assert not b.physically_present("k")
         with pytest.raises(PermissionError):
-            entry.volume.read_sector(0)
+            b._vault.master(entry.key_id)
 
     def test_sanitize_wipes_sectors_and_charges(self):
         cost = make_cost()
@@ -473,11 +484,11 @@ class TestCryptoShredSpecific:
     def test_reinsert_after_erase_gets_fresh_volume(self):
         b = CryptoShredBackend(make_cost())
         b.insert("k", "old")
-        old_volume = b._entries["k"].volume
+        old_entry = b._entries["k"]
         b.erase("k")
         b.insert("k", "new")
         assert b.read("k") == "new"
-        assert b._entries["k"].volume is not old_volume
+        assert b._entries["k"] is not old_entry
 
     def test_shrinking_update_discards_stale_tail_sectors(self):
         """Regression: a shorter rewrite must not leave the old value's
@@ -485,9 +496,9 @@ class TestCryptoShredSpecific:
         b = CryptoShredBackend(make_cost())
         b.insert("k", "x" * 2000)  # several sectors
         entry = b._entries["k"]
-        assert entry.volume.sector_count > 1
+        assert _slot_sectors(entry) > 1
         b.update("k", "y")  # one sector
-        assert entry.volume.sector_count == entry.sectors == 1
+        assert _slot_sectors(entry) == entry.sectors == 1
         assert b.read("k") == "y"
 
     def test_sanitize_leaves_no_sectors_at_all(self):
@@ -495,7 +506,7 @@ class TestCryptoShredSpecific:
         b.insert("k", "x" * 2000)
         b.delete("k")
         b.sanitize("k")
-        assert b._entries["k"].volume.sector_count == 0
+        assert _slot_sectors(b._entries["k"]) == 0
 
     def test_sanitize_without_prior_delete_kills_the_entry(self):
         """Regression: sanitize used to leave live=True, so exists() lied
@@ -777,21 +788,13 @@ class TestBackendGroup:
         assert cache.hits == 0
 
     @pytest.mark.parametrize(
-        "block_cache_capacity,shared_block_cache,expected",
-        [
-            (None, None, 1024),
-            (None, 256, 256),
-            (64, 256, 64),
-            (0, 256, 0),
-        ],
+        "block_cache_capacity,expected", [(None, 1024), (64, 64), (0, 0)]
     )
-    def test_pooled_cache_capacity_prefers_the_explicit_field(
-        self, block_cache_capacity, shared_block_cache, expected
+    def test_pooled_cache_capacity_is_block_cache_capacity(
+        self, block_cache_capacity, expected
     ):
         config = BackendConfig(
-            backend="lsm",
-            block_cache_capacity=block_cache_capacity,
-            shared_block_cache=shared_block_cache,
+            backend="lsm", block_cache_capacity=block_cache_capacity
         )
         group = BackendGroup("lsm", make_cost(), engine_opts=config)
         assert group.block_cache.capacity == expected

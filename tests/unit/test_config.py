@@ -50,22 +50,6 @@ class TestBackendConfig:
         with pytest.raises(ValueError, match="do not apply to"):
             BackendConfig(backend="crypto-shred", compaction="leveled")
 
-    def test_backend_kwargs_excludes_pool_fields(self):
-        config = BackendConfig(
-            backend="lsm", shared_block_cache=128, memtable_capacity=4
-        )
-        assert "shared_block_cache" not in config.backend_kwargs()
-        assert config.shared_block_cache_capacity == 128
-
-    def test_shared_block_cache_true_normalizes_to_default(self):
-        assert (
-            BackendConfig(
-                backend="lsm", shared_block_cache=True
-            ).shared_block_cache_capacity
-            == 1024
-        )
-        assert BackendConfig(backend="lsm").shared_block_cache_capacity is None
-
     def test_merged_layers_set_fields(self):
         base = BackendConfig(
             backend="psql", bloat_factor=8.0, wal_checkpoint_every=5_000
@@ -85,8 +69,8 @@ class TestFacadeValidation:
     misspelled key in an untyped option mapping."""
 
     def test_misspelled_field_fails_at_construction(self):
-        with pytest.raises(TypeError, match="shared_block_cach"):
-            BackendConfig(backend="lsm", shared_block_cach=256)
+        with pytest.raises(TypeError, match="memtable_capacit"):
+            BackendConfig(backend="lsm", memtable_capacit=256)
 
     def test_replicated_store_rejects_option_mappings(self):
         # The removed mapping parameter is now an unknown keyword (its name
@@ -108,15 +92,6 @@ class TestFacadeValidation:
         with pytest.raises(TypeError, match="must be a BackendConfig"):
             make_profile(
                 "P_Base", backend="lsm", engine_opts={"memtable_capacity": 16}
-            )
-
-    def test_compliant_database_rejects_pool_fields(self):
-        # Pooling one cache across many nodes is a ReplicatedStore /
-        # BackendGroup concern; a single-backend facade has no pool.
-        with pytest.raises(ValueError, match="pools one cache"):
-            CompliantDatabase(
-                controller("C"),
-                backend=BackendConfig(backend="lsm", shared_block_cache=64),
             )
 
     def test_backend_group_rejects_per_namespace_fields(self):
@@ -152,34 +127,18 @@ class TestStoreConfig:
         assert default.shard_ids == (0,)
         assert default.replica_count == StoreConfig().n_replicas
         assert default.backend_config == BackendConfig()
-        config = StoreConfig(shards=2, n_replicas=0, shard_weights={1: 3.0})
+        config = StoreConfig(shards=2, n_replicas=0)
         store = ReplicatedStore(_cost(), config)
-        assert store.shard_weights == {0: 1.0, 1: 3.0}
+        assert store.shard_ids == (0, 1)
         assert store.replica_count == 0
         with pytest.raises(TypeError):
             ReplicatedStore(_cost(), config, 2)
-
-    def test_shard_weights_normalize(self):
-        config = StoreConfig(shard_weights={1: 2.0, 0: 1.0})
-        assert config.shard_weights == ((0, 1.0), (1, 2.0))
-        assert config.weights_mapping == {0: 1.0, 1: 2.0}
-
-    def test_shard_weights_canonical_for_any_input(self):
-        """Equal topologies compare and hash equal whether the weights
-        came as a mapping or as pairs in any order."""
-        from_pairs = StoreConfig(shards=2, shard_weights=((1, 2.0), (0, 1.0)))
-        from_mapping = StoreConfig(shards=2, shard_weights={0: 1.0, 1: 2.0})
-        assert from_pairs == from_mapping
-        assert hash(from_pairs) == hash(from_mapping)
-        assert from_pairs.shard_weights == ((0, 1.0), (1, 2.0))
 
     def test_topology_validation(self):
         with pytest.raises(ValueError):
             StoreConfig(shards=0)
         with pytest.raises(ValueError):
             StoreConfig(n_replicas=-1)
-        with pytest.raises(ValueError):
-            StoreConfig(vnodes=0)
 
 
 class TestServiceConfig:
@@ -205,14 +164,24 @@ class TestServiceConfig:
 
 class TestConfigSurface:
     """Every settable value is one some caller sets: a new knob has to be
-    added here on purpose, with the caller that needs it."""
+    added here on purpose, with the caller that needs it.
+
+    Two knobs are still turned only by tests: ``compaction_mode`` and
+    ``ServiceConfig.maintenance_interval``.  Both belong to the
+    maintenance-tick seam, and ROADMAP item 10 decides whether they stay.
+    """
 
     def test_backend_config_fields(self):
         assert {f.name for f in fields(BackendConfig)} == {
             "backend", "table", "flag_column", "bloat_factor",
             "wal_checkpoint_every", "memtable_capacity", "tier_threshold",
             "block_cache_capacity", "compaction", "compaction_mode",
-            "namespace", "shared_block_cache",
+        }
+
+    def test_store_config_fields(self):
+        assert {f.name for f in fields(StoreConfig)} == {
+            "backend", "shards", "n_replicas", "replication_lag",
+            "cache_ttl", "row_bytes",
         }
 
     def test_every_backend_field_has_a_family(self):

@@ -636,8 +636,6 @@ class TestLsmCopySites:
         for backend in (
             BackendConfig(backend="lsm", compaction="size", memtable_capacity=4),
             BackendConfig(backend="lsm", compaction="leveled", memtable_capacity=4),
-            # The primary and its replica pool one block cache.
-            BackendConfig(backend="lsm", shared_block_cache=256, memtable_capacity=4),
         ):
             store, clock = make_store(n_replicas=1, backend=backend)
             store.put("pii", "sensitive")

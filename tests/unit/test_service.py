@@ -29,6 +29,7 @@ from repro.service import (
     UpdateRequest,
     run_loadgen,
 )
+from repro.service import server
 from repro.service.http import serve_in_background
 from repro.service.server import _TopologyLock
 from repro.sim.clock import SimClock
@@ -350,6 +351,42 @@ class TestHandOff:
             assert response.ok and response.verified_clean
             with pytest.raises(TupleNotFoundError):
                 store.read("k", use_cache=False)
+
+    def test_close_names_a_worker_stuck_on_a_held_shard_lock(self, monkeypatch):
+        """A wedged worker fails close() within its deadline, naming the
+        thread and its stack, instead of hanging the suite."""
+        monkeypatch.setattr(server, "CLOSE_TIMEOUT_S", 0.2)
+        service, store = make_service(shards=1, workers_per_shard=1)
+        store.put("k", "v")
+        service.start()
+        errors = []
+
+        def close():
+            try:
+                service.close()
+            except server.ShutdownTimeout as exc:
+                errors.append(exc)
+
+        with service._shard_lock(store.shard_ids[0]):
+            reply = service.submit(ReadRequest("k"))
+            closer = threading.Thread(target=close, daemon=True)
+            started = time.monotonic()
+            closer.start()
+            closer.join(10)
+            assert not closer.is_alive(), "close() hung:\n" + server._thread_stacks(
+                threading.enumerate()
+            )
+        assert time.monotonic() - started < 5
+        (error,) = errors
+        message = str(error)
+        assert "svc-shard0-w0" in message and "_do_read" in message
+        # Released, the worker answers and exits; the service stays broken.
+        assert reply.result(timeout=5).ok
+        with pytest.raises(server.ShutdownTimeout):
+            service.close()
+        for thread in service._pools[store.shard_ids[0]].workers:
+            thread.join(5)
+            assert not thread.is_alive()
 
 
 class TestCompactionCounters:
