@@ -114,6 +114,18 @@ class TestAnalyzeCli:
         assert main(["analyze", "--path", str(path)]) == 0
         capsys.readouterr()
 
+    def test_without_baseline_any_finding_fails(self, capsys):
+        """There is no baseline to forgive a finding: one is enough."""
+        assert main(["analyze", "--path", str(FIXTURES / "g04_bad.py")]) == 1
+        assert "2 finding(s)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", ["--baseline", "--invariants"])
+    def test_retired_flags_are_rejected(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["analyze", flag])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestStoreMutationsCaught:
     """The acceptance criterion: removing a tracked copy-site registration

@@ -202,3 +202,27 @@ class TestComplianceAndTimeline:
         collect_unit(db)
         db.engine.delete("data_units", "u1")
         assert db.physically_present("u1")
+
+
+class TestEraseDispatch:
+    @pytest.mark.parametrize("interpretation", list(ErasureInterpretation))
+    def test_erase_is_a_one_unit_erase_many(self, interpretation):
+        """``erase`` and a one-unit ``erase_many`` take the same path: the
+        same outcome, history and physical state under every
+        interpretation."""
+        backend = (
+            "crypto-shred"
+            if interpretation is ErasureInterpretation.PERMANENTLY_DELETED
+            else "psql"
+        )
+        single, batch = make_db(backend=backend), make_db(backend=backend)
+        for db in (single, batch):
+            collect_unit(db)
+        outcome = single.erase("u1", interpretation=interpretation)
+        (batched,) = batch.erase_many(["u1"], interpretation=interpretation)
+        assert outcome == batched
+        assert outcome.interpretation is interpretation
+        assert [e.action.type for e in single.history.of("u1")] == [
+            e.action.type for e in batch.history.of("u1")
+        ]
+        assert single.physically_present("u1") == batch.physically_present("u1")

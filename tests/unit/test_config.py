@@ -72,6 +72,21 @@ class TestFacadeValidation:
         with pytest.raises(TypeError, match="memtable_capacit"):
             BackendConfig(backend="lsm", memtable_capacit=256)
 
+    @pytest.mark.parametrize(
+        "config_type,field,value",
+        [
+            (BackendConfig, "shared_block_cache", 256),
+            (BackendConfig, "namespace", "n0"),
+            (StoreConfig, "vnodes", 64),
+            (StoreConfig, "shard_weights", {0: 2.0}),
+        ],
+    )
+    def test_retired_field_fails_at_construction(self, config_type, field, value):
+        """A caller still passing a retired knob is told so, by name,
+        instead of having it ignored."""
+        with pytest.raises(TypeError, match=field):
+            config_type(**{field: value})
+
     def test_replicated_store_rejects_option_mappings(self):
         # The removed mapping parameter is now an unknown keyword (its name
         # is assembled so a repo-wide grep for it stays empty).

@@ -352,6 +352,31 @@ class TestHandOff:
             with pytest.raises(TupleNotFoundError):
                 store.read("k", use_cache=False)
 
+    def test_healthy_close_stops_every_thread_inside_its_deadline(
+        self, monkeypatch
+    ):
+        """The deadline only bounds a wedged shutdown: a healthy one drains,
+        stops the workers and the maintenance thread, and returns early."""
+        monkeypatch.setattr(server, "CLOSE_TIMEOUT_S", 10.0)
+        service, store = make_service(
+            shards=2, workers_per_shard=2, maintenance_interval=0.001
+        )
+        service.start()
+        replies = [
+            service.submit(CollectRequest(f"k{i}", "v", subject="s"))
+            for i in range(20)
+        ]
+        started = time.monotonic()
+        service.close()
+        assert time.monotonic() - started < 5
+        assert all(reply.result(timeout=5).ok for reply in replies)
+        threads = [t for pool in service._pools.values() for t in pool.workers]
+        assert len(threads) == 4
+        assert service._maint_thread is not None
+        for thread in threads + [service._maint_thread]:
+            assert not thread.is_alive(), thread.name
+        service.close()  # idempotent: no ShutdownTimeout on a clean service
+
     def test_close_names_a_worker_stuck_on_a_held_shard_lock(self, monkeypatch):
         """A wedged worker fails close() within its deadline, naming the
         thread and its stack, instead of hanging the suite."""
