@@ -81,7 +81,7 @@ from repro.core.provenance import Dependency, DependencyKind, ProvenanceGraph
 from repro.core.regulation import Article, Regulation, ccpa, gdpr, pipeda, vdpa
 from repro.distributed.store import ReplicatedStore
 from repro.lsm.engine import LSMEngine
-from repro.service import ComplianceService, run_loadgen
+from repro.service import ComplianceService
 from repro.sim.clock import SimClock
 from repro.sim.costs import CostBook, CostModel
 from repro.storage.engine import RelationalEngine
@@ -135,7 +135,7 @@ __all__ = [
     # distributed store, typed configuration & the service front door
     "ReplicatedStore",
     "BackendConfig", "StoreConfig", "ServiceConfig",
-    "ComplianceService", "run_loadgen",
+    "ComplianceService",
     # substrates
     "SimClock", "CostBook", "CostModel", "RelationalEngine", "LSMEngine",
     # workloads

@@ -19,10 +19,11 @@ fact).  The catalogue, with the §1 rationale per rule, is documented in
 * **G03 backend-registry** — no direct ``RelationalEngine`` /
   ``LSMEngine`` construction outside the backend registry and the engine's
   own layer; ad-hoc engines bypass copy tracking and grounding selection.
-* **G04 serializer-containment** — ``pickle``/``marshal`` imports only
-  inside ``repro/codec.py``; a raw-serialized unit value anywhere else is
-  an untracked copy (and an unscrubbable one).  Everyone else goes
-  through ``codec.encode``/``decode``.
+* **G04 serializer-containment** — ``marshal`` imports only inside
+  ``repro/codec.py``, ``pickle`` imports nowhere; a raw-serialized unit
+  value anywhere else is an untracked copy (and an unscrubbable one), and
+  a pickled one is opaque to every check.  Everyone else goes through
+  ``codec.encode``/``decode``.
 * **G05 no-swallowed-exceptions** — no bare ``except``, no
   ``except: pass`` over broad exception types, and no silenced handlers
   at all on erase/migration paths: a swallowed failure there converts
@@ -32,9 +33,9 @@ fact).  The catalogue, with the §1 rationale per rule, is documented in
   dual-routing invariant.
 * **G07 codec-boundary** — storage seams (``put``/``write_*``/``read_*``/
   ``flush``/``seal``…) must serialize through the codec, never by calling
-  ``pickle``/``marshal`` directly: bytes outside the codec's
-  self-describing format cannot be streamed between blocks, sectors, and
-  migration batches or recognized by ``decode``.
+  ``pickle`` (anywhere) or ``marshal`` (outside the codec) directly: bytes
+  outside the codec's self-describing format cannot be streamed between
+  blocks, sectors, and migration batches or recognized by ``decode``.
 """
 
 from __future__ import annotations
@@ -367,49 +368,50 @@ class BackendRegistryRule(Rule):
 
 
 # ----------------------------------------------------------------------- G04
-#: The raw serializer modules the codec wraps, and the one module allowed
-#: to import them.  Before the codec existed the whole storage layer was
-#: allowlisted; the binary-codec refactor shrank the legal surface to the
-#: codec itself — everyone else calls ``codec.encode``/``decode``.
-_SERIALIZER_MODULES = frozenset({"pickle", "marshal"})
-_SERIALIZER_ALLOWED = ("repro/codec.py",)
+#: The raw serializer modules, each with the files allowed to use it:
+#: ``marshal`` is the codec's fast path; ``pickle`` has no home, because a
+#: pickled value is opaque to every check and unpickling runs code.
+_SERIALIZER_HOMES: Dict[str, Tuple[str, ...]] = {
+    "marshal": ("repro/codec.py",),
+    "pickle": (),
+}
+
+
+def _serializer_outside_home(name: str, module: Module) -> bool:
+    """Whether ``name`` is a raw serializer ``module`` may not use."""
+    homes = _SERIALIZER_HOMES.get(name)
+    return homes is not None and not module.relpath.startswith(homes)
 
 
 class PickleContainmentRule(Rule):
-    """G04: raw serializers (``pickle``/``marshal``) only inside the codec.
+    """G04: ``marshal`` only inside the codec, ``pickle`` nowhere.
 
     Serialized unit values are physical copies; outside
     :mod:`repro.codec` nothing tracks, scrubs, or format-checks them, so a
-    stray ``pickle.dumps`` is an untracked retention site by construction
-    — and a stray ``marshal.dumps`` is additionally bytes the codec's
-    first-byte discrimination can mis-decode.
+    stray ``marshal.dumps`` is an untracked retention site whose bytes the
+    codec's first-byte discrimination can mis-decode.  A pickled value is
+    opaque to every check in the codec too, so ``pickle`` has no home.
     """
 
     id = "G04"
-    title = "raw serializer import outside the codec"
+    title = "raw serializer import outside its home"
 
     def check(self, module: Module) -> Iterable[Finding]:
-        if module.relpath.startswith(_SERIALIZER_ALLOWED):
-            return
         for node in module.walk():
             if isinstance(node, ast.Import):
-                for alias in node.names:
-                    name = alias.name.split(".")[0]
-                    if name in _SERIALIZER_MODULES:
-                        yield self.finding(
-                            module,
-                            node,
-                            f"{name} import outside repro/codec.py — "
-                            "serialized unit values are untracked copies",
-                        )
-            elif isinstance(node, ast.ImportFrom):
-                if node.module and node.module.split(".")[0] in _SERIALIZER_MODULES:
+                names = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module.split(".")[0]]
+            else:
+                continue
+            for name in names:
+                if _serializer_outside_home(name, module):
                     yield self.finding(
                         module,
                         node,
-                        f"{node.module.split('.')[0]} import outside "
-                        "repro/codec.py — serialized unit values are "
-                        "untracked copies",
+                        f"{name} import (allowed in: "
+                        f"{', '.join(_SERIALIZER_HOMES[name]) or 'no file'}) — "
+                        "serialized unit values are untracked copies",
                     )
 
 
@@ -597,8 +599,6 @@ class CodecBoundaryRule(Rule):
     title = "raw serializer call on a storage seam (bypasses the codec)"
 
     def check(self, module: Module) -> Iterable[Finding]:
-        if module.relpath.startswith(_SERIALIZER_ALLOWED):
-            return
         for node in module.walk():
             if not isinstance(node, ast.Call):
                 continue
@@ -607,7 +607,7 @@ class CodecBoundaryRule(Rule):
                 isinstance(func, ast.Attribute)
                 and func.attr in _SERIALIZER_CALLS
                 and isinstance(func.value, ast.Name)
-                and func.value.id in _SERIALIZER_MODULES
+                and _serializer_outside_home(func.value.id, module)
             ):
                 continue
             fn = module.enclosing_function(node)

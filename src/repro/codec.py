@@ -17,38 +17,34 @@ A blob is self-describing by its first byte:
 * ``0x28–0x7A`` / ``0xA8–0xFA`` — a raw :mod:`marshal` (version 4) blob.
   marshal's type codes are printable ASCII, optionally OR-ed with the
   ``FLAG_REF`` bit ``0x80``, so its first byte never falls in the gap
-  below.  This is the fast path: marshal's C serializer beats pickle on
-  the plain tuples/strings/dicts the workloads store, at ~25% smaller
-  output, and needs no framing byte at all.
-* ``0x80`` — a :mod:`pickle` (protocol 5) blob, used verbatim: protocol 5
-  always starts with ``PROTO`` (``0x80``), which marshal can never emit
-  (it would be ``FLAG_REF`` with the invalid type code ``0x00``).  This
-  is the fallback for arbitrary objects marshal rejects.
+  below.  This is the fast path: marshal's C serializer handles the plain
+  tuples/strings/dicts the workloads store and needs no framing byte.
 * ``0x81–0x8F`` — a registered singleton (one byte total).  The LSM
   tombstone registers here so delete markers cost one byte and compare
   by blob equality.
 * ``0x90–0x9F`` — a registered extension type: tag byte + the type's own
   packed payload.  ``FlaggedPayload`` registers here so the reversible-
-  inaccessibility flag survives encoding without paying the pickle path.
+  inaccessibility flag survives encoding.
+
+That is the whole value domain.  A value marshal rejects and no singleton
+or extension claims raises :class:`CodecError` at ``encode``, before any
+backend stores it, and ``decode`` rejects ``0x80`` (no encoder emits it),
+so every blob at rest is one the checks here can see into and ``decode``
+never runs arbitrary code.
 
 Batches
 -------
 ``encode_many``/``decode_many`` are the hot-path entry points: they run
 the whole batch through marshal's C loop (``map``) and only drop to the
-per-value path when a batch member actually needs the fallback.  A packed
-*block* (``pack_block``/``unpack_block``/``iter_block``) is the on-disk
-shape: ``u32`` count, then a ``u32`` length prefix per blob — what an
-SSTable stores and a migration batch streams.
-
-Trust model: blobs only ever come from this process's own storage layer
-(the same boundary the previous pickle-per-value code had), never from
-untrusted input.
+per-value path when a batch member is a singleton or an extension.  A
+packed *block* (``pack_block``/``unpack_block``/``iter_block``) is the
+on-disk shape: ``u32`` count, then a ``u32`` length prefix per blob —
+what an SSTable stores and a migration batch streams.
 """
 
 from __future__ import annotations
 
 import marshal
-import pickle
 from struct import Struct
 from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple, Type
 
@@ -58,7 +54,6 @@ __all__ = [
     "decode",
     "encode_many",
     "decode_many",
-    "encoded_size",
     "is_extension_blob",
     "pack_block",
     "unpack_block",
@@ -75,10 +70,10 @@ _MARSHAL_VERSION = 4
 # equal values always produce identical bytes, which is what content hashing
 # (the Bloom fast path) needs.
 _STABLE_MARSHAL_VERSION = 2
-_PICKLE_PROTOCOL = 5
 
-#: First byte of every pickle-protocol-5 blob (the PROTO opcode).
-_PICKLE_FIRST = 0x80
+#: First byte of the tag gap marshal never emits.  No encoder emits
+#: ``0x80`` itself, so :func:`decode` rejects it.
+_TAG_GAP = 0x80
 _SINGLETON_BASE = 0x81
 _SINGLETON_MAX = 0x8F
 _EXTENSION_BASE = 0x90
@@ -88,12 +83,11 @@ _U32 = Struct("<I")
 
 _dumps = marshal.dumps
 _loads = marshal.loads
-_pickle_dumps = pickle.dumps
-_pickle_loads = pickle.loads
 
 
 class CodecError(ValueError):
-    """A blob that no decoder recognizes (corrupt or foreign bytes)."""
+    """A value outside the codec's domain, or a blob that no decoder
+    recognizes (corrupt or foreign bytes)."""
 
 
 # --------------------------------------------------------------- extensions
@@ -149,18 +143,17 @@ def register_extension(
 
 # ------------------------------------------------------------------ scalars
 def _encode_slow(value: Any) -> bytes:
-    """The non-marshal paths: singleton, registered extension, pickle."""
+    """The non-marshal paths: singleton, registered extension, or refusal."""
     for tag, obj in _singletons.items():
         if value is obj:
             return _singleton_blobs[tag]
     tag = _extension_tags.get(type(value))
     if tag is not None:
         return bytes([tag]) + _extensions[tag][1](value)
-    blob = _pickle_dumps(value, _PICKLE_PROTOCOL)
-    # Protocol 5 guarantees the 0x80 discriminator byte; anything else
-    # would collide with the marshal space and silently mis-decode.
-    assert blob[0] == _PICKLE_FIRST
-    return blob
+    raise CodecError(
+        f"cannot encode a value of type {type(value).__qualname__!r}: marshal rejects "
+        "it and no registered singleton or extension claims it"
+    ) from None
 
 
 def encode(value: Any) -> bytes:
@@ -188,14 +181,14 @@ def encode_stable(value: Any) -> bytes:
 def decode(blob: Any) -> Any:
     """Invert :func:`encode` (accepts any bytes-like object)."""
     tag = blob[0]
-    if _PICKLE_FIRST <= tag <= _EXTENSION_MAX:
+    if _TAG_GAP <= tag <= _EXTENSION_MAX:
         return _decode_slow(tag, blob)
     return _loads(blob)
 
 
 def _decode_slow(tag: int, blob: Any) -> Any:
-    if tag == _PICKLE_FIRST:
-        return _pickle_loads(bytes(blob))
+    if tag == _TAG_GAP:
+        raise CodecError("tag 0x80 is reserved: no encoder emits it")
     if tag <= _SINGLETON_MAX:
         try:
             return _singletons[tag]
@@ -206,11 +199,6 @@ def _decode_slow(tag: int, blob: Any) -> Any:
     except KeyError:
         raise CodecError(f"unregistered extension tag 0x{tag:02x}") from None
     return unpack(bytes(blob[1:]))
-
-
-def encoded_size(value: Any) -> int:
-    """Bytes :func:`encode` would produce — the honest space accounting."""
-    return len(encode(value))
 
 
 def is_extension_blob(blob: Any) -> bool:

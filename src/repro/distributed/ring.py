@@ -56,9 +56,9 @@ def hash_range_of(key: Any, n_ranges: int) -> int:
 class HashRing:
     """An immutable consistent-hash ring over integer shard ids.
 
-    Each shard id contributes ``round(vnodes × weight)`` points on the
-    64-bit ring (at least one); a key belongs to the shard owning the first
-    point at or after the key's hash (wrapping).  Shard ids — not list
+    Each shard id contributes ``round(DEFAULT_VNODES × weight)`` points on
+    the 64-bit ring (at least one); a key belongs to the shard owning the
+    first point at or after the key's hash (wrapping).  Shard ids — not list
     positions — identify nodes, so removing shard 1 from ``{0, 1, 2}``
     leaves shards 0 and 2 exactly where they were.
 
@@ -69,12 +69,8 @@ class HashRing:
     def __init__(
         self,
         nodes: Iterable[int],
-        vnodes: int = DEFAULT_VNODES,
         weights: Optional[Mapping[int, float]] = None,
     ) -> None:
-        if vnodes < 1:
-            raise ValueError("vnodes must be >= 1")
-        self.vnodes = vnodes
         self._nodes: Tuple[int, ...] = tuple(sorted(set(nodes)))
         if not self._nodes:
             raise ValueError("a ring needs at least one node")
@@ -116,9 +112,10 @@ class HashRing:
         return self._weights[node]
 
     def vnode_count(self, node: int) -> int:
-        """Ring points the node contributes: ``round(vnodes × weight)``,
-        floored at 1 so even a tiny weight keeps the shard routable."""
-        return max(1, round(self.vnodes * self._weights[node]))
+        """Ring points the node contributes: ``round(DEFAULT_VNODES ×
+        weight)``, floored at 1 so even a tiny weight keeps the shard
+        routable."""
+        return max(1, round(DEFAULT_VNODES * self._weights[node]))
 
     def expected_share(self, node: int) -> float:
         """The keyspace fraction the node's weight entitles it to."""
@@ -136,7 +133,7 @@ class HashRing:
         nodes: Iterable[int],
         weights: Optional[Mapping[int, float]] = None,
     ) -> "HashRing":
-        """A new ring over ``nodes`` with the same vnode density.
+        """A new ring over ``nodes``.
 
         Surviving nodes keep their current weight unless ``weights``
         overrides it; nodes new to the ring default to weight 1.0.
@@ -145,7 +142,7 @@ class HashRing:
         merged = {n: self._weights[n] for n in nodes if n in self._weights}
         if weights:
             merged.update(weights)
-        return HashRing(nodes, vnodes=self.vnodes, weights=merged)
+        return HashRing(nodes, weights=merged)
 
     def with_weights(self, weights: Mapping[int, float]) -> "HashRing":
         """Same nodes, new weights for the listed shards — a capacity

@@ -91,10 +91,6 @@ class SharedBlockCache:
         """Drop the entry for a written/deleted/erased key, if cached."""
         self._cache.pop((token, key), None)
 
-    def clear(self) -> None:
-        """Drop every entry (all namespaces) — test/fault-injection hook."""
-        self._cache.clear()
-
     # ------------------------------------------------------------ forensics
     def holds_value(self, token: int, key: Any) -> bool:
         """Whether a *real value* (not a tombstone/negative outcome) for

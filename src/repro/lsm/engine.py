@@ -65,6 +65,7 @@ from typing import (
     Union,
 )
 
+from repro import codec
 from repro.core.locations import CopyLocation
 from repro.lsm.bloom import BloomHashCache
 from repro.lsm.cache import SharedBlockCache
@@ -172,15 +173,9 @@ class LSMEngine:
 
     # ---------------------------------------------------------------- writes
     def put(self, key: Any, value: Any) -> None:
-        self._seqno += 1
-        self._cost.charge_memtable_op()
-        self._memtable.put(key, value, self._seqno)
-        self._block_cache.invalidate(self._cache_token, key)
-        # A re-insert after deletion ends that key's retention question.
-        self._retention.pop(key, None)
-        self._unreclaimed.discard(key)
-        if self._memtable.is_full:
-            self.flush()
+        # Encoding first: a value outside the codec's domain raises
+        # ``CodecError`` before the seqno, the clock or the memtable moves.
+        self.put_encoded(key, codec.encode(value))
 
     def put_encoded(self, key: Any, blob: bytes) -> None:
         """Store an already-encoded value — the migration-import path:
@@ -189,6 +184,7 @@ class LSMEngine:
         self._cost.charge_memtable_op()
         self._memtable.put_encoded(key, blob, self._seqno)
         self._block_cache.invalidate(self._cache_token, key)
+        # A re-insert after deletion ends that key's retention question.
         self._retention.pop(key, None)
         self._unreclaimed.discard(key)
         if self._memtable.is_full:

@@ -2,9 +2,9 @@
 
 ``ComplianceService`` serves typed requests from per-shard worker pools
 with bounded-queue admission control while a maintenance thread races
-rebalance steps and read repairs against live traffic; ``loadgen`` drives
-it closed-loop from N client threads; ``http`` is the stdlib HTTP
-transport (``python -m repro.cli serve``).  See ``docs/SERVICE.md``.
+rebalance steps and read repairs against live traffic; ``http`` is the
+stdlib HTTP transport (``python -m repro.cli serve``).  See
+``docs/SERVICE.md``.
 """
 
 from repro.service.api import (
@@ -18,14 +18,12 @@ from repro.service.api import (
     Status,
     UpdateRequest,
 )
-from repro.service.loadgen import LoadgenReport, run_loadgen
 from repro.service.server import ComplianceService, ServiceStats
 
 __all__ = [
     "CollectRequest",
     "ComplianceService",
     "EraseRequest",
-    "LoadgenReport",
     "ReadRequest",
     "Request",
     "Response",
@@ -34,5 +32,4 @@ __all__ = [
     "ServiceStats",
     "Status",
     "UpdateRequest",
-    "run_loadgen",
 ]

@@ -517,10 +517,17 @@ class PsqlBackend(StorageBackend):
             self.engine.create_table(table, row_bytes, flag_column=flag_column)
 
     # ------------------------------------------------------------------- DML
+    # The heap keeps objects, not blobs, so each write encodes its value
+    # once and drops the bytes: a value outside the codec's domain (which
+    # could never migrate or be digested) raises ``CodecError`` here,
+    # before the engine changes, as it does on the blob-storing backends.
     def insert(self, unit_id: Any, value: Any, fresh: bool = False) -> None:
+        codec.encode(value)
         self.engine.insert(self.table, unit_id, value, check_duplicate=not fresh)
 
     def insert_many(self, items: Iterable[Tuple[Any, Any]]) -> int:
+        items = list(items)
+        codec.encode_many([value for _unit_id, value in items])
         return self.engine.insert_many(self.table, items, check_duplicate=False)
 
     def read(self, unit_id: Any) -> Any:
@@ -530,6 +537,7 @@ class PsqlBackend(StorageBackend):
         return self.engine.read_many(self.table, unit_ids)
 
     def update(self, unit_id: Any, value: Any) -> None:
+        codec.encode(value)
         self.engine.update(self.table, unit_id, value)
 
     def commit(self) -> None:
@@ -571,17 +579,14 @@ class PsqlBackend(StorageBackend):
         self, predicate: Callable[[Any], bool]
     ) -> List[Tuple[Any, Any]]:
         """Sequential scan over live tuples, filtered by key — the COPY-out
-        side of a shard migration.  Rows whose retrofit flag column is set
-        travel as :class:`FlaggedPayload` so the flag state survives the
-        move (the column itself is not part of the payload)."""
-        out: List[Tuple[Any, Any]] = []
-        for key, value in self.engine.seq_scan(
-            self.table, lambda key, _value: predicate(key)
-        ):
-            if self.engine.is_flagged(self.table, key):
-                value = FlaggedPayload(True, value)
-            out.append((key, value))
-        return sorted(out, key=lambda kv: repr(kv[0]))
+        side of a shard migration.  Payloads travel as stored: a row whose
+        retrofit flag column was ever set holds its value inside a
+        :class:`FlaggedPayload` already, so the flag state survives the
+        move in the one wrapper the import paths re-ground."""
+        return sorted(
+            self.engine.seq_scan(self.table, lambda key, _value: predicate(key)),
+            key=lambda kv: repr(kv[0]),
+        )
 
     # -------------------------------------------------------------- forensics
     def copy_sites(self, unit_id: Any) -> List[str]:

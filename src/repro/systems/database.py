@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, List, Optional, Sequence, Tuple, Union
 
+from repro import codec
 from repro.access.errors import AccessDenied
 from repro.audit.log import ActionLog
 from repro.config import BackendConfig
@@ -241,6 +242,10 @@ class CompliantDatabase:
         # model still holds the old one.
         if unit_id in self.model:
             raise ValueError(f"unit {unit_id!r} already collected")
+        # A value outside the codec's domain (``CodecError``) is refused
+        # before the CONTRACT, which would otherwise attest a collection
+        # that never happened.
+        codec.encode(value)
         self.entities.register(subject)
         unit = self._contracted_unit(
             unit_id, subject, origin, policies, erase_deadline
@@ -263,15 +268,17 @@ class CompliantDatabase:
         amortized over the batch.
         """
         materialized = list(records)
-        # Validate every id before logging any CONTRACT: duplicates are
-        # checked against the model *and* the batch itself (the COPY-style
-        # engine path skips uniqueness probes), and a rejected batch must
-        # not leave audit records attesting contracts for uncollected data.
+        # Validate every id and value before logging any CONTRACT:
+        # duplicates are checked against the model *and* the batch itself
+        # (the COPY-style engine path skips uniqueness probes), values
+        # against the codec's domain, and a rejected batch must not leave
+        # audit records attesting contracts for uncollected data.
         staged_ids: set = set()
         for unit_id, *_rest in materialized:
             if unit_id in self.model or unit_id in staged_ids:
                 raise ValueError(f"unit {unit_id!r} already collected")
             staged_ids.add(unit_id)
+        codec.encode_many([record[3] for record in materialized])
         staged: List[Tuple[DataUnit, Any]] = []
         for unit_id, subject, origin, value, policies in materialized:
             self.entities.register(subject)

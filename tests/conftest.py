@@ -1,10 +1,11 @@
 """Puts ``tests/`` on ``sys.path``, so every suite imports the shared
-helpers kept here (``residue``) as top-level modules, and arms a per-test
+helpers kept here (``residue``) as top-level modules, arms a per-test
 watchdog so a deadlock fails the run with every thread's stack instead of
-hanging it."""
+hanging it, and offers the ``pickle_calls`` spy."""
 
 import faulthandler
 import os
+import pickle
 import sys
 from pathlib import Path
 
@@ -45,3 +46,23 @@ def pytest_runtest_protocol(item, nextitem):
         yield
     finally:
         faulthandler.cancel_dump_traceback_later()
+
+
+@pytest.fixture
+def pickle_calls(monkeypatch):
+    """Every ``pickle.dumps`` call the test makes, by the pickled type's
+    name — including calls through a name the codec bound at import."""
+    from repro import codec
+
+    calls = []
+    real = pickle.dumps
+
+    def spy(obj, *args, **kwargs):
+        calls.append(type(obj).__name__)
+        return real(obj, *args, **kwargs)
+
+    monkeypatch.setattr(pickle, "dumps", spy)
+    for name, attr in list(vars(codec).items()):
+        if attr is real:
+            monkeypatch.setattr(codec, name, spy)
+    return calls

@@ -1,12 +1,13 @@
 """Property tests: the storage codec round-trips every storable value.
 
 The codec's correctness claim is structural: a blob's first byte decides
-its decoder (marshal plane / pickle fallback / singleton / extension), so
-the properties check both the round-trip *and* the discriminator claim —
-marshal output must never collide with the 0x80–0x9F tag gap, and the
-fallback must always land exactly on 0x80.
+its decoder (marshal plane / singleton / extension), so the properties
+check both the round-trip *and* the discriminator claim — marshal output
+must never collide with the 0x80–0x9F tag gap — and that a value outside
+that domain is refused, never stored in some opaque form.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,16 +20,10 @@ TAG_LO, TAG_HI = 0x80, 0x9F
 
 
 class Opaque:
-    """A type marshal rejects — forces the pickle-fallback boundary."""
+    """A type marshal rejects and the codec does not register."""
 
     def __init__(self, payload):
         self.payload = payload
-
-    def __eq__(self, other):
-        return isinstance(other, Opaque) and self.payload == other.payload
-
-    def __hash__(self):
-        return hash(("Opaque", self.payload))
 
 
 scalars = (
@@ -52,8 +47,8 @@ marshal_values = st.recursive(
     max_leaves=20,
 )
 
-#: Values containing an unmarshalable member — the fallback boundary.
-fallback_values = st.builds(Opaque, scalars) | st.lists(
+#: Values containing an unmarshalable member — outside the domain.
+rejected_values = st.builds(Opaque, scalars) | st.lists(
     st.builds(Opaque, st.integers()) | scalars, min_size=1, max_size=5
 ).filter(lambda xs: any(isinstance(x, Opaque) for x in xs))
 
@@ -66,15 +61,17 @@ def test_round_trip_on_the_marshal_plane(value):
     assert not TAG_LO <= blob[0] <= TAG_HI, hex(blob[0])
 
 
-@given(fallback_values)
-def test_pickle_fallback_boundary(value):
-    blob = codec.encode(value)
-    # The fallback lands exactly on the PROTO byte, nowhere else.
-    assert blob[0] == 0x80
-    assert codec.decode(blob) == value
+@given(rejected_values)
+def test_values_outside_the_domain_are_rejected(value):
+    # Refused by name on every encoding path, never stored opaquely.
+    for encode in (codec.encode, codec.encode_stable):
+        with pytest.raises(codec.CodecError, match=type(value).__qualname__):
+            encode(value)
+    with pytest.raises(codec.CodecError):
+        codec.encode_many([0, value])
 
 
-@given(st.lists(marshal_values | st.builds(Opaque, st.integers()), max_size=8))
+@given(st.lists(marshal_values | st.just(TOMBSTONE), max_size=8))
 @settings(max_examples=50)
 def test_batch_paths_agree_with_scalar_paths(values):
     blobs = codec.encode_many(values)
@@ -91,12 +88,6 @@ def test_packed_block_round_trip(values):
     assert codec.unpack_block(block) == values
     # memoryview input decodes identically (the zero-copy read path).
     assert codec.unpack_block(memoryview(block)) == values
-
-
-@given(marshal_values)
-@settings(max_examples=50)
-def test_encoded_size_is_honest(value):
-    assert codec.encoded_size(value) == len(codec.encode(value))
 
 
 @given(st.booleans(), marshal_values)

@@ -86,6 +86,21 @@ class TestFixtures:
         ]
         assert not run_rules(FIXTURES / "g01_log_class_ok.py")
 
+    def test_pickle_has_no_home_even_in_the_codec(self, tmp_path):
+        """``marshal`` belongs to the codec; ``pickle`` belongs nowhere."""
+        codec = tmp_path / "repro" / "codec.py"
+        codec.parent.mkdir()
+        codec.write_text(
+            "import marshal\n"
+            "import pickle\n"
+            "\n\n"
+            "def encode(value):\n"
+            "    return marshal.dumps(value) or pickle.dumps(value)\n"
+        )
+        findings = run_rules(tmp_path / "repro")
+        assert {f.file for f in findings} == {"repro/codec.py"}
+        assert [(f.rule, f.line) for f in findings] == [("G04", 2), ("G07", 6)]
+
     def test_findings_carry_location_and_symbol(self):
         findings = run_rules(FIXTURES / "g06_bad.py")
         assert all(isinstance(f, Finding) for f in findings)

@@ -621,7 +621,7 @@ class TestBulkMigrationHooks:
         for key in keys:
             assert backend.read(key) == {"i": int(key[1:])}
 
-    def test_flag_state_survives_migration(self, backend):
+    def test_flag_state_survives_migration(self, backend, pickle_calls):
         """Regression: a reversibly-inaccessible unit must arrive at its
         new shard still inaccessible — whatever mechanism the engine uses
         for the flag (column, flag write, out-of-band bit), a migration
@@ -636,6 +636,7 @@ class TestBulkMigrationHooks:
         backend.restore("a")  # the transformation stays invertible
         assert backend.read("a") == "secret"
         assert backend.read("b") == "plain"
+        assert pickle_calls == []
 
     def test_exported_values_survive_source_erase(self, backend):
         """The migration contract: the destination copy is independent of

@@ -13,9 +13,15 @@ class TestDiscriminator:
             blob = codec.encode(value)
             assert not 0x80 <= blob[0] <= 0x9F, (value, hex(blob[0]))
 
-    def test_pickle_fallback_starts_with_proto(self):
-        blob = codec.encode(object())
-        assert blob[0] == 0x80
+    def test_unencodable_value_is_rejected_naming_its_type(self):
+        with pytest.raises(codec.CodecError, match="'object'"):
+            codec.encode(object())
+
+    def test_reserved_0x80_tag_is_rejected(self):
+        # The first byte of a pickle-protocol blob: nothing decodes it.
+        for decode in (codec.decode, lambda b: codec.decode_many([b])):
+            with pytest.raises(codec.CodecError, match="0x80"):
+                decode(b"\x80\x05N.")
 
     def test_unregistered_singleton_tag_raises(self):
         with pytest.raises(codec.CodecError):
@@ -41,9 +47,9 @@ class TestStableEncode:
         for value in (0, 1.5, "text", b"\x80\x90", (1, 2), [None], {"k": 1}):
             assert codec.decode(codec.encode_stable(value)) == value
 
-    def test_stable_encode_falls_back_like_encode(self):
-        blob = codec.encode_stable(object())
-        assert blob[0] == 0x80
+    def test_stable_encode_rejects_like_encode(self):
+        with pytest.raises(codec.CodecError, match="'object'"):
+            codec.encode_stable(object())
         assert codec.encode_stable(TOMBSTONE) == TOMBSTONE_BLOB
 
 
@@ -65,7 +71,6 @@ class TestSingletonsAndExtensions:
 
     def test_plain_blobs_are_not_extension_blobs(self):
         assert not codec.is_extension_blob(codec.encode({"k": 1}))
-        assert not codec.is_extension_blob(codec.encode(object()))
 
 
 class TestBlocks:
@@ -80,14 +85,17 @@ class TestBlocks:
             list(codec.iter_block(block))
 
     def test_iter_block_hands_out_stored_bytes_without_decode(self):
-        blobs = [codec.encode(v) for v in (1, "two", (3,), object())]
+        blobs = [codec.encode(v) for v in (1, "two", (3,))]
         assert list(codec.iter_block(codec.pack_block(blobs))) == blobs
 
     def test_mixed_batch_decodes(self):
-        values = [1, TOMBSTONE, FlaggedPayload(False, "v"), object]
+        values = [1, TOMBSTONE, FlaggedPayload(False, "v")]
         blobs = codec.encode_many(values)
         decoded = codec.decode_many(blobs)
         assert decoded[0] == 1
         assert decoded[1] is TOMBSTONE
         assert decoded[2].value == "v"
-        assert decoded[3] is object  # classes take the pickle fallback
+
+    def test_batch_with_an_unencodable_member_is_rejected(self):
+        with pytest.raises(codec.CodecError, match="'type'"):
+            codec.encode_many([1, TOMBSTONE, object])

@@ -16,6 +16,7 @@ from repro.config import BackendConfig
 from repro.core.actions import ActionType
 from repro.core.entities import controller, data_subject
 from repro.core.policy import Policy, Purpose
+from repro.lsm.cache import SharedBlockCache
 from repro.lsm.compaction import (
     CompactionScheduler,
     LeveledPolicy,
@@ -401,7 +402,7 @@ class TestBloomAndCacheAfterRewrite:
         for i in range(128):
             eng.put(f"k{i:04d}", i)
         eng.run_pending_compactions()
+        eng._block_cache = SharedBlockCache(eng.block_cache.capacity)
         before = eng.cache_misses
-        eng._block_cache.clear()
         assert eng.get("absent-key") is None
         assert eng.cache_misses == before + 1

@@ -72,7 +72,7 @@ class TestExportBatch:
             assert not any(batch.holds(k) for k in ("k0", "k2", "k4"))
             assert all(batch.holds(k) for k in ("k1", "k3", "k5"))
 
-    def test_encoded_migration_between_backends(self, cost, backend):
+    def test_encoded_migration_between_backends(self, cost, backend, pickle_calls):
         backend.insert_many((f"k{i}", {"i": i}) for i in range(5))
         backend.make_inaccessible("k2")
         with backend.open_export(lambda k: True) as batch:
@@ -84,6 +84,12 @@ class TestExportBatch:
             # The reversible-erase flag survives the encoded transport.
             assert dest.is_inaccessible("k2")
             assert not dest.is_inaccessible("k1")
+            # ...and stays invertible: one flag arrived, not a flag around
+            # a flagged value.
+            dest.restore("k2")
+            assert not dest.is_inaccessible("k2")
+            assert dest.read("k2") == {"i": 2}
+        assert pickle_calls == []
 
 
 class TestByteAccounting:

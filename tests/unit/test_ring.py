@@ -12,19 +12,16 @@ class TestConstruction:
         with pytest.raises(ValueError):
             HashRing([])
 
-    def test_needs_vnodes(self):
-        with pytest.raises(ValueError):
-            HashRing([0], vnodes=0)
+    def test_vnode_density_is_fixed(self):
+        with pytest.raises(TypeError):
+            HashRing([0], vnodes=16)
+        assert HashRing([0, 1]).with_nodes([0, 1, 2]).vnode_count(2) == DEFAULT_VNODES
 
     def test_nodes_deduplicated_and_sorted(self):
         ring = HashRing([2, 0, 2, 1])
         assert ring.nodes == (0, 1, 2)
         assert len(ring) == 3
         assert 1 in ring and 7 not in ring
-
-    def test_with_nodes_keeps_vnode_density(self):
-        ring = HashRing([0, 1], vnodes=16)
-        assert ring.with_nodes([0, 1, 2]).vnodes == 16
 
 
 class TestRouting:
@@ -40,7 +37,7 @@ class TestRouting:
         assert all(ring.owner(key) == 7 for key in KEYS[:100])
 
     def test_spread_is_roughly_balanced(self):
-        ring = HashRing(range(4), vnodes=DEFAULT_VNODES)
+        ring = HashRing(range(4))
         counts = {n: 0 for n in ring.nodes}
         for key in KEYS:
             counts[ring.owner(key)] += 1
@@ -62,7 +59,7 @@ class TestWeights:
         ring = HashRing([0, 1])
         assert ring.weights == {0: 1.0, 1: 1.0}
         assert ring.weight_of(0) == 1.0
-        assert ring.vnode_count(0) == ring.vnodes
+        assert ring.vnode_count(0) == DEFAULT_VNODES
 
     def test_weights_must_be_positive(self):
         for bad in (0, -1.5):
@@ -78,8 +75,8 @@ class TestWeights:
             HashRing([0, 1]).with_weights({5: 3.0})
 
     def test_vnode_count_scales_with_weight_floored_at_one(self):
-        ring = HashRing([0, 1, 2], vnodes=64, weights={1: 2.0, 2: 0.001})
-        assert ring.vnode_count(0) == 64
+        ring = HashRing([0, 1, 2], weights={1: 2.0, 2: 0.001})
+        assert ring.vnode_count(0) == DEFAULT_VNODES == 64
         assert ring.vnode_count(1) == 128
         assert ring.vnode_count(2) == 1  # tiny weight stays routable
 

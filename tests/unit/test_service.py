@@ -7,11 +7,13 @@ the invariant registry as oracle.
 
 import gc
 import json
+import signal
 import sys
 import threading
 import time
 import urllib.error
 import urllib.request
+from collections import Counter
 
 import pytest
 
@@ -27,7 +29,6 @@ from repro.service import (
     SarRequest,
     Status,
     UpdateRequest,
-    run_loadgen,
 )
 from repro.service import server
 from repro.service.http import serve_in_background
@@ -35,9 +36,41 @@ from repro.service.server import _TopologyLock
 from repro.sim.clock import SimClock
 from repro.sim.costs import CostBook, CostModel
 from repro.storage.errors import TupleNotFoundError
-from repro.workloads.driver import load_store
+from repro.workloads.base import OpKind
+from repro.workloads.driver import load_store, unit_key
 from repro.workloads.gdprbench import erasure_study_workload
 from repro.workloads.ycsb import ycsb_c_workload
+
+
+#: Seconds one test here may take before it fails by name.  A topology-lock
+#: defect wedges ``submit`` and ``stats`` themselves (both take the lock),
+#: and no timeout argument reaches those waits; the alarm interrupts them
+#: in the main thread well before the suite's 120 s watchdog ends the run.
+TEST_BUDGET_S = 60
+
+
+@pytest.fixture(autouse=True)
+def _test_budget():
+    def expire(signum, frame):
+        raise TimeoutError(f"test exceeded its {TEST_BUDGET_S} s budget")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TEST_BUDGET_S)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+class Deadline:
+    """One time budget shared by every wait in a test: a hand-off defect
+    then fails the test by name well inside the suite's 120 s watchdog,
+    instead of one timeout per wait adding up past it."""
+
+    def __init__(self, seconds):
+        self._end = time.monotonic() + seconds
+
+    def left(self):
+        return max(0.0, self._end - time.monotonic())
 
 
 def make_service(shards=2, invariants=False, initial_live=(), backend="psql", **cfg):
@@ -223,6 +256,7 @@ class TestHandOff:
         assert reader_in.wait(2)
 
     def test_contended_admission_accepts_exactly_the_depth(self):
+        deadline = Deadline(20)
         service, store = make_service(shards=1, queue_depth=5)
         store.put("k", "v")
         start = threading.Barrier(8)
@@ -233,14 +267,16 @@ class TestHandOff:
             for _ in range(4):
                 mine.append(service.submit(ReadRequest("k")))
 
-        threads = [threading.Thread(target=client, args=(r,)) for r in replies]
+        threads = [
+            threading.Thread(target=client, args=(r,), daemon=True) for r in replies
+        ]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for thread in threads:
                 thread.start()
             for thread in threads:
-                thread.join(5)
+                thread.join(deadline.left())
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
@@ -249,16 +285,17 @@ class TestHandOff:
         (pool,) = service._pools.values()
         assert pool.pending == 5
         service.close()
-        answers = [r.result(timeout=5) for r in replies]
+        answers = [r.result(timeout=deadline.left()) for r in replies]
         assert sum(a.status is Status.REJECTED for a in answers) == 27
         assert sum(a.ok and a.value == "v" for a in answers) == 5
         stats = service.stats()
         assert (stats.accepted, stats.rejected, stats.completed) == (5, 27, 5)
 
-    def test_pending_count_survives_racing_submits_and_takes(self):
+    def test_pending_count_survives_racing_submits_and_takes(self, monkeypatch):
         """Eight clients against two live workers and a depth of 4: every
         take must cancel its admission, or the count drifts and the pool
         either over-admits or rejects forever."""
+        deadline = Deadline(30)
         service, store = make_service(shards=1, queue_depth=4, workers_per_shard=2)
         store.put("k", "v")
         service.start()
@@ -266,19 +303,20 @@ class TestHandOff:
 
         def client():
             replies = [service.submit(ReadRequest("k")) for _ in range(100)]
-            answers.extend(r.result(timeout=10).status for r in replies)
+            answers.extend(r.result(timeout=deadline.left()).status for r in replies)
 
-        threads = [threading.Thread(target=client) for _ in range(8)]
+        threads = [threading.Thread(target=client, daemon=True) for _ in range(8)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for thread in threads:
                 thread.start()
             for thread in threads:
-                thread.join(30)
+                thread.join(deadline.left())
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
+        monkeypatch.setattr(server, "CLOSE_TIMEOUT_S", deadline.left())
         service.close()
         (pool,) = service._pools.values()
         assert pool.pending == 0
@@ -331,11 +369,12 @@ class TestHandOff:
         service._pool_for = gated_pool_for
         replies = []
         submitter = threading.Thread(
-            target=lambda: replies.append(service.submit(EraseRequest("k")))
+            target=lambda: replies.append(service.submit(EraseRequest("k"))),
+            daemon=True,
         )
         submitter.start()
         assert routed.wait(5)
-        closer = threading.Thread(target=service.close)
+        closer = threading.Thread(target=service.close, daemon=True)
         closer.start()
         closer.join(0.2)
         release.set()
@@ -369,7 +408,8 @@ class TestHandOff:
         started = time.monotonic()
         service.close()
         assert time.monotonic() - started < 5
-        assert all(reply.result(timeout=5).ok for reply in replies)
+        deadline = Deadline(5)
+        assert all(reply.result(timeout=deadline.left()).ok for reply in replies)
         threads = [t for pool in service._pools.values() for t in pool.workers]
         assert len(threads) == 4
         assert service._maint_thread is not None
@@ -495,8 +535,9 @@ class TestEraseBatching:
         # close() on a never-started service starts the workers first, so
         # the staged queue drains through the normal (batching) path.
         service.close()
+        deadline = Deadline(10)
         for future in futures:
-            response = future.result(timeout=5)
+            response = future.result(timeout=deadline.left())
             assert response.ok and response.verified_clean
         for key in keys:
             with pytest.raises(TupleNotFoundError):
@@ -519,6 +560,59 @@ class TestEraseBatching:
         service.close()
         assert f1.result(5).ok and f2.result(5).ok
         assert f3.result(5).value == "read-me"
+
+
+#: The smoke's workloads (YCSB-C, the erasure study) are read / erase mixes.
+_REQUESTS = {OpKind.READ: ReadRequest, OpKind.DELETE: EraseRequest}
+
+
+def drive_closed_loop(service, workload, clients, deadline):
+    """Replay ``workload`` from ``clients`` threads, each sending its
+    round-robin slice one request at a time and retrying a 429 after 1 ms.
+    Returns per-kind outcome counts.  A read that meets another client's
+    erase is a miss (the grounded-erase outcome), not an error; a reply
+    still missing at the deadline is an error and ends its client."""
+    totals = Counter()
+    guard = threading.Lock()
+
+    def client(ops):
+        tally = Counter()
+        try:
+            for op in ops:
+                request = _REQUESTS[op.kind](unit_key(op.key))
+                response = service.call(request, timeout=deadline.left())
+                while response.rejected and deadline.left():
+                    time.sleep(0.001)
+                    response = service.call(request, timeout=deadline.left())
+                tally["ops"] += 1
+                if response.rejected:
+                    tally["rejected"] += 1
+                elif op.kind is OpKind.READ:
+                    tally["reads"] += 1
+                    if not (response.ok or response.status is Status.NOT_FOUND):
+                        tally["errors"] += 1
+                else:
+                    tally["erases"] += 1
+                    if not response.ok:
+                        tally["errors"] += 1
+                    elif not response.verified_clean:
+                        tally["unclean_erases"] += 1
+        except TimeoutError:
+            tally["errors"] += 1
+        finally:
+            with guard:
+                totals.update(tally)
+
+    threads = [
+        threading.Thread(target=client, args=(workload.operations[i::clients],), daemon=True)
+        for i in range(clients)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(deadline.left())
+    assert not any(thread.is_alive() for thread in threads), "a client hung"
+    return totals
 
 
 class TestConcurrentSmoke:
@@ -561,19 +655,18 @@ class TestConcurrentSmoke:
             initial_live=keys,
         )
         service.begin_rebalance(4)
-        report = run_loadgen(service, workload, clients=8)
+        report = drive_closed_loop(service, workload, clients=8, deadline=Deadline(30))
         # close() drains requests, not the rebalance: a fast load can
         # finish before the maintenance thread's last step.
         service.drain_rebalance()
         service.close()
 
-        assert report.clients == 8
-        assert report.reads > 0
-        assert (report.erases > 0) == (make_workload is erasure_study_workload)
-        # Closed loop: every op that is not metadata resolved exactly once.
-        assert report.ops == report.reads + report.writes + report.erases + report.rejected
-        assert report.errors == 0
-        assert report.erases_verified_clean
+        assert report["reads"] > 0
+        assert (report["erases"] > 0) == (make_workload is erasure_study_workload)
+        # Closed loop: every op resolved exactly once.
+        assert report["ops"] == report["reads"] + report["erases"] + report["rejected"]
+        assert report["errors"] == 0
+        assert report["unclean_erases"] == 0
         assert service.rebalance_done
         assert service.violations == []
         stats = service.stats()
