@@ -33,7 +33,7 @@ from repro import (
     figure1_invariants,
     regulation_requires_any_of,
 )
-from repro.core.invariants import PreProcessingInvariant
+from repro.core.invariants import PIA_UNIT
 
 MALL_CO = controller("SmartMall-Co")
 
@@ -81,7 +81,7 @@ def assess_formal_invariants() -> None:
     db = CompliantDatabase(MALL_CO)
     # Record the PIA *before* any processing.
     db.log.record(
-        PreProcessingInvariant.PIA_UNIT,
+        PIA_UNIT,
         Purpose.AUDIT,
         MALL_CO,
         ActionType.CONTRACT,

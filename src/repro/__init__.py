@@ -30,7 +30,6 @@ __version__ = "1.0.0"
 from repro.bench.experiments import fig4a, fig4b, fig4c, table1, table2
 from repro.config import BackendConfig, ServiceConfig, StoreConfig
 from repro.core.actions import Action, ActionHistory, ActionHistoryTuple, ActionType
-from repro.core.compliance import ComplianceChecker, ComplianceReport
 from repro.core.consistency import (
     is_history_consistent,
     is_policy_consistent,
@@ -70,11 +69,15 @@ from repro.core.grounding import (
     SystemAction,
 )
 from repro.core.invariants import (
+    ComplianceReport,
     ComplianceVerdict,
-    G17ErasureDeadline,
-    G6PolicyConsistency,
+    Invariant,
     Violation,
+    World,
+    check_invariants,
     figure1_invariants,
+    g17_erasure_deadline,
+    g6_policy_consistency,
 )
 from repro.core.policy import Policy, PolicySet, Purpose
 from repro.core.provenance import Dependency, DependencyKind, ProvenanceGraph
@@ -122,9 +125,9 @@ __all__ = [
     "ErasureCharacterization", "ErasureInterpretation", "ErasureTimeline",
     "characterize", "paper_table1", "register_erasure",
     # invariants & compliance
-    "ComplianceVerdict", "G6PolicyConsistency", "G17ErasureDeadline",
-    "Violation", "figure1_invariants",
-    "ComplianceChecker", "ComplianceReport",
+    "ComplianceReport", "ComplianceVerdict", "Invariant", "Violation",
+    "World", "check_invariants", "figure1_invariants",
+    "g6_policy_consistency", "g17_erasure_deadline",
     # provenance & regulations
     "Dependency", "DependencyKind", "ProvenanceGraph",
     "Article", "Regulation", "gdpr", "ccpa", "vdpa", "pipeda",

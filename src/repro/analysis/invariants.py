@@ -1,19 +1,13 @@
-"""Declarative runtime invariants — the grounding oracle the driver runs.
+"""The store invariants — the grounding oracle a live run is checked by.
 
 The static rules in :mod:`repro.analysis.rules` reject leak-prone *code
 shapes*; this module declares the *runtime* properties those shapes exist
-to protect, as first-class :class:`RuntimeInvariant` objects a harness can
-execute between steps of a live run (the VenomQA pattern: a registry of
-``RuntimeInvariant(name, check, description)`` evaluated against a
-``World`` after every action).  The name keeps them apart from
-:class:`repro.core.invariants.Invariant`, the paper's regulation
-invariants over an action history.
-
-The :class:`World` is the harness's ground truth: which keys it believes
-live, which it grounded-erased, plus the audit events (erase reports,
-:class:`MoveEvent`/:class:`RepairEvent` subscriptions) the store emitted
-along the way.  Each invariant compares that belief against the store's
-physical reality:
+to protect, as :class:`repro.core.invariants.Invariant` entries a harness
+evaluates with :func:`repro.core.invariants.check_invariants` between
+steps of a live run — the same vocabulary and evaluator as the paper's
+regulation invariants.  Each check compares the :class:`World`'s belief
+(which keys the harness believes live, which it grounded-erased, the audit
+events the store emitted) against the store's physical reality:
 
 * ``copies-match-reality`` — ``copies_of`` agrees with an independent
   physical scan: erased keys have zero copies anywhere (heap, cache, WAL,
@@ -35,114 +29,27 @@ The checks are fault-aware: a store under injected faults
 (:mod:`repro.distributed.faults`) may answer a probe with fail-fast
 unavailability (``FaultError``) instead of data, and that is never a
 violation — serving an *erased value* is the crime, refusing to serve is
-not.
-
-:func:`repro.workloads.driver.run_interleaved` evaluates the registry at
-every driver-step boundary and once after the drain; ``python -m repro.cli
-analyze --invariants`` runs the same registry over a scripted
-rebalance-under-erasure scenario.
+not.  :func:`repro.workloads.driver.run_interleaved` evaluates the registry
+at every driver-step boundary and once after the drain.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set
+from typing import Callable, List, Optional
 
+from repro.core.invariants import SAMPLE_LIMIT, Check, Invariant, World
 from repro.distributed.antientropy import range_digests
 from repro.distributed.faults import FaultError
 from repro.storage.errors import TupleNotFoundError
 
-#: Bounded per-check sample so invariant evaluation stays O(sample) per
-#: step, not O(keyspace); deterministic (sorted prefix) for replayability.
-SAMPLE_LIMIT = 32
+
+def _store_check(messages: Callable[[World], List[str]]) -> Check:
+    """A store check samples keys, not data units: it counts no units and
+    its breaches name no unit and no history witness."""
+    return lambda world: (0, [(None, m, None) for m in messages(world)])
 
 
-@dataclass(frozen=True)
-class InvariantViolation:
-    """One broken invariant: which one, and the evidence."""
-
-    invariant: str
-    message: str
-
-    def __str__(self) -> str:
-        return f"{self.invariant}: {self.message}"
-
-
-@dataclass(frozen=True)
-class RuntimeInvariant:
-    """One executable runtime property.
-
-    ``check`` takes the :class:`World` and returns the violation messages
-    it found (empty when the invariant holds).  Checks must be read-mostly
-    — they run between live-traffic steps — and bounded (sample, don't
-    enumerate the keyspace).
-    """
-
-    name: str
-    check: Callable[["World"], List[str]]
-    description: str
-
-
-@dataclass
-class World:
-    """The harness's ground truth about a store under test.
-
-    The driver maintains ``live``/``erased`` from the operations it
-    applied; ``attach`` subscribes the audit-event collectors to the
-    store's listener seams.  ``erase_reports`` keeps the
-    :class:`DistributedEraseReport` of each grounded erase (latest wins —
-    a key can be erased, re-created, and erased again).
-    """
-
-    store: Any
-    driver: Optional[Any] = None
-    live: Set[Any] = field(default_factory=set)
-    erased: Set[Any] = field(default_factory=set)
-    erase_reports: Dict[Any, Any] = field(default_factory=dict)
-    moves: List[Any] = field(default_factory=list)
-    repairs: List[Any] = field(default_factory=list)
-    #: ``keys_moved`` at attach time — migrations advanced before this
-    #: world subscribed never produced events it could have seen.
-    moved_at_attach: int = 0
-
-    @classmethod
-    def observe(cls, store: Any, driver: Optional[Any] = None) -> "World":
-        """A world subscribed to the store's audit-event seams."""
-        world = cls(store=store, driver=driver)
-        world.attach()
-        return world
-
-    def attach(self) -> None:
-        if hasattr(self.store, "add_move_listener"):
-            self.store.add_move_listener(self.moves.append)
-        if hasattr(self.store, "add_repair_listener"):
-            self.store.add_repair_listener(self.repairs.append)
-        if self.driver is not None:
-            self.moved_at_attach = self.driver.rebalance.keys_moved
-
-    # ------------------------------------------------------- driver bookkeeping
-    def record_write(self, key: Any) -> None:
-        """A CREATE/UPDATE landed — the key is live again even if a prior
-        erase grounded it (re-creation after erasure is legal; §2.2 only
-        forbids *resurrection* of the erased value)."""
-        self.live.add(key)
-        self.erased.discard(key)
-        self.erase_reports.pop(key, None)
-
-    def record_erase(self, key: Any, report: Any) -> None:
-        self.erased.add(key)
-        self.live.discard(key)
-        self.erase_reports[key] = report
-
-    # ----------------------------------------------------------------- sampling
-    def erased_sample(self) -> List[Any]:
-        return sorted(self.erased)[:SAMPLE_LIMIT]
-
-    def live_sample(self) -> List[Any]:
-        return sorted(self.live)[:SAMPLE_LIMIT]
-
-
-# ------------------------------------------------------------------ the checks
+@_store_check
 def _check_copies_match_reality(world: World) -> List[str]:
     violations: List[str] = []
     for key in world.erased_sample():
@@ -172,6 +79,7 @@ def _check_copies_match_reality(world: World) -> List[str]:
     return violations
 
 
+@_store_check
 def _check_no_erased_read(world: World) -> List[str]:
     violations: List[str] = []
     for key in world.erased_sample():
@@ -188,6 +96,7 @@ def _check_no_erased_read(world: World) -> List[str]:
     return violations
 
 
+@_store_check
 def _check_destructive_audited(world: World) -> List[str]:
     violations: List[str] = []
     for key in world.erased_sample():
@@ -212,6 +121,7 @@ def _check_destructive_audited(world: World) -> List[str]:
     return violations
 
 
+@_store_check
 def _check_replicas_converge(world: World) -> List[str]:
     violations: List[str] = []
     if not hasattr(world.store, "shards"):
@@ -239,6 +149,7 @@ def _check_replicas_converge(world: World) -> List[str]:
     return violations
 
 
+@_store_check
 def _check_replicas_converge_after_heal(world: World) -> List[str]:
     """Only meaningful on a store with a fault injector attached *and*
     fully healed: mid-fault, divergence and down replicas are the injected
@@ -292,62 +203,20 @@ def _check_replicas_converge_after_heal(world: World) -> List[str]:
     return violations
 
 
-def store_invariants() -> List[RuntimeInvariant]:
+def store_invariants() -> List[Invariant]:
     """The registered invariant set for a :class:`ReplicatedStore` run."""
     return [
-        RuntimeInvariant(
-            name="copies-match-reality",
-            check=_check_copies_match_reality,
-            description=(
-                "copies_of agrees with physical reality: erased keys have "
-                "zero copies anywhere (cross-checked by an independent "
-                "shard scan), live keys have at least one"
-            ),
+        Invariant("copies-match-reality", "GDPR Art. 17", _check_copies_match_reality),
+        Invariant("no-erased-read", "GDPR Art. 17", _check_no_erased_read),
+        Invariant(
+            "destructive-actions-audited",
+            "GDPR Arts. 5(2), 30",
+            _check_destructive_audited,
         ),
-        RuntimeInvariant(
-            name="no-erased-read",
-            check=_check_no_erased_read,
-            description=(
-                "no read path returns a value for a grounded-erased key"
-            ),
-        ),
-        RuntimeInvariant(
-            name="destructive-actions-audited",
-            check=_check_destructive_audited,
-            description=(
-                "every grounded erase has a verified report and every "
-                "migrated key an emitted MoveEvent"
-            ),
-        ),
-        RuntimeInvariant(
-            name="replicas-converge",
-            check=_check_replicas_converge,
-            description=(
-                "no replica runs ahead of its primary and no erased key "
-                "survives on any individual node"
-            ),
-        ),
-        RuntimeInvariant(
-            name="replicas-converge-after-heal",
-            check=_check_replicas_converge_after_heal,
-            description=(
-                "with every injected fault healed, all replicas are up "
-                "and every fully-caught-up replica's content matches its "
-                "primary's hash-range digests"
-            ),
+        Invariant("replicas-converge", "GDPR Art. 17", _check_replicas_converge),
+        Invariant(
+            "replicas-converge-after-heal",
+            "GDPR Arts. 5(1)(d), 32",
+            _check_replicas_converge_after_heal,
         ),
     ]
-
-
-def check_invariants(
-    world: World, invariants: Optional[Sequence[RuntimeInvariant]] = None
-) -> List[InvariantViolation]:
-    """Evaluate every invariant against the world; empty list = all hold."""
-    invariants = store_invariants() if invariants is None else invariants
-    violations: List[InvariantViolation] = []
-    for invariant in invariants:
-        for message in invariant.check(world):
-            violations.append(
-                InvariantViolation(invariant=invariant.name, message=message)
-            )
-    return violations

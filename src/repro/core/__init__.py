@@ -17,7 +17,6 @@ from repro.core.actions import (
     ActionHistoryTuple,
     ActionType,
 )
-from repro.core.compliance import ComplianceChecker, ComplianceReport
 from repro.core.consistency import (
     is_history_consistent,
     is_policy_consistent,
@@ -46,12 +45,15 @@ from repro.core.grounding import (
     SystemAction,
 )
 from repro.core.invariants import (
+    ComplianceReport,
     ComplianceVerdict,
-    G17ErasureDeadline,
-    G6PolicyConsistency,
     Invariant,
     Violation,
+    World,
+    check_invariants,
     figure1_invariants,
+    g17_erasure_deadline,
+    g6_policy_consistency,
 )
 from repro.core.policy import Policy, PolicySet, Purpose
 from repro.core.provenance import DependencyKind, ProvenanceGraph
@@ -86,14 +88,15 @@ __all__ = [
     "ErasureTimeline",
     "characterize",
     "paper_table1",
+    "ComplianceReport",
     "ComplianceVerdict",
-    "G6PolicyConsistency",
-    "G17ErasureDeadline",
     "Invariant",
     "Violation",
+    "World",
+    "check_invariants",
     "figure1_invariants",
-    "ComplianceChecker",
-    "ComplianceReport",
+    "g17_erasure_deadline",
+    "g6_policy_consistency",
     "DependencyKind",
     "ProvenanceGraph",
     "Article",

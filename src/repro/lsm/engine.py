@@ -207,12 +207,14 @@ class LSMEngine:
             self.flush()
 
     def put_many(self, items: Iterable[Tuple[Any, Any]]) -> int:
-        """Bulk upsert; flush-on-full applies exactly as in :meth:`put`."""
-        count = 0
-        for key, value in items:
-            self.put(key, value)
-            count += 1
-        return count
+        """Bulk upsert; flush-on-full applies exactly as in :meth:`put`.
+        The whole batch is encoded first, so a value outside the codec's
+        domain refuses the batch before anything is stored."""
+        items = list(items)
+        blobs = codec.encode_many([value for _key, value in items])
+        for (key, _value), blob in zip(items, blobs):
+            self.put_encoded(key, blob)
+        return len(items)
 
     def flush(self) -> Optional[SSTable]:
         """Freeze the memtable into a new newest run."""

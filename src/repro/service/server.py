@@ -68,8 +68,8 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 
 import queue
 
-from repro.analysis.invariants import RuntimeInvariant, World, check_invariants
 from repro.config import ServiceConfig
+from repro.core.invariants import Invariant, World, check_invariants
 from repro.distributed.ring import stable_hash
 from repro.distributed.store import RebalanceDriver
 from repro.service.api import (
@@ -271,7 +271,7 @@ class ComplianceService:
         self,
         store: Any,
         config: Optional[ServiceConfig] = None,
-        invariants: Optional[Sequence[RuntimeInvariant]] = None,
+        invariants: Optional[Sequence[Invariant]] = None,
         initial_live: Iterable[Any] = (),
         autostart: bool = True,
     ) -> None:
@@ -704,7 +704,7 @@ class ComplianceService:
             self._check_invariants_locked()
 
     def _check_invariants_locked(self) -> List[str]:
-        violations = check_invariants(self._world, self._invariants)
+        violations = check_invariants(self._world, self._invariants).violations
         messages = [str(v) for v in violations]
         for message in messages:
             if message not in self.violations:

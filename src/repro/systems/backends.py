@@ -1067,11 +1067,13 @@ class CryptoShredBackend(StorageBackend):
         self._entries[unit_id] = entry
 
     def insert_many(self, items: Iterable[Tuple[Any, Any]]) -> int:
-        count = 0
-        for unit_id, value in items:
-            self.insert(unit_id, value, fresh=True)
-            count += 1
-        return count
+        # Encode the whole batch before the first key is minted, so a
+        # refused value leaves nothing of the batch behind.
+        items = list(items)
+        blobs = codec.encode_many([value for _unit_id, value in items])
+        for (unit_id, _value), blob in zip(items, blobs):
+            self._insert_blob(unit_id, blob)
+        return len(items)
 
     def read(self, unit_id: Any) -> Any:
         return codec.decode(self._read_blob(self._entry(unit_id)))

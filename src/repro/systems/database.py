@@ -40,7 +40,6 @@ from repro.access.errors import AccessDenied
 from repro.audit.log import ActionLog
 from repro.config import BackendConfig
 from repro.core.actions import ActionType
-from repro.core.compliance import ComplianceChecker, ComplianceReport
 from repro.core.consistency import regulation_requires_any_of
 from repro.core.dataunit import Database, DataUnit, derive
 from repro.core.entities import Entity, EntityRegistry
@@ -50,7 +49,14 @@ from repro.core.erasure import (
     register_erasure,
 )
 from repro.core.grounding import GroundingRegistry
-from repro.core.invariants import G17ErasureDeadline, G6PolicyConsistency
+from repro.core.invariants import (
+    ComplianceReport,
+    Invariant,
+    World,
+    check_invariants,
+    g17_erasure_deadline,
+    g6_policy_consistency,
+)
 from repro.core.policy import Policy, PolicySet, Purpose
 from repro.core.provenance import Dependency, DependencyKind, ProvenanceGraph
 from repro.sim.clock import SimClock
@@ -686,17 +692,21 @@ class CompliantDatabase:
 
     # ------------------------------------------------------------ compliance
     def check_compliance(
-        self, invariants: Optional[Sequence[Any]] = None, now: Optional[int] = None
+        self,
+        invariants: Optional[Sequence[Invariant]] = None,
+        now: Optional[int] = None,
     ) -> ComplianceReport:
         if invariants is None:
             invariants = [
-                G6PolicyConsistency(self._regulation_requires),
-                G17ErasureDeadline(),
+                g6_policy_consistency(self._regulation_requires),
+                g17_erasure_deadline(),
             ]
-        checker = ComplianceChecker(invariants)
-        return checker.check(
-            self.model, self.log.history, now if now is not None else self.clock.now
+        world = World(
+            database=self.model,
+            history=self.log.history,
+            now=now if now is not None else self.clock.now,
         )
+        return check_invariants(world, invariants)
 
     def timeline(self, unit_id: str) -> ErasureTimeline:
         """The unit's Figure-3 erasure timeline, from the action history.

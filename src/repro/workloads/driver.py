@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from repro.analysis.invariants import RuntimeInvariant, World, check_invariants
+from repro.core.invariants import Invariant, World, check_invariants
 from repro.distributed.faults import FaultError, FaultInjector, FaultPlan
 from repro.storage.errors import TupleNotFoundError
 from repro.workloads.base import OpKind, Workload
@@ -107,7 +107,7 @@ def run_interleaved(
     consistency: str = "one",
     key_fn: Callable[[int], str] = unit_key,
     drain: bool = True,
-    invariants: Optional[Sequence[RuntimeInvariant]] = None,
+    invariants: Optional[Sequence[Invariant]] = None,
     faults: Optional[FaultPlan] = None,
 ) -> InterleavedRunResult:
     """Replay ``workload`` against ``store`` while ``driver`` advances a
@@ -167,7 +167,7 @@ def run_interleaved(
         if world is None:
             return
         invariants_checked += len(invariants)
-        for violation in check_invariants(world, invariants):
+        for violation in check_invariants(world, invariants).violations:
             message = str(violation)
             if message not in violations:
                 violations.append(message)

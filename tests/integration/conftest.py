@@ -18,7 +18,7 @@ deployment to corrupt).
 from repro.core.actions import ActionType
 from repro.core.consistency import regulation_requires_any_of
 from repro.core.entities import controller, data_subject
-from repro.core.invariants import PreProcessingInvariant, figure1_invariants
+from repro.core.invariants import PIA_UNIT, figure1_invariants
 from repro.core.policy import Policy, Purpose
 from repro.systems.database import CompliantDatabase
 
@@ -36,7 +36,7 @@ def healthy_db(with_pia=True):
     db = CompliantDatabase(METASPACE)
     if with_pia:
         db.log.record(
-            PreProcessingInvariant.PIA_UNIT,
+            PIA_UNIT,
             Purpose.AUDIT,
             METASPACE,
             ActionType.CONTRACT,

@@ -15,10 +15,11 @@ import pickle
 import pytest
 
 from repro import codec
-from repro.analysis import invariants as oracle
+from repro.analysis.invariants import store_invariants
 from repro.config import BackendConfig, StoreConfig
 from repro.core.entities import controller, data_subject
 from repro.core.erasure import ErasureInterpretation
+from repro.core.invariants import World, check_invariants
 from repro.core.policy import Policy, Purpose
 from repro.core.provenance import DependencyKind
 from repro.distributed.store import ReplicatedStore
@@ -239,7 +240,7 @@ def test_throttled_slices_stay_bounded_with_erases_mid_backlog():
             ),
         ),
     )
-    world = oracle.World.observe(store)
+    world = World.observe(store)
     slices, erases, violations = [], 0, []
 
     def run_slice():
@@ -257,12 +258,12 @@ def test_throttled_slices_stay_bounded_with_erases_mid_backlog():
                 world.record_erase(victim, store.erase_all_copies(victim))
                 erases += 1
                 assert store.copies_of(victim) == []
-                violations.extend(oracle.check_invariants(world))
+                violations.extend(check_invariants(world, store_invariants()).violations)
     for _ in range(256):
         if not store.compaction_stats().queue_depth:
             break
         run_slice()
-    violations.extend(oracle.check_invariants(world))
+    violations.extend(check_invariants(world, store_invariants()).violations)
     stats = store.compaction_stats()
     assert max(slices) <= 34_000
     assert erases > 0 and violations == []

@@ -11,7 +11,7 @@ from repro.core.actions import ActionType
 from repro.core.consistency import regulation_requires_any_of
 from repro.core.entities import controller, data_subject, processor
 from repro.core.erasure import ErasureInterpretation
-from repro.core.invariants import PreProcessingInvariant, figure1_invariants
+from repro.core.invariants import PIA_UNIT, figure1_invariants
 from repro.core.policy import Policy, Purpose
 from repro.core.provenance import DependencyKind
 from repro.systems.database import CompliantDatabase
@@ -57,7 +57,7 @@ class TestFullLifecycle:
         db.read("u1", METASPACE, Purpose.SERVICE)
         # PIA on record before processing (category III).
         db.log.record(
-            PreProcessingInvariant.PIA_UNIT,
+            PIA_UNIT,
             Purpose.AUDIT,
             METASPACE,
             ActionType.CONTRACT,

@@ -23,13 +23,18 @@ EXAMPLES = [
 ]
 
 EXPECTED_SNIPPETS = {
-    "quickstart.py": "COMPLIANT",
-    "metaspace_erasure.py": "DELETE + VACUUM",
-    "reldb_compliance.py": "Space factor",
-    "multinational.py": "PIPEDA",
-    "privacy_impact_assessment.py": "forensically recoverable",
-    "distributed_erasure.py": "verified clean",
-    "compliance_service.py": "invariant violations: 0",
+    # "— COMPLIANT", not "COMPLIANT": the latter is a substring of
+    # "NON-COMPLIANT" and would pass on a failing report.
+    "quickstart.py": ("— COMPLIANT",),
+    "metaspace_erasure.py": ("DELETE + VACUUM",),
+    "reldb_compliance.py": ("Space factor",),
+    "multinational.py": ("PIPEDA",),
+    "privacy_impact_assessment.py": (
+        "forensically recoverable",
+        "[PASS] IX-demonstrability (1 units checked, 0 violations)",
+    ),
+    "distributed_erasure.py": ("verified clean",),
+    "compliance_service.py": ("invariant violations: 0",),
 }
 
 
@@ -43,4 +48,5 @@ def test_example_runs_cleanly(script):
         timeout=300,
     )
     assert result.returncode == 0, result.stderr[-2000:]
-    assert EXPECTED_SNIPPETS[script] in result.stdout, result.stdout[-2000:]
+    for snippet in EXPECTED_SNIPPETS[script]:
+        assert snippet in result.stdout, result.stdout[-2000:]

@@ -9,10 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.actions import Action, ActionHistory, ActionHistoryTuple, ActionType
-from repro.core.compliance import ComplianceChecker
 from repro.core.dataunit import Database, DataUnit
 from repro.core.entities import Entity, Role
-from repro.core.invariants import G17ErasureDeadline, G6PolicyConsistency
+from repro.core.invariants import (
+    World,
+    check_invariants,
+    g17_erasure_deadline,
+    g6_policy_consistency,
+)
 from repro.core.policy import Policy, PolicySet, Purpose
 
 ENTITIES = [
@@ -21,6 +25,14 @@ ENTITIES = [
 ]
 PURPOSES = [Purpose.BILLING, Purpose.ANALYTICS, Purpose.COMPLIANCE_ERASE]
 ACTIONS = [ActionType.CREATE, ActionType.READ, ActionType.UPDATE, ActionType.ERASE]
+
+
+def check(database, history, now, invariants=None):
+    """Evaluate ``invariants`` (default G6 and G17) over one model world."""
+    if invariants is None:
+        invariants = [g6_policy_consistency(), g17_erasure_deadline()]
+    world = World(database=database, history=history, now=now)
+    return check_invariants(world, invariants)
 
 
 @st.composite
@@ -76,7 +88,7 @@ def g6_oracle(database, history):
 @settings(max_examples=60, deadline=None)
 def test_g6_matches_oracle(world, now):
     database, history = world
-    verdict = G6PolicyConsistency().evaluate(database, history, now)
+    verdict = check(database, history, now, [g6_policy_consistency()]).verdicts[0]
     assert len(verdict.violations) == g6_oracle(database, history)
     assert verdict.holds == (g6_oracle(database, history) == 0)
 
@@ -85,9 +97,8 @@ def test_g6_matches_oracle(world, now):
 @settings(max_examples=60, deadline=None)
 def test_checker_is_total_and_deterministic(world, now):
     database, history = world
-    checker = ComplianceChecker([G6PolicyConsistency(), G17ErasureDeadline()])
-    first = checker.check(database, history, now)
-    second = checker.check(database, history, now)
+    first = check(database, history, now)
+    second = check(database, history, now)
     assert first.summary() == second.summary()
     assert len(first.verdicts) == 2
     assert first.compliant == (not first.violations)
@@ -97,7 +108,7 @@ def test_checker_is_total_and_deterministic(world, now):
 @settings(max_examples=60, deadline=None)
 def test_g17_never_passes_policyless_units(world, now):
     database, history = world
-    verdict = G17ErasureDeadline().evaluate(database, history, now)
+    verdict = check(database, history, now, [g17_erasure_deadline()]).verdicts[0]
     for unit in database:
         if unit.policies.erasure_deadline() is None:
             assert any(
@@ -109,6 +120,6 @@ def test_g17_never_passes_policyless_units(world, now):
 @settings(max_examples=30, deadline=None)
 def test_render_never_crashes(world):
     database, history = world
-    report = ComplianceChecker().check(database, history, now=100)
+    report = check(database, history, now=100)
     text = report.render()
     assert "Compliance report" in text

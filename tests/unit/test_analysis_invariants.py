@@ -11,16 +11,16 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.analysis.invariants import (
-    World,
-    check_invariants,
-    store_invariants,
-)
+from repro.analysis.invariants import store_invariants
 from repro.config import StoreConfig
+from repro.core.entities import controller, data_subject
+from repro.core.invariants import World, check_invariants, g17_erasure_deadline
+from repro.core.policy import Policy, Purpose
 from repro.distributed.faults import FaultInjector
 from repro.distributed.store import RebalanceDriver, ReplicatedStore
 from repro.sim.clock import SimClock
 from repro.sim.costs import CostBook, CostModel
+from repro.systems.database import CompliantDatabase
 from repro.workloads.driver import load_store, run_interleaved
 from repro.workloads.gdprbench import erasure_study_workload
 
@@ -32,7 +32,7 @@ def make_store(shards=2, n_replicas=1):
 
 def violated(world):
     """Names of the invariants that failed."""
-    return {v.invariant for v in check_invariants(world, store_invariants())}
+    return {v.invariant for v in check_invariants(world, store_invariants()).violations}
 
 
 class TestRegistry:
@@ -46,7 +46,7 @@ class TestRegistry:
             "replicas-converge",
             "replicas-converge-after-heal",
         ]
-        assert all(inv.description for inv in invariants)
+        assert all(inv.article for inv in invariants)
 
     def test_healthy_world_has_no_violations(self):
         store = make_store()
@@ -143,6 +143,54 @@ class TestEachInvariantBites:
         # Tamper: clear the injector's books without reviving the node.
         injector._down.clear()
         assert "replicas-converge-after-heal" in violated(world)
+
+
+class TestOneVocabulary:
+    """Store invariants and regulation invariants share one World and one
+    evaluator."""
+
+    def test_mixed_registry_over_one_world(self):
+        db = CompliantDatabase(controller("acme"))
+        db.collect(
+            "u1",
+            data_subject("alice"),
+            "signup",
+            {"v": 1},
+            policies=[Policy(Purpose.SERVICE, db.controller, 0, 10**12)],
+            erase_deadline=10**12,
+        )
+        store = make_store()
+        world = World(
+            store=store, database=db.model, history=db.history, now=db.clock.now
+        )
+        world.attach()
+        store.put("k1", (1, "payload"))
+        world.record_write("k1")
+        registry = store_invariants() + [g17_erasure_deadline()]
+        report = check_invariants(world, registry)
+        assert list(report.summary()) == [
+            "copies-match-reality",
+            "no-erased-read",
+            "destructive-actions-audited",
+            "replicas-converge",
+            "replicas-converge-after-heal",
+            "G17-erasure-deadline",
+        ]
+        assert report.compliant
+        assert report.verdict("G17-erasure-deadline").checked_units == 1
+        assert report.evaluated_at == db.clock.now
+
+    def test_store_violation_string_is_name_colon_message(self):
+        store = make_store()
+        world = World.observe(store)
+        store.put("victim", (7, "payload"))
+        world.record_erase("victim", SimpleNamespace(verified_clean=True))
+        report = check_invariants(world, store_invariants())
+        first = report.verdict("copies-match-reality").violations[0]
+        assert first.unit_id is None
+        assert str(first).startswith(
+            "copies-match-reality: erased key 'victim' still has tracked copies: "
+        )
 
 
 class TestDriverHook:

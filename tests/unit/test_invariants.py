@@ -6,17 +6,21 @@ from repro.core.consistency import regulation_requires_any_of
 from repro.core.dataunit import Database, DataCategory, DataUnit
 from repro.core.entities import controller, data_subject
 from repro.core.invariants import (
-    DemonstrabilityInvariant,
-    DesignSecurityInvariant,
-    DisclosureInvariant,
-    G17ErasureDeadline,
-    G6PolicyConsistency,
-    ObligationsInvariant,
-    PreProcessingInvariant,
-    RecordKeepingInvariant,
-    SharingProcessingInvariant,
-    StorageRightsInvariant,
+    NOTIFY_PURPOSE,
+    PIA_UNIT,
+    World,
+    check_invariants,
+    demonstrability,
+    design_security,
+    disclosure,
     figure1_invariants,
+    g17_erasure_deadline,
+    g6_policy_consistency,
+    obligations,
+    pre_processing,
+    record_keeping,
+    sharing_processing,
+    storage_rights,
 )
 from repro.core.policy import Policy, PolicySet, Purpose
 
@@ -33,20 +37,25 @@ def tup(uid, action_type, t, purpose=Purpose.BILLING, detail=None):
     return ActionHistoryTuple(uid, purpose, NETFLIX, Action(action_type, detail), t)
 
 
+def evaluate(invariant, database, history, now):
+    world = World(database=database, history=history, now=now)
+    return check_invariants(world, [invariant]).verdicts[0]
+
+
 class TestG6:
     def test_holds_when_every_action_authorized(self):
         u = unit_with(policies=[Policy(Purpose.BILLING, NETFLIX, 0, 100)])
         u.write("v", 5)
         db = Database([u])
         h = ActionHistory([tup("x", ActionType.READ, 10)])
-        verdict = G6PolicyConsistency().evaluate(db, h, now=50)
+        verdict = evaluate(g6_policy_consistency(), db, h, now=50)
         assert verdict.holds and verdict.checked_units == 1
 
     def test_reports_unauthorized_action_with_witness(self):
         u = unit_with()
         db = Database([u])
         h = ActionHistory([tup("x", ActionType.READ, 10)])
-        verdict = G6PolicyConsistency().evaluate(db, h, now=50)
+        verdict = evaluate(g6_policy_consistency(), db, h, now=50)
         assert not verdict.holds
         assert verdict.violations[0].witness.timestamp == 10
         assert "no authorizing policy" in verdict.violations[0].message
@@ -57,10 +66,10 @@ class TestG6:
         h = ActionHistory(
             [tup("x", ActionType.ERASE, 10, purpose=Purpose.COMPLIANCE_ERASE)]
         )
-        checker = G6PolicyConsistency(
+        checker = g6_policy_consistency(
             regulation_requires_any_of(Purpose.COMPLIANCE_ERASE)
         )
-        assert checker.evaluate(db, h, now=50).holds
+        assert evaluate(checker, db, h, now=50).holds
 
 
 class TestG17:
@@ -71,29 +80,29 @@ class TestG17:
 
     def test_no_erase_policy_is_immediate_violation(self):
         db = Database([unit_with()])
-        verdict = G17ErasureDeadline().evaluate(db, ActionHistory(), now=0)
+        verdict = evaluate(g17_erasure_deadline(), db, ActionHistory(), now=0)
         assert not verdict.holds
         assert "eternally" in verdict.violations[0].message
 
     def test_future_deadline_not_yet_violated(self):
         db = Database([self._unit(deadline=100)])
-        assert G17ErasureDeadline().evaluate(db, ActionHistory(), now=50).holds
+        assert evaluate(g17_erasure_deadline(), db, ActionHistory(), now=50).holds
 
     def test_passed_deadline_without_erase_violates(self):
         db = Database([self._unit(deadline=100)])
-        verdict = G17ErasureDeadline().evaluate(db, ActionHistory(), now=101)
+        verdict = evaluate(g17_erasure_deadline(), db, ActionHistory(), now=101)
         assert not verdict.holds
         assert "passed" in verdict.violations[0].message
 
     def test_timely_erase_satisfies(self):
         db = Database([self._unit(deadline=100)])
         h = ActionHistory([tup("x", ActionType.ERASE, 90)])
-        assert G17ErasureDeadline().evaluate(db, h, now=200).holds
+        assert evaluate(g17_erasure_deadline(), db, h, now=200).holds
 
     def test_late_erase_violates(self):
         db = Database([self._unit(deadline=100)])
         h = ActionHistory([tup("x", ActionType.ERASE, 150)])
-        verdict = G17ErasureDeadline().evaluate(db, h, now=200)
+        verdict = evaluate(g17_erasure_deadline(), db, h, now=200)
         assert not verdict.holds
         assert "after the deadline" in verdict.violations[0].message
 
@@ -103,13 +112,13 @@ class TestG17:
         h = ActionHistory(
             [tup("x", ActionType.ERASE, 90), tup("x", ActionType.READ, 95)]
         )
-        verdict = G17ErasureDeadline().evaluate(db, h, now=200)
+        verdict = evaluate(g17_erasure_deadline(), db, h, now=200)
         assert not verdict.holds
         assert "post-dates the erase" in verdict.violations[0].message
 
     def test_metadata_units_exempt(self):
         db = Database([unit_with(category=DataCategory.METADATA)])
-        assert G17ErasureDeadline().evaluate(db, ActionHistory(), now=999).holds
+        assert evaluate(g17_erasure_deadline(), db, ActionHistory(), now=999).holds
 
 
 class TestDisclosure:
@@ -119,12 +128,12 @@ class TestDisclosure:
         h = ActionHistory(
             [tup("x", ActionType.CONTRACT, 5), tup("x", ActionType.CREATE, 10)]
         )
-        assert DisclosureInvariant().evaluate(db, h, 50).holds
+        assert evaluate(disclosure(), db, h, 50).holds
 
     def test_create_without_contract_violates(self):
         db = Database([unit_with()])
         h = ActionHistory([tup("x", ActionType.CREATE, 10)])
-        verdict = DisclosureInvariant().evaluate(db, h, 50)
+        verdict = evaluate(disclosure(), db, h, 50)
         assert not verdict.holds
 
     def test_contract_after_create_violates(self):
@@ -132,21 +141,21 @@ class TestDisclosure:
         h = ActionHistory(
             [tup("x", ActionType.CREATE, 10), tup("x", ActionType.CONTRACT, 20)]
         )
-        assert not DisclosureInvariant().evaluate(db, h, 50).holds
+        assert not evaluate(disclosure(), db, h, 50).holds
 
     def test_never_created_is_fine(self):
         db = Database([unit_with()])
-        assert DisclosureInvariant().evaluate(db, ActionHistory(), 50).holds
+        assert evaluate(disclosure(), db, ActionHistory(), 50).holds
 
 
 class TestStorageRights:
     def test_unit_with_policies_holds(self):
         u = unit_with(policies=[Policy(Purpose.BILLING, NETFLIX, 0, 10)])
-        assert StorageRightsInvariant().evaluate(Database([u]), ActionHistory(), 5).holds
+        assert evaluate(storage_rights(), Database([u]), ActionHistory(), 5).holds
 
     def test_policyless_unit_violates(self):
-        verdict = StorageRightsInvariant().evaluate(
-            Database([unit_with()]), ActionHistory(), 5
+        verdict = evaluate(
+            storage_rights(), Database([unit_with()]), ActionHistory(), 5
         )
         assert not verdict.holds
         assert "rights cannot be exercised" in verdict.violations[0].message
@@ -154,7 +163,7 @@ class TestStorageRights:
     def test_erased_unit_exempt(self):
         u = unit_with()
         u.mark_erased(1)
-        assert StorageRightsInvariant().evaluate(Database([u]), ActionHistory(), 5).holds
+        assert evaluate(storage_rights(), Database([u]), ActionHistory(), 5).holds
 
 
 class TestPreProcessing:
@@ -162,67 +171,67 @@ class TestPreProcessing:
         db = Database([unit_with()])
         h = ActionHistory(
             [
-                tup(PreProcessingInvariant.PIA_UNIT, ActionType.CONTRACT, 1),
+                tup(PIA_UNIT, ActionType.CONTRACT, 1),
                 tup("x", ActionType.CREATE, 10),
             ]
         )
-        assert PreProcessingInvariant().evaluate(db, h, 50).holds
+        assert evaluate(pre_processing(), db, h, 50).holds
 
     def test_missing_pia_violates(self):
         db = Database([unit_with()])
         h = ActionHistory([tup("x", ActionType.CREATE, 10)])
-        verdict = PreProcessingInvariant().evaluate(db, h, 50)
+        verdict = evaluate(pre_processing(), db, h, 50)
         assert not verdict.holds
         assert "impact assessment" in verdict.violations[0].message
 
     def test_no_processing_at_all_holds(self):
-        assert PreProcessingInvariant().evaluate(Database(), ActionHistory(), 50).holds
+        assert evaluate(pre_processing(), Database(), ActionHistory(), 50).holds
 
 
 class TestSharingProcessing:
     def test_authorized_share_holds(self):
         u = unit_with(policies=[Policy(Purpose.ANALYTICS, NETFLIX, 0, 100)])
         h = ActionHistory([tup("x", ActionType.SHARE, 10, purpose=Purpose.ANALYTICS)])
-        assert SharingProcessingInvariant().evaluate(Database([u]), h, 50).holds
+        assert evaluate(sharing_processing(), Database([u]), h, 50).holds
 
     def test_unauthorized_share_violates(self):
         u = unit_with()
         h = ActionHistory([tup("x", ActionType.SHARE, 10)])
-        assert not SharingProcessingInvariant().evaluate(Database([u]), h, 50).holds
+        assert not evaluate(sharing_processing(), Database([u]), h, 50).holds
 
     def test_reads_not_this_invariants_business(self):
         u = unit_with()
         h = ActionHistory([tup("x", ActionType.READ, 10)])
-        assert SharingProcessingInvariant().evaluate(Database([u]), h, 50).holds
+        assert evaluate(sharing_processing(), Database([u]), h, 50).holds
 
 
 class TestDesignSecurity:
     def test_encrypted_deployment_holds(self):
-        inv = DesignSecurityInvariant(lambda: True)
-        assert inv.evaluate(Database(), ActionHistory(), 0).holds
+        inv = design_security(lambda: True)
+        assert evaluate(inv, Database(), ActionHistory(), 0).holds
 
     def test_unencrypted_deployment_violates(self):
-        inv = DesignSecurityInvariant(lambda: False)
-        assert not inv.evaluate(Database(), ActionHistory(), 0).holds
+        inv = design_security(lambda: False)
+        assert not evaluate(inv, Database(), ActionHistory(), 0).holds
 
 
 class TestRecordKeeping:
     def test_unrecorded_unit_violates(self):
         db = Database([unit_with()])
-        verdict = RecordKeepingInvariant().evaluate(db, ActionHistory(), 0)
+        verdict = evaluate(record_keeping(), db, ActionHistory(), 0)
         assert not verdict.holds
 
     def test_recorded_unit_holds(self):
         db = Database([unit_with()])
         h = ActionHistory([tup("x", ActionType.CREATE, 1)])
-        assert RecordKeepingInvariant().evaluate(db, h, 0).holds
+        assert evaluate(record_keeping(), db, h, 0).holds
 
 
 class TestObligations:
     def test_breach_without_notification_violates(self):
         u = unit_with()  # no policies -> any read is a breach
         h = ActionHistory([tup("x", ActionType.READ, 10)])
-        verdict = ObligationsInvariant().evaluate(Database([u]), h, 50)
+        verdict = evaluate(obligations(), Database([u]), h, 50)
         assert not verdict.holds
         assert "never notified" in verdict.violations[0].message
 
@@ -235,16 +244,16 @@ class TestObligations:
                     "x",
                     ActionType.SHARE,
                     20,
-                    purpose=ObligationsInvariant.NOTIFY_PURPOSE,
+                    purpose=NOTIFY_PURPOSE,
                 ),
             ]
         )
-        assert ObligationsInvariant().evaluate(Database([u]), h, 50).holds
+        assert evaluate(obligations(), Database([u]), h, 50).holds
 
     def test_no_breach_no_duty(self):
         u = unit_with(policies=[Policy(Purpose.BILLING, NETFLIX, 0, 100)])
         h = ActionHistory([tup("x", ActionType.READ, 10)])
-        assert ObligationsInvariant().evaluate(Database([u]), h, 50).holds
+        assert evaluate(obligations(), Database([u]), h, 50).holds
 
 
 class TestDemonstrability:
@@ -255,14 +264,14 @@ class TestDemonstrability:
         h = ActionHistory(
             [tup("x", ActionType.CREATE, 5), tup("x", ActionType.UPDATE, 10)]
         )
-        assert DemonstrabilityInvariant().evaluate(Database([u]), h, 50).holds
+        assert evaluate(demonstrability(), Database([u]), h, 50).holds
 
     def test_missing_history_tuples_violate(self):
         u = unit_with()
         u.write("v1", 5)
         u.write("v2", 10)
         h = ActionHistory([tup("x", ActionType.CREATE, 5)])
-        verdict = DemonstrabilityInvariant().evaluate(Database([u]), h, 50)
+        verdict = evaluate(demonstrability(), Database([u]), h, 50)
         assert not verdict.holds
         assert "only 1 in the action history" in verdict.violations[0].message
 

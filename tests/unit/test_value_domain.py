@@ -46,6 +46,17 @@ def test_bare_backend_refuses_before_storing(backend):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
+def test_bare_backend_refuses_a_partly_bad_batch_whole(backend):
+    cost = make_cost()
+    b = make_backend(backend, cost)
+    with pytest.raises(codec.CodecError, match=REJECTED):
+        b.insert_many([("a", 1), ("b", object())])
+    assert cost.clock.now == 0  # refused before any work was charged
+    assert not b.physically_present("a")
+    assert b.copy_locations("a") == []
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_replicated_store_put_refuses_before_logging(backend):
     store = ReplicatedStore.from_config(
         make_cost(),
