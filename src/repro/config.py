@@ -16,7 +16,7 @@ misspelled option (``memtable_capacit=256``) fails at construction with a
   its cost model.
 * :class:`ServiceConfig` — the :class:`~repro.service.ComplianceService`
   concurrency knobs (worker pools, admission-queue depth, erase batching,
-  maintenance cadence).
+  invariant-check cadence).
 
 Injected *objects* (a live :class:`SharedBlockCache`, a shared
 :class:`KeyVault`, an existing engine) are deliberately **not** config
@@ -49,7 +49,6 @@ _FIELD_FAMILIES: Dict[str, Tuple[str, ...]] = {
     "tier_threshold": ("lsm",),
     "block_cache_capacity": ("lsm",),
     "compaction": ("lsm",),
-    "compaction_mode": ("lsm",),
 }
 
 #: psql fields that configure the shared :class:`RelationalEngine` itself
@@ -89,7 +88,6 @@ class BackendConfig:
     tier_threshold: Optional[int] = None
     block_cache_capacity: Optional[int] = None
     compaction: Optional[Any] = None
-    compaction_mode: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.backend not in BACKEND_FAMILIES:
@@ -184,10 +182,6 @@ class ServiceConfig:
     #: Max erases amortized into one ``erase_many`` call (one reclamation
     #: pass per node per batch instead of per key).
     erase_batch: int = 16
-    #: Seconds the maintenance thread sleeps between ticks (each tick
-    #: takes the topology write lock, steps the rebalance driver, and
-    #: flushes read repairs).
-    maintenance_interval: float = 0.002
     #: Run the invariant registry every N maintenance ticks (0 = only on
     #: demand / at close).
     invariant_check_every: int = 0
@@ -199,7 +193,5 @@ class ServiceConfig:
             raise ValueError("queue_depth must be >= 1")
         if self.erase_batch < 1:
             raise ValueError("erase_batch must be >= 1")
-        if self.maintenance_interval <= 0:
-            raise ValueError("maintenance_interval must be positive")
         if self.invariant_check_every < 0:
             raise ValueError("invariant_check_every must be non-negative")

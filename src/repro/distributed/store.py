@@ -120,7 +120,6 @@ from repro.distributed.faults import (
 )
 from repro.distributed.replication_log import SCRUBBED, ReplicationLog, _OpType
 from repro.distributed.ring import HashRing, hash_range_of
-from repro.lsm.compaction import EMPTY_COMPACTION_STATS, CompactionStats
 from repro.sim.costs import CostModel
 from repro.storage.errors import TupleNotFoundError
 from repro.systems.backends import ExportBatch, StorageBackend, make_backend
@@ -1364,24 +1363,11 @@ class ReplicatedStore:
         return report, self.flush_repairs()
 
     # ------------------------------------------------------------ maintenance
-    def maintain(self, max_bytes: Optional[int] = None) -> int:
-        """Run one bounded maintenance slice of deferred backend work
-        (compaction on LSM nodes) across every shard node; returns merges
-        run.  ``max_bytes`` is a *per-node* input-byte budget — the same
-        bounded-slice contract as :meth:`RebalanceDriver.step`, so the
-        service maintenance thread can interleave slices with live
-        requests without an unbounded stall."""
-        merges = 0
-        for node in self.nodes():
-            merges += node.backend.maintain(max_bytes=max_bytes)
-        return merges
-
-    def compaction_stats(self) -> "CompactionStats":
-        """Aggregated merge/throttle counters across every shard node."""
-        total = EMPTY_COMPACTION_STATS
-        for node in self.nodes():
-            total = total + node.backend.compaction_stats()
-        return total
+    def maintain(self) -> int:
+        """Always 0: compaction runs inside each node's flush, so there is
+        no between-requests work left.  Kept only because the spine's
+        tracer (``benchmarks/spine/trace.py``) wraps this name."""
+        return 0
 
     @property
     def rebalance_in_progress(self) -> bool:

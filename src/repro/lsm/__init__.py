@@ -14,8 +14,6 @@ from repro.lsm.compaction import (
     COMPACTION_POLICIES,
     CompactionEvent,
     CompactionPolicy,
-    CompactionScheduler,
-    CompactionStats,
     CompactionTask,
     LeveledPolicy,
     SizeTieredPolicy,
@@ -31,8 +29,6 @@ __all__ = [
     "COMPACTION_POLICIES",
     "CompactionEvent",
     "CompactionPolicy",
-    "CompactionScheduler",
-    "CompactionStats",
     "CompactionTask",
     "LeveledPolicy",
     "SizeTieredPolicy",

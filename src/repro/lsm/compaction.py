@@ -1,4 +1,4 @@
-"""Compaction policies and scheduling — the LSM engine's reclamation seam.
+"""Compaction policies — the LSM engine's reclamation seam.
 
 The paper grounds "delete" on an LSM store as *tombstone + compaction*: the
 tombstone is the O(1) logical half, and compaction is the system-action that
@@ -40,28 +40,10 @@ records them as grounded system-actions in the audit timeline (cf.
 SPECIAL-K's auditable processing logs), so compaction is demonstrable, not
 implicit.
 
-:class:`CompactionScheduler` decides *when* planned work runs: ``"sync"``
-drains the policy's plan immediately after every flush (the default, and
-the original behaviour); ``"deferred"`` only queues it — the backend (or a
-test) invokes :meth:`CompactionScheduler.drain` between operations.  The
-deferred mode is what makes "erase issued mid-compaction" an observable,
-testable state instead of an impossible interleaving.
-
-**Throttling.**  ``drain(engine, max_bytes=…)`` bounds one maintenance
-slice by merge *input* bytes: the drain always makes progress (at least
-one merge when work is planned) but stops once the budget is spent,
-leaving ``pending`` set so the next slice resumes.  Because the engine
-re-plans after every merge, a slice boundary is always a structurally
-consistent tree — tombstone-GC safety and per-SSTable copy sites hold at
-every boundary, which is what lets the service maintenance thread
-interleave bounded slices with live grounded erases.  The scheduler also
-models *concurrent merges*: consecutive planned merges whose source and
-target levels are disjoint form one "wave" (they could run in parallel on
-real hardware); a level conflict starts the next wave.
-``inflight_high_water`` records the widest wave observed.  When level 0
-piles past ``l0_stall_threshold`` runs, a deferred-mode flush request
-raises the *write-stall* signal (``stall_events``) and pays one bounded
-inline slice — ingest backpressure, bounded by construction.
+Planned merges run inside the flush that makes them due: the engine
+re-plans after every merge and executes until the policy returns None, so a
+flush leaves the tree in shape.  Grounded erases (victim / full compaction)
+are synchronous too — the erase verb *is* the reclamation.
 """
 
 from __future__ import annotations
@@ -275,158 +257,6 @@ class LeveledPolicy(CompactionPolicy):
             if levels[i]:
                 deepest = i
         return max(1, deepest)
-
-
-@dataclass(frozen=True)
-class CompactionStats:
-    """One scheduler's merge/throttle counters, as a frozen snapshot."""
-
-    merges_run: int
-    bytes_compacted: int
-    stall_events: int
-    queue_depth: int
-    inflight_high_water: int
-
-    def __add__(self, other: "CompactionStats") -> "CompactionStats":
-        return CompactionStats(
-            merges_run=self.merges_run + other.merges_run,
-            bytes_compacted=self.bytes_compacted + other.bytes_compacted,
-            stall_events=self.stall_events + other.stall_events,
-            queue_depth=self.queue_depth + other.queue_depth,
-            inflight_high_water=max(
-                self.inflight_high_water, other.inflight_high_water
-            ),
-        )
-
-
-#: Identity element for summing :class:`CompactionStats` across engines.
-EMPTY_COMPACTION_STATS = CompactionStats(0, 0, 0, 0, 0)
-
-
-class CompactionScheduler:
-    """Decides when the policy's planned merges actually run.
-
-    ``"sync"`` drains the plan inside every flush (original behaviour);
-    ``"deferred"`` only marks work pending — the owner invokes
-    :meth:`drain` between operations, optionally with a ``max_bytes``
-    budget (see the module docstring's throttling model).  Grounded erases
-    (victim / full compaction) always run synchronously regardless of mode: the
-    erase verb *is* the reclamation."""
-
-    MODES = ("sync", "deferred")
-
-    def __init__(
-        self,
-        mode: str = "sync",
-        l0_stall_threshold: int = 12,
-        stall_slice_bytes: int = 1 << 20,
-    ) -> None:
-        if mode not in self.MODES:
-            raise ValueError(f"mode must be one of {self.MODES}")
-        if l0_stall_threshold < 2:
-            raise ValueError("l0_stall_threshold must be >= 2")
-        if stall_slice_bytes < 1:
-            raise ValueError("stall_slice_bytes must be positive")
-        self.mode = mode
-        self.l0_stall_threshold = l0_stall_threshold
-        self.stall_slice_bytes = stall_slice_bytes
-        self.pending = False
-        self.tasks_run = 0
-        # Throttle/concurrency accounting (see module docstring).
-        self.merges_run = 0
-        self.bytes_compacted = 0
-        self.stall_events = 0
-        self.deferred_requests = 0
-        self.inflight_high_water = 0
-
-    @property
-    def queue_depth(self) -> int:
-        """Flush-triggered requests queued since the last complete drain."""
-        return self.deferred_requests
-
-    def stats(self) -> CompactionStats:
-        return CompactionStats(
-            merges_run=self.merges_run,
-            bytes_compacted=self.bytes_compacted,
-            stall_events=self.stall_events,
-            queue_depth=self.deferred_requests,
-            inflight_high_water=self.inflight_high_water,
-        )
-
-    def request(self, engine: "LSMEngineProtocol") -> None:
-        """A flush happened: run (sync) or queue (deferred) the plan.
-
-        A deferred request finding level 0 past ``l0_stall_threshold``
-        runs is a *write stall*: the writer pays one bounded inline slice
-        (``stall_slice_bytes`` of merge input) so ingest cannot outrun
-        maintenance without bound."""
-        if self.mode == "sync":
-            self.drain(engine)
-            return
-        self.pending = True
-        self.deferred_requests += 1
-        if len(engine.level_view()[0]) >= self.l0_stall_threshold:
-            self.stall_events += 1
-            self.drain(engine, max_bytes=self.stall_slice_bytes)
-
-    def drain(
-        self,
-        engine: "LSMEngineProtocol",
-        max_bytes: Optional[int] = None,
-    ) -> int:
-        """Execute planned merges until the policy is satisfied or the
-        ``max_bytes`` input budget is spent; returns the number of tasks
-        run.  A budgeted drain always runs at least one merge when work is
-        planned, and leaves ``pending`` set when it stops early."""
-        ran = 0
-        spent = 0
-        wave: set = set()
-        while True:
-            task = engine.compaction_policy.plan(engine.level_view())
-            if task is None:
-                self.pending = False
-                self.deferred_requests = 0
-                break
-            levels_touched = {level for level, _tables in task.sources}
-            levels_touched.add(task.target_level)
-            if wave & levels_touched:
-                # Level conflict: this merge must wait for the current
-                # wave — start the next one.
-                wave = set()
-            wave |= levels_touched
-            if len(wave) > self.inflight_high_water:
-                self.inflight_high_water = len(wave)
-            # Trivial moves (single input, no tombstone drop) rewrite
-            # nothing — they are free against the slice budget, exactly as
-            # they are free in the engine's write-amplification accounting.
-            if len(task.tables) > 1 or task.drop_tombstones:
-                spent += sum(t.size_bytes for t in task.tables)
-            engine.execute_compaction(task)
-            ran += 1
-            if max_bytes is not None and spent >= max_bytes:
-                # Budget exhausted mid-queue: pending stays set iff more
-                # work remains, so the next slice resumes where we stopped.
-                self.pending = (
-                    engine.compaction_policy.plan(engine.level_view())
-                    is not None
-                )
-                if not self.pending:
-                    self.deferred_requests = 0
-                break
-        self.tasks_run += ran
-        self.merges_run += ran
-        self.bytes_compacted += spent
-        return ran
-
-
-class LSMEngineProtocol:  # pragma: no cover - typing aid only
-    """The slice of :class:`~repro.lsm.engine.LSMEngine` the scheduler uses."""
-
-    compaction_policy: CompactionPolicy
-
-    def level_view(self) -> Levels: ...
-
-    def execute_compaction(self, task: CompactionTask) -> None: ...
 
 
 #: Policy spec → constructor name, the selection table the CLI exposes.

@@ -72,7 +72,6 @@ from repro.lsm.cache import SharedBlockCache
 from repro.lsm.compaction import (
     CompactionEvent,
     CompactionPolicy,
-    CompactionScheduler,
     CompactionTask,
     level0_tombstone_gc_safe,
     make_compaction_policy,
@@ -109,7 +108,6 @@ class LSMEngine:
         tier_threshold: int = 4,
         block_cache_capacity: int = 1024,
         compaction: Union[str, CompactionPolicy] = "size",
-        compaction_mode: str = "sync",
         block_cache: Optional[SharedBlockCache] = None,
         namespace: str = "",
     ) -> None:
@@ -125,7 +123,6 @@ class LSMEngine:
             tier_threshold=tier_threshold,
             table_capacity=memtable_capacity,
         )
-        self.scheduler = CompactionScheduler(compaction_mode)
         # levels[0]: newest-first, overlap-tolerant; levels[i >= 1]: sorted
         # by key range, non-overlapping (leveled policy only).
         self._levels: List[List[SSTable]] = [[]]
@@ -136,6 +133,9 @@ class LSMEngine:
         self._unreclaimed: Set[Any] = set()
         self.flush_count = 0
         self.compaction_count = 0
+        #: Policy-planned merges the flushes ran (grounded erases and
+        #: manual merges are not counted here).
+        self.merges_run = 0
         # Write-amplification accounting: logical bytes/entries frozen out
         # of the memtable vs bytes/entries rewritten by compaction merges.
         self.entries_flushed = 0
@@ -228,9 +228,16 @@ class LSMEngine:
         self.flush_count += 1
         self.entries_flushed += len(entries)
         self.bytes_flushed += run.size_bytes
-        self.scheduler.request(self)
+        self._run_planned_merges()
         self._update_retention()
         return run
+
+    def _run_planned_merges(self) -> None:
+        """Run the policy's merges until it plans none — re-planning after
+        each one, so multi-step cascades finish inside the flush."""
+        while (task := self.compaction_policy.plan(self._levels)) is not None:
+            self.execute_compaction(task)
+            self.merges_run += 1
 
     # ----------------------------------------------------------------- reads
     def get(self, key: Any) -> Optional[Any]:
@@ -322,26 +329,6 @@ class LSMEngine:
     def level_count(self) -> int:
         """Levels currently holding at least one table."""
         return sum(1 for level in self._levels if level)
-
-    @property
-    def compaction_pending(self) -> bool:
-        """Whether the policy would do work if the scheduler drained now."""
-        return self.compaction_policy.plan(self._levels) is not None
-
-    def run_pending_compactions(self, max_bytes: Optional[int] = None) -> int:
-        """Drain the scheduler's queue (a no-op when nothing is planned) —
-        the between-operations entry point of the deferred mode.  With
-        ``max_bytes`` the drain stops after the merge that exhausts the
-        input-byte budget (always running at least one merge when work is
-        planned), leaving the rest for the next maintenance slice."""
-        return self.scheduler.drain(self, max_bytes=max_bytes)
-
-    @property
-    def write_stalled(self) -> bool:
-        """Whether L0 has piled past the scheduler's stall threshold —
-        the backpressure signal a deferred-mode engine raises when flushes
-        outrun maintenance slices."""
-        return len(self._levels[0]) >= self.scheduler.l0_stall_threshold
 
     def add_compaction_listener(
         self, listener: Callable[[CompactionEvent], None]
@@ -476,9 +463,9 @@ class LSMEngine:
         """Merge every run and drop all tombstones — the LSM grounding of
         "strong delete" (paired with a flush so the memtable empties).
 
-        Always synchronous, whatever the scheduler mode: the grounded erase
-        verb *is* the reclamation, and deferring it would leave the §1
-        retention hazard open after the erase reported success.
+        Synchronous: the grounded erase verb *is* the reclamation, and
+        deferring it would leave the §1 retention hazard open after the
+        erase reported success.
 
         Returns the entries dropped — every shadowed value and tombstone
         the store held, whether the final merge removed it or a tier merge
@@ -499,10 +486,6 @@ class LSMEngine:
                 max_output_entries=self.compaction_policy.max_output_entries,
             )
         )
-        # The everything-merge leaves the tree in shape by construction;
-        # clear any stale deferred request so no queued plan re-runs later.
-        self.scheduler.pending = False
-        self.scheduler.deferred_requests = 0
         self._unreclaimed.clear()
         return held - sum(len(run) for run in self.runs())
 

@@ -89,9 +89,9 @@ _STOP = object()
 
 #: Keys a maintenance tick migrates while a rebalance is active.
 REBALANCE_STEP_KEYS = 32
-#: Per-node merge-input byte budget of the bounded compaction slice a quiet
-#: maintenance tick runs (deferred LSM backends).
-COMPACTION_SLICE_BYTES = 1 << 20
+#: Seconds the maintenance thread sleeps between ticks (each tick takes the
+#: topology write lock, steps the rebalance driver or flushes read repairs).
+MAINTENANCE_INTERVAL_S = 0.002
 #: Default ``call()`` timeout in seconds.
 CALL_TIMEOUT_S = 30.0
 #: Seconds ``close()`` waits, in all, for the workers and the maintenance
@@ -221,13 +221,6 @@ class ServiceStats:
     repairs: int = 0
     invariant_checks: int = 0
     invariant_violations: int = 0
-    # Compaction throttle counters, aggregated from every shard node's
-    # scheduler at snapshot time (zeros for stores without deferred
-    # compaction).
-    merges_run: int = 0
-    bytes_compacted: int = 0
-    stall_events: int = 0
-    compaction_queue_depth: int = 0
 
 
 class _Pool:
@@ -443,15 +436,8 @@ class ComplianceService:
 
     # ------------------------------------------------------------ inspection
     def stats(self) -> ServiceStats:
-        with self._topology.read():
-            comp = self._store.compaction_stats()
         with self._guard:
-            snapshot = replace(self._stats)
-        snapshot.merges_run = comp.merges_run
-        snapshot.bytes_compacted = comp.bytes_compacted
-        snapshot.stall_events = comp.stall_events
-        snapshot.compaction_queue_depth = comp.queue_depth
-        return snapshot
+            return replace(self._stats)
 
     def check_invariants(self) -> List[str]:
         """Run the registry now (topology write lock held — a quiescent
@@ -678,7 +664,7 @@ class ComplianceService:
 
     # ----------------------------------------------------------- maintenance
     def _maintain(self) -> None:
-        while not self._maint_stop.wait(self.config.maintenance_interval):
+        while not self._maint_stop.wait(MAINTENANCE_INTERVAL_S):
             with self._topology.write():
                 self._maintenance_tick_locked()
 
@@ -690,11 +676,6 @@ class ComplianceService:
             repairs = len(driver.repairs) - before
         else:
             repairs = len(self._store.flush_repairs())
-            # A quiet tick also pays one bounded compaction slice, so
-            # deferred LSM backends drain between requests instead of
-            # stalling a writer (same interleaving contract as the
-            # rebalance driver's bounded step).
-            self._store.maintain(max_bytes=COMPACTION_SLICE_BYTES)
         with self._guard:
             self._stats.maintenance_ticks += 1
             self._stats.repairs += repairs

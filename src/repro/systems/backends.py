@@ -95,7 +95,6 @@ from repro.crypto.sectors import (
 )
 from repro.crypto.vault import KEY_ENTRY_BYTES, VAULT_HEADER_BYTES, KeyVault
 from repro.lsm.cache import SharedBlockCache
-from repro.lsm.compaction import EMPTY_COMPACTION_STATS, CompactionStats
 from repro.lsm.engine import LSMEngine
 from repro.lsm.memtable import TOMBSTONE
 from repro.sim.costs import CostModel
@@ -322,22 +321,6 @@ class StorageBackend(ABC):
             f"{self.name} has no sanitization system-action "
             "(Table 1: permanently delete = Not supported)"
         )
-
-    def maintain(self, max_bytes: Optional[int] = None) -> int:
-        """Run any deferred background maintenance the engine has queued
-        (compaction work on LSM engines); returns the number of maintenance
-        units (merges) run.  ``max_bytes`` bounds one slice by merge input
-        bytes so callers (the service maintenance thread) can interleave
-        maintenance with live traffic.  A no-op by default — engines whose
-        reclamation is purely demand-driven have nothing to do between
-        operations."""
-        return 0
-
-    def compaction_stats(self) -> CompactionStats:
-        """Merge/throttle counters for engines with background compaction
-        (zeros for engines without one) — the observability companion of
-        :meth:`maintain`."""
-        return EMPTY_COMPACTION_STATS
 
     # ----------------------------------------------------------- bulk export
     def export_range(
@@ -642,10 +625,9 @@ class LsmBackend(StorageBackend):
     unit-id uniqueness.
 
     ``compaction`` selects the engine's :class:`CompactionPolicy` ("size" —
-    the size-tiered default — or "leveled", or a policy instance);
-    ``compaction_mode`` selects the scheduler ("sync" runs merges inside
-    the flush, "deferred" queues them for :meth:`maintain`).  Either way
-    the grounded erase (``reclaim`` / ``reclaim_full``) stays synchronous.
+    the size-tiered default — or "leveled", or a policy instance).  The
+    policy's merges run inside the flush that makes them due, and the
+    grounded erase (``reclaim`` / ``reclaim_full``) is synchronous too.
 
     ``block_cache`` injects a :class:`SharedBlockCache` so the namespaces
     of a :class:`BackendGroup` pool one cache budget; without it the engine builds a private cache of
@@ -664,7 +646,6 @@ class LsmBackend(StorageBackend):
         tier_threshold: int = 4,
         block_cache_capacity: int = 1024,
         compaction: Any = "size",
-        compaction_mode: str = "sync",
         block_cache: Optional[SharedBlockCache] = None,
         namespace: str = "",
     ) -> None:
@@ -680,7 +661,6 @@ class LsmBackend(StorageBackend):
                 tier_threshold=tier_threshold,
                 block_cache_capacity=block_cache_capacity,
                 compaction=compaction,
-                compaction_mode=compaction_mode,
                 block_cache=block_cache,
                 namespace=namespace,
             )
@@ -742,16 +722,6 @@ class LsmBackend(StorageBackend):
 
     def _reclaim_full(self) -> None:
         self.engine.full_compaction()
-
-    def maintain(self, max_bytes: Optional[int] = None) -> int:
-        """Run compaction work the deferred scheduler has queued — the
-        between-operations hook of the compaction subsystem.  ``max_bytes``
-        bounds the slice (at least one merge still runs when work is
-        planned); returns merges run."""
-        return self.engine.run_pending_compactions(max_bytes=max_bytes)
-
-    def compaction_stats(self) -> CompactionStats:
-        return self.engine.scheduler.stats()
 
     # ----------------------------------------------------------- bulk export
     def export_range(
@@ -838,12 +808,9 @@ class LsmBackend(StorageBackend):
                 ("write_amplification", self.engine.write_amplification),
                 ("cache_hits", self.engine.cache_hits),
                 ("cache_misses", self.engine.cache_misses),
-                ("merges_run", self.engine.scheduler.merges_run),
+                ("merges_run", self.engine.merges_run),
                 ("bytes_compacted", self.engine.bytes_compacted),
                 ("trivial_moves", self.engine.trivial_moves),
-                ("stall_events", self.engine.scheduler.stall_events),
-                ("compaction_queue_depth", self.engine.scheduler.queue_depth),
-                ("write_stalled", self.engine.write_stalled),
             ),
         )
 

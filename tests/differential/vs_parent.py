@@ -23,10 +23,10 @@ tree is a self-check that the transcript is deterministic across processes.
 * crypto-shred, bare leg — one ``CryptoShredBackend``; ``reclaim()`` (key
   shred), ``reclaim_full()`` (shred + space release) and ``sanitize_many``
   ("permanently delete") interleaved with re-inserts over dead units.
-* store leg — ``ReplicatedStore``, 3 shards x 1 replica (lsm: deferred
-  merges): naive deletes, grounded single and batch erases, ``maintain``
-  slices.  lsm records every node's runs at the end; psql and crypto-shred
-  record every node's bytes at rest after every erase.
+* store leg — ``ReplicatedStore``, 3 shards x 1 replica: naive deletes,
+  grounded single and batch erases.  lsm records every node's runs at the
+  end; psql and crypto-shred record every node's bytes at rest after every
+  erase.
 
 Bytes at rest on psql: a SHA-256 over the heap image in ``scan_all()``
 order (each tuple's TID, key, liveness, ``payload_size`` and payload
@@ -124,7 +124,7 @@ def _batch(key):
 def _sequence(rng):
     """``(op, key, value)`` draws: every key collected once, then the mix."""
     ops = ["collect"] * 26 + ["read"] * 24 + ["update"] * 32 + ["delete"] * 6
-    ops += ["erase"] * 6 + ["erase_batch"] * 2 + ["strong"] * 1 + ["maintain"] * 3
+    ops += ["erase"] * 6 + ["erase_batch"] * 2 + ["strong"] * 1
     for n in range(OPS):
         key = f"unit-{n if n < KEYS else rng.randrange(KEYS):04d}"
         value = {"unit": key, "v": rng.random(), "pad": "x" * rng.randrange(60)}
@@ -150,8 +150,6 @@ def bare_leg(name, seed):
             yield f"{n} read {key} {_attempt(backend.read, key)!r}"
         elif op == "update":
             _attempt(lambda k: backend.update(k, value), key)
-        elif op == "maintain":
-            yield f"{n} maintain {backend.maintain(max_bytes=4096)}"
         elif op == "erase_batch" and name == "crypto-shred":
             batch = _batch(key)
             yield f"{n} sanitize {batch} {backend.sanitize_many(batch)}"
@@ -174,7 +172,7 @@ def store_leg(name, seed):
     from repro.sim.costs import CostBook, CostModel
 
     clock = SimClock()
-    opts = {**ENGINE, "compaction_mode": "deferred"} if name == "lsm" else {}
+    opts = ENGINE if name == "lsm" else {}
     config = StoreConfig(
         backend=BackendConfig(backend=name, **opts), shards=3, n_replicas=1
     )
@@ -192,8 +190,6 @@ def store_leg(name, seed):
         elif op == "delete":
             _attempt(store.naive_delete, key)
             yield f"{n} naive {key} {store.copies_of(key)!r}"
-        elif op == "maintain":
-            yield f"{n} maintain {store.maintain(max_bytes=4096)}"
         elif op == "erase":
             yield f"{n} {store.erase_all_copies(key)!r} {store.copies_of(key)!r}"
         else:  # one grounded batch: the key and its neighbours

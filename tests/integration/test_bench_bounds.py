@@ -15,11 +15,9 @@ import pickle
 import pytest
 
 from repro import codec
-from repro.analysis.invariants import store_invariants
 from repro.config import BackendConfig, StoreConfig
 from repro.core.entities import controller, data_subject
 from repro.core.erasure import ErasureInterpretation
-from repro.core.invariants import World, check_invariants
 from repro.core.policy import Policy, Purpose
 from repro.core.provenance import DependencyKind
 from repro.distributed.store import ReplicatedStore
@@ -213,81 +211,6 @@ def test_crypto_shred_space_factor_and_batched_shred():
     batched_speedup = single_us / ((cost.clock.now - start) / len(batch))
     assert space_factor <= 1.8
     assert batched_speedup >= 25
-
-
-# -- Erase under maintenance ---------------------------------------------------
-
-def test_throttled_slices_stay_bounded_with_erases_mid_backlog():
-    """Two deferred-compaction lsm shards ingest 2 000 keys: the first half
-    with no maintenance (writers hit the stall slice), the second with a
-    4 KiB ``maintain`` slice every 128 puts and, while merges stay queued,
-    a grounded erase after the slice.  No slice rewrites more than 34 000 B
-    over the four nodes (measured 27 622), every erase leaves no copy, the
-    invariant oracle stays silent and the backlog drains."""
-    cost = make_cost()
-    store = ReplicatedStore(
-        cost,
-        StoreConfig(
-            n_replicas=1,
-            replication_lag=10_000,
-            cache_ttl=10**12,
-            shards=2,
-            backend=BackendConfig(
-                backend="lsm",
-                compaction="leveled",
-                compaction_mode="deferred",
-                memtable_capacity=32,
-            ),
-        ),
-    )
-    world = World.observe(store)
-    slices, erases, violations = [], 0, []
-
-    def run_slice():
-        before = store.compaction_stats().bytes_compacted
-        store.maintain(max_bytes=4 << 10)
-        slices.append(store.compaction_stats().bytes_compacted - before)
-
-    for i in range(2_000):
-        store.put(f"u{i:06d}", (i, "payload"))
-        world.record_write(f"u{i:06d}")
-        if i >= 1_000 and (i + 1) % 128 == 0:
-            run_slice()
-            if store.compaction_stats().queue_depth and erases < 8:
-                victim = f"u{i - 64:06d}"
-                world.record_erase(victim, store.erase_all_copies(victim))
-                erases += 1
-                assert store.copies_of(victim) == []
-                violations.extend(check_invariants(world, store_invariants()).violations)
-    for _ in range(256):
-        if not store.compaction_stats().queue_depth:
-            break
-        run_slice()
-    violations.extend(check_invariants(world, store_invariants()).violations)
-    stats = store.compaction_stats()
-    assert max(slices) <= 34_000
-    assert erases > 0 and violations == []
-    assert stats.stall_events > 0 and stats.queue_depth == 0
-
-
-@pytest.mark.parametrize("backend_name", BACKENDS)
-def test_erase_between_maintenance_slices_leaves_nothing(backend_name):
-    """An erase after each bounded ``maintain`` slice, and the slices that
-    drain the backlog afterwards, leave no victim tracked or present."""
-    opts = {"memtable_capacity": 16, "compaction_mode": "deferred"} if backend_name == "lsm" else {}
-    backend = make_backend(backend_name, make_cost(), **opts)
-    backend.insert_many((f"u{i:04d}", (i, "payload")) for i in range(96))
-    victims = [f"u{i:04d}" for i in range(0, 96, 16)]
-    for victim in victims:
-        backend.maintain(max_bytes=4 << 10)
-        backend.erase(victim)
-        assert backend.copy_locations(victim) == []
-        assert not backend.physically_present(victim)
-    while backend.maintain(max_bytes=4 << 10):
-        pass
-    for victim in victims:
-        assert backend.copy_sites(victim) == [] and backend.copy_locations(victim) == []
-        assert not backend.physically_present(victim)
 
 
 # -- Sharded store -------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Property tests: the Bloom fast path and throttled drain-vs-erase.
+"""Property tests: the Bloom fast path and merges racing erases.
 
 Two subjects from the raw-speed round-three PR:
 
@@ -6,9 +6,9 @@ Two subjects from the raw-speed round-three PR:
   bytes, shared :class:`BloomHashCache`, batch builders/probes, and the
   saturation auto-resize guard — must never produce a false negative and
   must keep its false-positive rate near the configured target;
-* budgeted ``maintain(max_bytes=...)`` slices interleaved with grounded
-  erases must leave the LSM backend agreeing with a dict model, with no
-  copy site or forensic residue for erased units.
+* flush-triggered merges interleaved with grounded erases must leave the
+  LSM backend agreeing with a dict model, with no copy site or forensic
+  residue for erased units.
 """
 
 import math
@@ -179,17 +179,15 @@ TestBloomMachine.settings = settings(
 )
 
 
-# ------------------------------------------------------- drain versus erase
-class DrainEraseMachine(RuleBasedStateMachine):
-    """Budgeted maintenance slices racing grounded erases on a deferred LSM.
+# ------------------------------------------------------- merges versus erase
+class MergeEraseMachine(RuleBasedStateMachine):
+    """Flush-triggered leveled merges racing grounded erases on an LSM.
 
-    The throttled-compaction contract: a unit erased while merge work is
-    still queued must be gone — model-visible reads agree, no copy sites,
-    no forensic residue — no matter how little of the backlog has drained.
-    Both groundings race the slices: "delete" (victim compaction, which
-    rewrites only the victim's runs and leaves the backlog queued) and
-    "strong delete" (full compaction).  Neither may leave so much as a
-    tombstone for a later slice to merge.
+    A unit erased between merges must be gone — model-visible reads agree,
+    no copy sites, no forensic residue — whatever merges later flushes run.
+    Both groundings race the merges: "delete" (victim compaction, which
+    rewrites only the victim's runs) and "strong delete" (full compaction).
+    Neither may leave so much as a tombstone for a later merge to carry.
     """
 
     def __init__(self):
@@ -200,7 +198,6 @@ class DrainEraseMachine(RuleBasedStateMachine):
             cost,
             memtable_capacity=4,
             compaction="leveled",
-            compaction_mode="deferred",
         )
         self.model = {}
         self.erased = set()
@@ -222,8 +219,8 @@ class DrainEraseMachine(RuleBasedStateMachine):
             del self.model[key]
 
     @rule()
-    def drain_slice(self):
-        self.backend.maintain(max_bytes=1024)
+    def flush(self):
+        self.backend.engine.flush()
 
     @rule(key=st.integers(min_value=0, max_value=24))
     def erase(self, key):
@@ -260,7 +257,7 @@ class DrainEraseMachine(RuleBasedStateMachine):
             assert all(run.get_encoded(key) is None for run in engine.runs())
 
 
-TestDrainEraseMachine = DrainEraseMachine.TestCase
-TestDrainEraseMachine.settings = settings(
+TestMergeEraseMachine = MergeEraseMachine.TestCase
+TestMergeEraseMachine.settings = settings(
     max_examples=30, stateful_step_count=40, deadline=None
 )

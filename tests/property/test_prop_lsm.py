@@ -77,11 +77,10 @@ class ReclaimMachine(RuleBasedStateMachine):
     """Both lsm reclamations against a dict model: after ``reclaim`` (victim
     compaction) or ``reclaim_full`` no deleted key has a copy site — or any
     entry, tombstone included — on the node, every live key still reads its
-    latest value, and no later flush, merge, maintenance slice or full
-    compaction brings a reclaimed key back."""
+    latest value, and no later flush, merge or full compaction brings a
+    reclaimed key back."""
 
     COMPACTION = "size"
-    MODE = "sync"
 
     def __init__(self):
         super().__init__()
@@ -90,7 +89,6 @@ class ReclaimMachine(RuleBasedStateMachine):
             memtable_capacity=4,
             tier_threshold=3,
             compaction=self.COMPACTION,
-            compaction_mode=self.MODE,
         )
         self.model = {}
         self.deleted = set()  # tombstoned, no reclamation yet
@@ -116,10 +114,6 @@ class ReclaimMachine(RuleBasedStateMachine):
     @rule()
     def flush(self):
         self.backend.engine.flush()
-
-    @rule(max_bytes=st.sampled_from([1, 256, 4096]))
-    def maintain_slice(self, max_bytes):
-        self.backend.maintain(max_bytes=max_bytes)
 
     def _reclaimed(self):
         for key in self.deleted:
@@ -159,11 +153,11 @@ class ReclaimMachine(RuleBasedStateMachine):
             assert all(run.get_encoded(key) is None for run in engine.runs())
 
 
-def _reclaim_machine(compaction, mode):
+def _reclaim_machine(compaction):
     machine = type(
-        f"ReclaimMachine_{compaction}_{mode}",
+        f"ReclaimMachine_{compaction}",
         (ReclaimMachine,),
-        {"COMPACTION": compaction, "MODE": mode},
+        {"COMPACTION": compaction},
     )
     case = machine.TestCase
     case.settings = settings(
@@ -172,10 +166,8 @@ def _reclaim_machine(compaction, mode):
     return case
 
 
-TestReclaimSizeSync = _reclaim_machine("size", "sync")
-TestReclaimSizeDeferred = _reclaim_machine("size", "deferred")
-TestReclaimLeveledSync = _reclaim_machine("leveled", "sync")
-TestReclaimLeveledDeferred = _reclaim_machine("leveled", "deferred")
+TestReclaimSize = _reclaim_machine("size")
+TestReclaimLeveled = _reclaim_machine("leveled")
 
 
 @given(

@@ -1,9 +1,7 @@
-"""Compaction subsystem tests — policies, scheduler, erasure-aware GC.
+"""Compaction subsystem tests — policies, erasure-aware GC.
 
 Covers the edge cases the leveled refactor makes reachable:
 
-* erase issued mid-compaction (deferred scheduler with planned-but-unrun
-  merges when the grounded erase lands);
 * tombstone resurrection across levels (a tombstone must never be GC'd
   while a deeper level still holds a shadowed value);
 * bloom-filter / block-cache behaviour across SSTable rewrites (rewritten
@@ -18,7 +16,6 @@ from repro.core.entities import controller, data_subject
 from repro.core.policy import Policy, Purpose
 from repro.lsm.cache import SharedBlockCache
 from repro.lsm.compaction import (
-    CompactionScheduler,
     LeveledPolicy,
     SizeTieredPolicy,
     make_compaction_policy,
@@ -61,8 +58,6 @@ class TestPolicyConstruction:
             LeveledPolicy(l0_trigger=1)
         with pytest.raises(ValueError):
             LeveledPolicy(fanout=1)
-        with pytest.raises(ValueError):
-            CompactionScheduler("eventually")
 
     def test_engine_accepts_policy_instance(self):
         eng, _ = make_engine(compaction=LeveledPolicy(l0_trigger=2))
@@ -136,74 +131,6 @@ class TestLeveledStructure:
         assert ("k007", 7) in got
 
 
-class TestEraseMidCompaction:
-    """Erase while planned merges are queued (deferred scheduler)."""
-
-    def _deferred_engine(self):
-        eng, clock = make_engine(
-            memtable_capacity=2, compaction="leveled", compaction_mode="deferred"
-        )
-        return eng, clock
-
-    def test_deferred_mode_queues_instead_of_merging(self):
-        eng, _ = self._deferred_engine()
-        for i in range(16):
-            eng.put(f"k{i:02d}", i)
-        assert eng.compaction_count == 0
-        assert eng.compaction_pending
-        assert eng.scheduler.pending
-        eng.run_pending_compactions()
-        assert eng.compaction_count > 0
-        assert not eng.compaction_pending
-
-    def test_erase_lands_while_compaction_pending(self):
-        """The grounded erase must be clean even when it interleaves with
-        a compaction backlog — the mid-compaction erase edge case."""
-        eng, _ = self._deferred_engine()
-        for i in range(16):
-            eng.put(f"k{i:02d}", i)
-        assert eng.compaction_pending  # merges planned but not yet run
-        eng.delete("k03")
-        eng.full_compaction()  # grounded erase: always synchronous
-        assert not eng.physically_present("k03")
-        assert eng.get("k03") is None
-        assert eng.tombstone_count == 0
-        # the erase's everything-merge satisfied the backlog too
-        assert not eng.scheduler.pending
-        # and draining afterwards must not resurrect anything
-        eng.run_pending_compactions()
-        assert eng.get("k03") is None
-        for i in range(16):
-            if i != 3:
-                assert eng.get(f"k{i:02d}") == i
-
-    def test_pending_merge_after_erase_keeps_erasure_clean(self):
-        """Deletes queued behind a deferred merge stay deleted when the
-        backlog finally runs."""
-        eng, _ = self._deferred_engine()
-        for i in range(16):
-            eng.put(f"k{i:02d}", i)
-        eng.delete("k05")
-        eng.flush()
-        assert eng.get("k05") is None
-        eng.run_pending_compactions()  # backlog runs *after* the delete
-        assert eng.get("k05") is None
-        assert not eng.unpurged_deletions() or eng.physically_present("k05")
-
-    def test_backend_maintain_drains_deferred_work(self):
-        backend = LsmBackend(
-            make_cost(),
-            memtable_capacity=2,
-            compaction="leveled",
-            compaction_mode="deferred",
-        )
-        for i in range(16):
-            backend.insert(f"k{i:02d}", i)
-        assert backend.engine.compaction_count == 0
-        backend.maintain()
-        assert backend.engine.compaction_count > 0
-
-
 class TestTombstoneResurrection:
     def test_tombstone_not_dropped_above_shadowed_value(self):
         """A tombstone pushed L0→L1 while the value sits in L2 must survive
@@ -235,7 +162,6 @@ class TestTombstoneResurrection:
         for i in range(100, 108):
             eng.put(f"pad{i}", i)
         eng.flush()
-        eng.run_pending_compactions()
         # Deleted stays deleted, even though the merge cascade ran.
         assert eng.get(victim) is None
         # The tombstone may only disappear once the shadowed copy is gone:
@@ -401,7 +327,6 @@ class TestBloomAndCacheAfterRewrite:
         eng, _ = make_engine(memtable_capacity=4, compaction="leveled")
         for i in range(128):
             eng.put(f"k{i:04d}", i)
-        eng.run_pending_compactions()
         eng._block_cache = SharedBlockCache(eng.block_cache.capacity)
         before = eng.cache_misses
         assert eng.get("absent-key") is None

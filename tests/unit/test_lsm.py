@@ -513,21 +513,20 @@ class TestVictimCompaction:
         assert eng.run_count == 1 and [len(run) for run in eng.runs()] == [1]
         assert eng.get("c") == 3 and eng.get("a") is None and eng.get("b") is None
 
-    def test_leaves_other_keys_garbage_and_the_backlog_alone(self):
-        eng, _ = make_engine(
-            memtable_capacity=2, compaction="leveled", compaction_mode="deferred"
-        )
+    def test_leaves_other_keys_shadowed_versions(self):
+        eng, _ = make_engine(memtable_capacity=2, tier_threshold=10)
         for i in range(12):
-            eng.put(f"k{i % 4}", i)  # six queued runs of update-shadowed versions
+            eng.put(f"k{i % 4}", i)  # six unmerged runs of update-shadowed versions
         eng.delete("k0")
-        queued = eng.scheduler.queue_depth
         entries = sum(len(r) for r in eng.runs())
-        k0_entries = sum(r.get_encoded("k0") is not None for r in eng.runs())
-        assert eng.scheduler.pending and queued > 0 and k0_entries == 3
+
+        def versions(key):
+            return sum(r.get_encoded(key) is not None for r in eng.runs())
+
+        assert [versions(f"k{i}") for i in range(4)] == [3, 3, 3, 3]
         eng.victim_compaction()
-        assert eng.scheduler.pending and eng.scheduler.queue_depth == queued
-        assert sum(len(r) for r in eng.runs()) == entries - k0_entries
-        eng.run_pending_compactions()
+        assert sum(len(r) for r in eng.runs()) == entries - 3
+        assert [versions(f"k{i}") for i in range(4)] == [0, 3, 3, 3]
         assert eng.get("k0") is None and eng.copy_sites("k0") == []
         assert [eng.get(f"k{i}") for i in (1, 2, 3)] == [9, 10, 11]
 

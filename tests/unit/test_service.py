@@ -397,9 +397,8 @@ class TestHandOff:
         """The deadline only bounds a wedged shutdown: a healthy one drains,
         stops the workers and the maintenance thread, and returns early."""
         monkeypatch.setattr(server, "CLOSE_TIMEOUT_S", 10.0)
-        service, store = make_service(
-            shards=2, workers_per_shard=2, maintenance_interval=0.001
-        )
+        monkeypatch.setattr(server, "MAINTENANCE_INTERVAL_S", 0.001)
+        service, store = make_service(shards=2, workers_per_shard=2)
         service.start()
         replies = [
             service.submit(CollectRequest(f"k{i}", "v", subject="s"))
@@ -454,56 +453,11 @@ class TestHandOff:
             assert not thread.is_alive()
 
 
-class TestCompactionCounters:
-    def test_stats_surface_store_compaction_state(self):
-        """Service stats aggregate the deferred schedulers' throttle
-        counters at snapshot time, so operators watch backlog and stalls
-        through ``GET /stats`` instead of poking shard nodes."""
-        cost = CostModel(SimClock(), CostBook())
-        store = ReplicatedStore.from_config(
-            cost,
-            StoreConfig(
-                backend=BackendConfig(
-                    backend="lsm",
-                    memtable_capacity=4,
-                    compaction="leveled",
-                    compaction_mode="deferred",
-                ),
-                shards=1,
-                n_replicas=0,
-            ),
-        )
-        # The maintenance thread would drain the backlog between the
-        # collects and the snapshot; this test drains it by hand.
-        service = ComplianceService(
-            store, config=ServiceConfig(maintenance_interval=3600.0), autostart=False
-        )
-        service.start()
-        # 32 collects = 8 flushed runs on the single node: a visible merge
-        # backlog, below the L0 stall threshold that would self-drain.
-        for i in range(32):
-            assert service.call(
-                CollectRequest(f"k{i:03d}", i, subject="s")
-            ).status is Status.CREATED
-        backlog = service.stats()
-        assert backlog.compaction_queue_depth > 0
-        for _ in range(256):
-            if service.stats().compaction_queue_depth == 0:
-                break
-            store.maintain(max_bytes=2048)
-        drained = service.stats()
-        assert drained.compaction_queue_depth == 0
-        assert drained.merges_run > 0
-        assert drained.bytes_compacted > 0
-        service.close()
-
-
 class TestMaintenanceTick:
     @pytest.mark.parametrize("backend", ["psql", "lsm", "crypto-shred"])
     def test_quiet_ticks_run_on_every_backend(self, backend):
-        """A quiet tick flushes repairs and runs one compaction slice on
-        the store itself; a tick that raised would stop the thread and the
-        tick count would stall."""
+        """A quiet tick flushes repairs on the store itself; a tick that
+        raised would stop the thread and the tick count would stall."""
         cost = CostModel(SimClock(), CostBook())
         store = ReplicatedStore.from_config(
             cost,
@@ -521,8 +475,6 @@ class TestMaintenanceTick:
             time.sleep(0.005)
         service.close()
         assert service.violations == []
-        if backend != "lsm":
-            assert service.stats().merges_run == 0
 
 
 class TestEraseBatching:
