@@ -15,9 +15,11 @@ import pickle
 import pytest
 
 from repro import codec
+from repro.analysis.invariants import store_invariants
 from repro.config import BackendConfig, StoreConfig
 from repro.core.entities import controller, data_subject
 from repro.core.erasure import ErasureInterpretation
+from repro.core.invariants import World, check_invariants
 from repro.core.policy import Policy, Purpose
 from repro.core.provenance import DependencyKind
 from repro.distributed.store import ReplicatedStore
@@ -211,6 +213,77 @@ def test_crypto_shred_space_factor_and_batched_shred():
     batched_speedup = single_us / ((cost.clock.now - start) / len(batch))
     assert space_factor <= 1.8
     assert batched_speedup >= 25
+
+
+# -- Erase between flush-triggered merges ------------------------------------
+
+def test_flush_merges_stay_bounded_with_erases_mid_ingest():
+    """Two leveled lsm shards with 32-entry memtables ingest 2 000 keys;
+    in the second half a grounded erase follows every 128th put.  No single
+    put's flush and merge cascade rewrites more than 13 000 B over the four
+    nodes (measured 10 584), merges run between every two erases, every
+    erase leaves no copy — then and after the rest of the ingest — and the
+    invariant oracle stays silent."""
+    store = ReplicatedStore(
+        make_cost(),
+        StoreConfig(
+            n_replicas=1,
+            replication_lag=10_000,
+            cache_ttl=10**12,
+            shards=2,
+            backend=BackendConfig(backend="lsm", compaction="leveled", memtable_capacity=32),
+        ),
+    )
+    world = World.observe(store)
+
+    def node_total(name):
+        return sum(getattr(node.backend.engine, name) for node in store.nodes())
+
+    steps, merges_at_erase, victims, violations = [], [], [], []
+    for i in range(2_000):
+        before = node_total("bytes_compacted")
+        store.put(f"u{i:06d}", (i, "payload"))
+        steps.append(node_total("bytes_compacted") - before)
+        world.record_write(f"u{i:06d}")
+        if i >= 1_000 and (i + 1) % 128 == 0 and len(victims) < 8:
+            victim = f"u{i - 64:06d}"
+            merges_at_erase.append(node_total("merges_run"))
+            world.record_erase(victim, store.erase_all_copies(victim))
+            victims.append(victim)
+            assert store.copies_of(victim) == []
+            violations.extend(check_invariants(world, store_invariants()).violations)
+    violations.extend(check_invariants(world, store_invariants()).violations)
+    assert max(steps) <= 13_000
+    assert len(victims) == 8 and violations == []
+    assert all(a < b for a, b in zip(merges_at_erase, merges_at_erase[1:]))
+    assert all(store.copies_of(victim) == [] for victim in victims)
+
+
+@pytest.mark.parametrize("backend_name", BACKENDS)
+def test_erase_between_flush_merges_leaves_nothing(backend_name):
+    """An erase after every 16 inserts (on lsm, each batch flushes a
+    16-entry memtable and runs its merges), and the inserts after the last
+    erase, leave no victim tracked or present."""
+    opts = {"memtable_capacity": 16} if backend_name == "lsm" else {}
+    backend = make_backend(backend_name, make_cost(), **opts)
+    backend.insert_many((f"u{i:04d}", (i, "payload")) for i in range(96))
+    victims = [f"u{i:04d}" for i in range(0, 96, 16)]
+    next_key = 96
+    for victim in victims + [None]:
+        backend.insert_many(
+            (f"u{i:04d}", (i, "payload")) for i in range(next_key, next_key + 16)
+        )
+        next_key += 16
+        if victim is None:
+            break
+        backend.erase(victim)
+        assert backend.copy_locations(victim) == []
+        assert not backend.physically_present(victim)
+    if backend_name == "lsm":
+        assert backend.engine.merges_run > 0
+    for victim in victims:
+        assert backend.copy_sites(victim) == [] and backend.copy_locations(victim) == []
+        assert not backend.physically_present(victim)
 
 
 # -- Sharded store -------------------------------------------------------------

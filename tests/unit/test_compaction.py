@@ -2,6 +2,8 @@
 
 Covers the edge cases the leveled refactor makes reachable:
 
+* erase issued between merges (a grounded erase lands after some of the
+  merges that flushes run and before others);
 * tombstone resurrection across levels (a tombstone must never be GC'd
   while a deeper level still holds a shadowed value);
 * bloom-filter / block-cache behaviour across SSTable rewrites (rewritten
@@ -129,6 +131,55 @@ class TestLeveledStructure:
         assert "k010" not in keys
         assert keys == sorted(keys)
         assert ("k007", 7) in got
+
+
+class TestEraseMidCompaction:
+    """Erase between the merges that flushes run: a grounded erase lands
+    after some merges and before others, and no later merge may bring the
+    erased unit back."""
+
+    def _leveled_engine(self):
+        eng, _ = make_engine(memtable_capacity=2, compaction="leveled")
+        for i in range(16):
+            eng.put(f"k{i:02d}", i)
+        return eng
+
+    def test_flush_runs_planned_merges_before_returning(self):
+        eng = self._leveled_engine()
+        assert eng.compaction_count > 0
+        assert eng.merges_run > 0
+        assert eng.compaction_policy.plan(eng.level_view()) is None
+
+    def test_later_merges_do_not_resurrect_a_full_compaction_erase(self):
+        eng = self._leveled_engine()
+        eng.delete("k03")
+        eng.full_compaction()  # grounded erase: always synchronous
+        assert not eng.physically_present("k03")
+        assert eng.tombstone_count == 0
+        merges = eng.merges_run
+        for i in range(16, 32):
+            eng.put(f"k{i:02d}", i)
+        assert eng.merges_run > merges  # merges ran after the erase
+        assert eng.get("k03") is None
+        assert not eng.physically_present("k03")
+        for i in range(32):
+            if i != 3:
+                assert eng.get(f"k{i:02d}") == i
+
+    def test_merge_after_delete_keeps_the_key_deleted(self):
+        """A tombstone flushed before a merge cascade stays authoritative:
+        the key reads as deleted, and while a run still holds the value
+        the deletion stays on the unpurged list."""
+        eng = self._leveled_engine()
+        eng.delete("k05")
+        eng.flush()
+        merges = eng.merges_run
+        for i in range(16, 32):
+            eng.put(f"k{i:02d}", i)
+        assert eng.merges_run > merges
+        assert eng.get("k05") is None
+        if eng.physically_present("k05"):
+            assert "k05" in {r.key for r in eng.unpurged_deletions()}
 
 
 class TestTombstoneResurrection:

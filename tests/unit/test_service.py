@@ -453,6 +453,48 @@ class TestHandOff:
             assert not thread.is_alive()
 
 
+class TestStatsSnapshot:
+    def test_stats_do_not_wait_for_the_topology_lock(self):
+        """A stats snapshot reads only the service's own counters, so it
+        returns while a resize or an invariant sweep holds the topology
+        write lock."""
+        service, _ = make_service()
+        got = []
+        with service._topology.write():
+            reader = threading.Thread(target=lambda: got.append(service.stats()))
+            reader.start()
+            reader.join(timeout=5)
+            assert not reader.is_alive(), "stats() waited for the topology lock"
+        assert got and got[0].maintenance_ticks == 0
+
+    def test_node_stats_count_the_merges_collects_run(self):
+        """Collects through the service flush the lsm node's memtable, and
+        each flush runs its merges; the node's stats detail — summed by the
+        spine's harness — counts them."""
+        store = ReplicatedStore.from_config(
+            CostModel(SimClock(), CostBook()),
+            StoreConfig(
+                backend=BackendConfig(
+                    backend="lsm", memtable_capacity=4, compaction="leveled"
+                ),
+                shards=1,
+                n_replicas=0,
+            ),
+        )
+        service = ComplianceService(store, autostart=False)
+        service.start()
+        # 32 collects = 8 flushed runs on the single node.
+        for i in range(32):
+            assert service.call(
+                CollectRequest(f"k{i:03d}", i, subject="s")
+            ).status is Status.CREATED
+        service.close()
+        (node,) = store.nodes()
+        detail = dict(node.backend.stats().detail)
+        assert detail["merges_run"] == node.backend.engine.merges_run > 0
+        assert detail["bytes_compacted"] > 0
+
+
 class TestMaintenanceTick:
     @pytest.mark.parametrize("backend", ["psql", "lsm", "crypto-shred"])
     def test_quiet_ticks_run_on_every_backend(self, backend):
