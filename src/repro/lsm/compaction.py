@@ -128,8 +128,7 @@ def level0_tombstone_gc_safe(
     """Whether a level-0 merge of ``victims`` may GC tombstones: the merge
     output must become the oldest run and no deeper level may hold data —
     otherwise a dropped tombstone would resurrect a shadowed value.  The
-    single safety predicate for every level-0-shaped merge (the size-tiered
-    plan and the engine's legacy manual merge)."""
+    single safety predicate for every level-0-shaped merge."""
     level0 = levels[0] if levels else ()
     if not level0 or not victims:
         return False

@@ -73,7 +73,6 @@ from repro.lsm.compaction import (
     CompactionEvent,
     CompactionPolicy,
     CompactionTask,
-    level0_tombstone_gc_safe,
     make_compaction_policy,
 )
 from repro.lsm.memtable import TOMBSTONE, TOMBSTONE_BLOB, Memtable
@@ -444,20 +443,6 @@ class LSMEngine:
         target = self._levels[task.target_level]
         target.extend(outs)
         target.sort(key=lambda t: t.min_key)
-
-    def _compact(self, victims: List[SSTable]) -> SSTable:
-        """Merge a contiguous slice of the level-0 run list in place —
-        retained for compatibility with the size-tiered unit tests."""
-        drop = level0_tombstone_gc_safe(victims, self._levels)
-        outs = self.execute_compaction(
-            CompactionTask(
-                sources=((0, tuple(victims)),),
-                target_level=0,
-                drop_tombstones=drop,
-                reason=f"manual merge ({len(victims)} runs)",
-            )
-        )
-        return outs[0] if outs else SSTable([], self._payload_bytes, self._now())
 
     def full_compaction(self) -> int:
         """Merge every run and drop all tombstones — the LSM grounding of

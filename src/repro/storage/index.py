@@ -10,6 +10,12 @@ it empties; nothing merges and the tree never gets shorter.  Repacking is
 
 ``probe`` returns the traversal depth and the number of dead entries the
 search had to step over, so the engine can charge honest costs.
+
+A key above every key in the tree, live or dead, descends nowhere: every
+separator on the right edge is at most the rightmost leaf's last key, so
+the general descent would reach that leaf anyway.  ``probe`` answers it
+from the leaf and ``insert`` appends to it — PostgreSQL's rightmost-leaf
+fastpath — and the split path is walked only when the leaf overflows.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ NODE_OVERHEAD = 48
 BulkItems = Optional[List[Tuple[Any, TID]]]
 
 
-@dataclass
+@dataclass(slots=True)
 class _Entry:
     key: Any
     tid: TID
@@ -57,7 +63,7 @@ class _Internal:
         self.children = children
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ProbeResult:
     """What a point lookup observed — input to cost charging."""
 
@@ -76,6 +82,7 @@ class BTreeIndex:
     def __init__(self, name: str = "idx") -> None:
         self.name = name
         self._root: Any = _Leaf()
+        self._tail: _Leaf = self._root  # the rightmost leaf
         self._height = 1
         self._live = 0
         self._dead = 0
@@ -143,6 +150,21 @@ class BTreeIndex:
             node = node.children[i]
         return node, path
 
+    def _right_edge(self) -> Tuple[_Leaf, List[Tuple[_Internal, int]]]:
+        """The rightmost leaf and the path to it, as ``_find_leaf_path``
+        returns them for a key above every key in the tree."""
+        node = self._root
+        path: List[Tuple[_Internal, int]] = []
+        while isinstance(node, _Internal):
+            path.append((node, len(node.children) - 1))
+            node = node.children[-1]
+        return node, path
+
+    def _past_end(self, key: Any) -> bool:
+        """Whether ``key`` is above every key in the tree, live or dead."""
+        keys = self._tail.keys
+        return not keys or key > keys[-1]
+
     def _split_leaf(self, leaf: _Leaf) -> Tuple[Any, _Leaf]:
         mid = len(leaf.keys) // 2
         right = _Leaf()
@@ -159,21 +181,27 @@ class BTreeIndex:
         """Insert a new live entry.  The engine enforces key uniqueness among
         live entries; a dead entry with the same key may coexist (a deleted
         row whose index entry has not been vacuumed yet)."""
-        leaf, path = self._find_leaf_path(key)
-        i = bisect_left(leaf.keys, key)
-        # Reuse a dead entry slot for the same key if present.
-        j = i
-        while j < len(leaf.keys) and leaf.keys[j] == key:
-            if leaf.entries[j].live:
-                raise KeyError(f"duplicate live key in index: {key!r}")
-            j += 1
+        if self._past_end(key):
+            leaf, path, i = self._tail, None, len(self._tail.keys)
+        else:
+            leaf, path = self._find_leaf_path(key)
+            i = bisect_left(leaf.keys, key)
+            j = i
+            while j < len(leaf.keys) and leaf.keys[j] == key:
+                if leaf.entries[j].live:
+                    raise KeyError(f"duplicate live key in index: {key!r}")
+                j += 1
         leaf.keys.insert(i, key)
         leaf.entries.insert(i, _Entry(key, tid))
         self._live += 1
         if len(leaf.keys) <= ORDER:
             return
         # Split upward.
+        if path is None:
+            path = self._right_edge()[1]
         sep, right = self._split_leaf(leaf)
+        if right.next is None:
+            self._tail = right
         new_child: Any = right
         for node, child_i in reversed(path):
             node.keys.insert(child_i, sep)
@@ -203,6 +231,8 @@ class BTreeIndex:
     # ----------------------------------------------------------------- reads
     def probe(self, key: Any) -> ProbeResult:
         """Point lookup; reports depth and dead entries stepped over."""
+        if self._past_end(key):
+            return ProbeResult(None, self._height, 0)
         entry, dead = self._find_live(key)
         return ProbeResult(
             entry.tid if entry is not None else None, self._height, dead
@@ -251,6 +281,7 @@ class BTreeIndex:
             if self._delete_dead(self._root, key, None):
                 self._root, self._height = _Leaf(), 1
         self._dead_keys.clear()
+        self._tail = self._right_edge()[0]
         return dead - self._dead
 
     def _delete_dead(self, node: Any, key: Any, before: Optional[_Leaf]) -> bool:
@@ -307,6 +338,7 @@ class BTreeIndex:
             seps = parent_seps
             height += 1
         self._root = level[0]
+        self._tail = self._right_edge()[0]
         self._height = height
         self._live = len(items)
         self._dead = 0

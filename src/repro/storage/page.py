@@ -25,7 +25,7 @@ PAGE_SIZE = 8192
 TUPLE_OVERHEAD = 27
 
 
-@dataclass
+@dataclass(slots=True)
 class TupleSlot:
     """One stored tuple version."""
 
@@ -81,14 +81,14 @@ class Page:
     # ------------------------------------------------------------- mutation
     def insert(self, key: Any, payload: Any, payload_size: int) -> int:
         """Store a tuple; returns its (stable) slot number."""
-        slot = TupleSlot(key, payload_size, payload)
-        if slot.footprint > self._free:
+        footprint = payload_size + TUPLE_OVERHEAD
+        if footprint > self._free:
             raise PageFullError(
-                f"page {self.page_no}: need {slot.footprint}B, free {self._free}B"
+                f"page {self.page_no}: need {footprint}B, free {self._free}B"
             )
-        self._slots.append(slot)
-        self._free -= slot.footprint
-        self._live_bytes += slot.footprint
+        self._slots.append(TupleSlot(key, payload_size, payload))
+        self._free -= footprint
+        self._live_bytes += footprint
         self._live_count += 1
         return len(self._slots) - 1
 

@@ -23,7 +23,7 @@ the records (LSNs and types stay — recovery metadata is not personal data).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Iterator, List, Optional
 
@@ -47,7 +47,7 @@ class WalRecordType(Enum):
 RECORD_BYTES = 56
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class WalRecord:
     lsn: int
     type: WalRecordType
@@ -177,9 +177,9 @@ class WriteAheadLog:
         if not bucket:
             return 0
         scrubbed = 0
-        for i, record in enumerate(bucket):
+        for record in bucket:
             if record.payload is not None:
-                bucket[i] = replace(record, payload=None)
+                record.payload = None
                 scrubbed += 1
         if scrubbed:
             self._cost.charge_log_purge(scrubbed)
@@ -198,23 +198,14 @@ class WriteAheadLog:
         return removed
 
     def checkpoint(self) -> int:
-        """Flush everything and recycle all segments (data pages are safe)."""
+        """Flush everything and recycle all segments (data pages are safe).
+
+        Every record sits below the next LSN, so every bucket goes; returns
+        the number of records removed.  LSNs continue where they were."""
         self.flush()
         self._cost.charge_fsync()
         self._since_checkpoint = 0
         self.checkpoint_count += 1
-        return self.truncate_before(self._next_lsn)
-
-    def truncate_before(self, lsn: int) -> int:
-        """Checkpoint-style truncation of old segments."""
-        removed = 0
-        for bucket_key in list(self._buckets):
-            bucket = self._buckets[bucket_key]
-            kept = [r for r in bucket if r.lsn >= lsn]
-            removed += len(bucket) - len(kept)
-            if kept:
-                self._buckets[bucket_key] = kept
-            else:
-                del self._buckets[bucket_key]
-        self._count -= removed
+        removed, self._count = self._count, 0
+        self._buckets.clear()
         return removed

@@ -14,7 +14,8 @@ tree is a self-check that the transcript is deterministic across processes.
 
 * psql, bare leg — one ``PsqlBackend``; ``reclaim()`` ("delete": VACUUM)
   interleaved with ``reclaim_full()`` ("strong delete": VACUUM FULL); after
-  every erase, the table's heap image, WAL size and B-tree leaf chain.
+  every erase, the table's heap image, WAL size and records, B-tree leaf
+  chain and depth.
 * lsm, bare leg — one ``LsmBackend``; ``reclaim()`` ("delete": victim
   compaction) interleaved with ``reclaim_full()`` ("strong delete": full
   compaction); after every erase, each run's ``table_id``, a digest of its
@@ -30,9 +31,11 @@ tree is a self-check that the transcript is deterministic across processes.
 
 Bytes at rest on psql: a SHA-256 over the heap image in ``scan_all()``
 order (each tuple's TID, key, liveness, ``payload_size`` and payload
-``repr``, dead tuples included), the WAL's ``size_bytes``, and a SHA-256
-over the B-tree leaf chain (each entry's key, TID and liveness, dead
-entries included).
+``repr``, dead tuples included), the WAL's ``size_bytes``, a SHA-256 over
+the WAL records in LSN order (each record's LSN, type, key,
+``payload_size`` and payload ``repr``, or "scrubbed" once redacted), a
+SHA-256 over the B-tree leaf chain (each entry's key, TID and liveness,
+dead entries included), and the B-tree's depth.
 
 Bytes at rest on crypto-shred: a SHA-256 over every sector group's raw
 sectors in sector order, and one over the vault's key table (each id's
@@ -78,9 +81,13 @@ def _at_rest(tag, backend):
         leaves = hashlib.sha256()
         for entry in _leaf_chain(table.index):
             leaves.update(f"{entry.key!r}|{entry.tid}|{entry.live};".encode())
+        wal = hashlib.sha256()
+        for r in backend.engine.wal.records():
+            image = "scrubbed" if r.payload is None else repr(r.payload)
+            wal.update(f"{r.lsn}|{r.type.value}|{r.key!r}|{r.payload_size}|{image};".encode())
         yield (
             f"{tag} heap {heap.hexdigest()} wal={backend.engine.wal.size_bytes} "
-            f"index {leaves.hexdigest()}"
+            f"{wal.hexdigest()} index {leaves.hexdigest()} depth={table.index.depth}"
         )
         return
     if backend.name == "lsm":

@@ -4,8 +4,14 @@ The stateful machine runs over *deep* trees (``ORDER`` patched to 4, so 200
 keys make four or five levels) and checks the physical layout by walking the
 leaf chain after every rule — a one-leaf tree cannot see a run of duplicates
 straddling a split, nor a leaf that cleanup emptied.
+
+A key above every key in the tree takes the right-edge fastpath; a twin
+tree with the fastpath turned off is fed the same operations, and after
+every rule both trees must have the same shape, entry for entry, and
+answer every probe alike.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
@@ -14,6 +20,26 @@ from repro.storage import index as index_module
 from repro.storage.index import BTreeIndex, _Leaf
 
 KEYS = st.integers(min_value=0, max_value=200)
+
+
+class GeneralDescent(BTreeIndex):
+    """The same tree with every key sent down the general descent."""
+
+    def _past_end(self, key):
+        return False
+
+
+def shape(node):
+    """The whole tree — separators, leaves, entries — as plain values."""
+    if isinstance(node, _Leaf):
+        return [(e.key, e.tid, e.live) for e in node.entries]
+    return (list(node.keys), [shape(child) for child in node.children])
+
+
+def max_key(index):
+    """The largest key in the tree, live or dead (-1 when empty)."""
+    leaves = tree_leaves(index._root)
+    return max((leaf.keys[-1] for leaf in leaves if leaf.keys), default=-1)
 
 
 def tree_leaves(node):
@@ -30,8 +56,10 @@ class BTreeMachine(RuleBasedStateMachine):
         self._order = index_module.ORDER
         index_module.ORDER = 4
         self.index = BTreeIndex()
+        self.twin = GeneralDescent()
         self.model = {}
         self.counter = 0
+        self.top = 200  # the largest key ever inserted, at least KEYS' top
 
     def teardown(self):
         index_module.ORDER = self._order
@@ -40,15 +68,19 @@ class BTreeMachine(RuleBasedStateMachine):
         tid = (key, self.counter)
         self.counter += 1
         self.index.insert(key, tid)
+        self.twin.insert(key, tid)
         self.model[key] = tid
+        self.top = max(self.top, key)
 
     def _mark_dead(self, key):
         assert self.index.mark_dead(key) == (key in self.model)
+        assert self.twin.mark_dead(key) == (key in self.model)
         self.model.pop(key, None)
 
     def _cleanup(self):
         dead = self.index.dead_entries
         assert self.index.cleanup() == dead
+        assert self.twin.cleanup() == dead
         leaves = tree_leaves(self.index._root)
         assert all(e.live for leaf in leaves for e in leaf.entries)
         # An emptied leaf is unlinked, never left to be walked over.
@@ -68,6 +100,20 @@ class BTreeMachine(RuleBasedStateMachine):
         for key in range(lo, min(lo + count, 201)):
             if key not in self.model:
                 self._insert(key)
+
+    @rule(gap=st.integers(min_value=0, max_value=3),
+          count=st.integers(min_value=1, max_value=40))
+    def append_past_the_end(self, gap, count):
+        """A run of keys above every key in the tree, dead ones included —
+        what a sequential load sends down the right-edge fastpath."""
+        start = max_key(self.index) + 1 + gap
+        for key in range(start, start + count):
+            self._insert(key)
+        # A live key is still refused: the right edge itself takes the
+        # general descent, as does the run's first key.
+        for key in (start + count - 1, start):
+            with pytest.raises(KeyError):
+                self.index.insert(key, (key, -1))
 
     @rule(key=KEYS)
     def mark_dead(self, key):
@@ -109,8 +155,17 @@ class BTreeMachine(RuleBasedStateMachine):
     def lookups_agree(self):
         """Every live key is reachable from ``_find_leaf`` (what ``get``
         walks from); absent keys are absent."""
-        for key in range(0, 201):
+        for key in range(0, self.top + 2):
             assert self.index.get(key) == self.model.get(key)
+
+    @invariant()
+    def twin_has_the_same_tree(self):
+        """The fastpath builds exactly the tree the general descent builds,
+        and every probe, past the end or not, reports the same."""
+        assert shape(self.index._root) == shape(self.twin._root)
+        assert self.index.depth == self.twin.depth
+        for key in range(0, self.top + 2):
+            assert self.index.probe(key) == self.twin.probe(key)
 
     @invariant()
     def full_scan_is_sorted_model(self):

@@ -18,8 +18,10 @@ from repro.core.entities import controller, data_subject
 from repro.core.policy import Policy, Purpose
 from repro.lsm.cache import SharedBlockCache
 from repro.lsm.compaction import (
+    CompactionTask,
     LeveledPolicy,
     SizeTieredPolicy,
+    level0_tombstone_gc_safe,
     make_compaction_policy,
 )
 from repro.lsm.engine import LSMEngine
@@ -249,7 +251,12 @@ class TestTombstoneResurrection:
         eng.put("a1", 1)  # oldest run holds the value
         eng.delete("k")
         eng.put("a2", 2)  # newest run holds the tombstone
-        eng._compact(list(eng.runs())[:1])  # merge that is not the oldest
+        victims = tuple(eng.runs())[:1]  # a merge that is not the oldest
+        eng.execute_compaction(CompactionTask(
+            sources=((0, victims),), target_level=0,
+            drop_tombstones=level0_tombstone_gc_safe(victims, eng.level_view()),
+            reason="manual merge",
+        ))
         assert eng.get("k") is None
         assert eng.physically_present("k")  # shadowed value still below
 

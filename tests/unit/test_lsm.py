@@ -7,6 +7,7 @@ import pytest
 
 from repro import codec
 from repro.lsm.bloom import BloomFilter, BloomHashCache, hash_pair
+from repro.lsm.compaction import CompactionTask, level0_tombstone_gc_safe
 from repro.lsm.engine import LSMEngine
 from repro.lsm.memtable import TOMBSTONE, Memtable
 from repro.lsm.sstable import PAGE_ENTRIES, SSTable
@@ -391,9 +392,16 @@ class TestCompaction:
         eng.put("a1", 1)  # run with the value (oldest)
         eng.delete("k")
         eng.put("a2", 2)  # run with tombstone
-        # compact only the two newest runs: output is NOT the oldest run
-        eng._compact(list(eng.runs())[:1])
+        # merge the newest run only: its output is NOT the oldest run
+        victims = tuple(eng.runs())[:1]
+        drop = level0_tombstone_gc_safe(victims, eng.level_view())
+        assert not drop
+        eng.execute_compaction(CompactionTask(
+            sources=((0, victims),), target_level=0, drop_tombstones=drop,
+            reason="manual merge",
+        ))
         assert eng.get("k") is None  # still deleted
+        assert eng.physically_present("k")  # the shadowed value stays
 
     def test_full_compaction_purges_tombstones(self):
         eng, _ = make_engine(memtable_capacity=2, tier_threshold=10)

@@ -76,13 +76,18 @@ class TestQueriesAndRetention:
         assert wal.purge_key("t", "ghost") == 0
         assert clock.spent("logging") == spent
 
-    def test_truncate_before(self):
+    def test_checkpoint_truncates_every_record(self):
         wal, _ = make_wal()
         for i in range(10):
-            wal.append(WalRecordType.INSERT, "t", i)
-        assert wal.truncate_before(lsn=6) == 5
-        assert wal.record_count == 5
-        assert next(wal.records()).lsn == 6
+            wal.append(WalRecordType.INSERT, "t", i, 70, payload=f"v{i}")
+        assert wal.checkpoint() == 10
+        assert wal.record_count == 0 and wal.size_bytes == 0
+        assert list(wal.records()) == []
+        assert wal.records_for_key("t", 3) == []
+        assert not wal.holds_payload_for("t", 3)
+        assert wal.append(WalRecordType.INSERT, "t", 10).lsn == 11
+        assert [r.lsn for r in wal.records()] == [11]
+        assert wal.checkpoint() == 1
 
 
 class TestPayloadRetention:
