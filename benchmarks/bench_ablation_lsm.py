@@ -35,7 +35,6 @@ def _run(tier_threshold: int, record_count: int, n_txns: int):
     # at any REPRO_SCALE.
     engine = LSMEngine(
         cost,
-        payload_bytes=70,
         memtable_capacity=max(128, record_count // 64),
         tier_threshold=tier_threshold,
     )

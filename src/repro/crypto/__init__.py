@@ -9,17 +9,15 @@ the crypto-shred backend, built from:
 
 * :mod:`repro.crypto.fastcipher` — a SHA-256 keystream cipher (hash and
   XOR both in C) that seals every slot;
-* :mod:`repro.crypto.kdf` — PBKDF2-HMAC-SHA256 key derivation;
 * :mod:`repro.crypto.sectors` — sector groups packing many units'
-  ciphertext, each slot under its own KDF-derived subkey;
+  ciphertext, each slot under its own subkey (one-iteration
+  PBKDF2-HMAC-SHA256, computed as the one HMAC it is);
 * :mod:`repro.crypto.vault` — the key vault holding every unit's
   shreddable master key.
 """
 
 from repro.crypto.fastcipher import FastStreamCipher
-from repro.crypto.kdf import pbkdf2_sha256
 
 __all__ = [
-    "pbkdf2_sha256",
     "FastStreamCipher",
 ]

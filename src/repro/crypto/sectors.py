@@ -23,10 +23,10 @@ ciphertext.
 from __future__ import annotations
 
 import hashlib
+import hmac
 from typing import Dict, List
 
-from repro.crypto.fastcipher import FastStreamCipher
-from repro.crypto.kdf import pbkdf2_sha256
+from repro.crypto.fastcipher import FastStreamCipher, xor_bytes
 
 SECTOR = 512
 
@@ -44,9 +44,10 @@ GROUP_CAPACITY = 16
 def derive_subkey(master: bytes, group_id: int, slot: int) -> bytes:
     """The unit's sector-encryption subkey, derived from its (shreddable)
     vault master key and its placement — per-unit isolation inside a
-    shared region."""
+    shared region: PBKDF2-HMAC-SHA256 at one iteration and 32 bytes,
+    which is one HMAC over the salt and the block index 1."""
     salt = b"sector-group/%d/%d" % (group_id, slot)
-    return pbkdf2_sha256(master, salt, 1)
+    return hmac.digest(master, salt + b"\x00\x00\x00\x01", "sha256")
 
 
 class SectorGroup:
@@ -108,8 +109,10 @@ class SectorGroup:
 
     def write(self, slot: int, subkey: bytes, blob: bytes) -> int:
         """Encrypt ``blob`` into the slot's sectors; returns the sector
-        count.  Stale tail sectors of a shrinking rewrite are discarded —
-        the old value must not stay recoverable under the live subkey."""
+        count.  Only the payload bytes are XORed: the zero padding of the
+        last sector seals to the keystream itself.  Stale tail sectors of a
+        shrinking rewrite are discarded — the old value must not stay
+        recoverable under the live subkey."""
         sectors = self.sectors_needed(len(blob))
         if sectors > self.slot_sectors:
             raise ValueError(
@@ -117,11 +120,11 @@ class SectorGroup:
             )
         base = self._slot_base(slot)
         for i in range(sectors):
-            chunk = blob[i * SECTOR:(i + 1) * SECTOR].ljust(SECTOR, b"\x00")
+            chunk = blob[i * SECTOR:(i + 1) * SECTOR]
             sector_no = base + i
-            self._sectors[sector_no] = self._sector_cipher(
-                subkey, sector_no
-            ).apply(chunk)
+            stream = self._sector_cipher(subkey, sector_no).keystream(SECTOR)
+            n = len(chunk)
+            self._sectors[sector_no] = xor_bytes(chunk, stream[:n]) + stream[n:]
         for sector_no in range(base + sectors, base + self.slot_sectors):
             self._sectors.pop(sector_no, None)
         return sectors

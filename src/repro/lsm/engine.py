@@ -102,7 +102,6 @@ class LSMEngine:
     def __init__(
         self,
         cost: CostModel,
-        payload_bytes: int = 70,
         memtable_capacity: int = 4096,
         tier_threshold: int = 4,
         block_cache_capacity: int = 1024,
@@ -115,7 +114,6 @@ class LSMEngine:
         if block_cache_capacity < 0:
             raise ValueError("block_cache_capacity must be non-negative")
         self._cost = cost
-        self._payload_bytes = payload_bytes
         self._memtable = Memtable(memtable_capacity)
         self.compaction_policy = make_compaction_policy(
             compaction,

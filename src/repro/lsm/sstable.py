@@ -100,14 +100,12 @@ class SSTable:
     def __init__(
         self,
         entries: List[Tuple[Any, int, Any]],
-        payload_bytes: int = 0,
         created_at: int = 0,
     ) -> None:
         """``entries`` must be sorted by key, one entry per key, with
         *decoded* values — the compatibility constructor; the engine's
         flush/compaction paths use :meth:`from_encoded` to avoid the
-        re-encode.  ``payload_bytes`` is accepted for signature
-        compatibility; sizes are measured from the packed block now.
+        re-encode.
         """
         blobs = codec.encode_many([e[2] for e in entries])
         self._init_from_blobs(

@@ -184,13 +184,11 @@ class BTreeIndex:
         if self._past_end(key):
             leaf, path, i = self._tail, None, len(self._tail.keys)
         else:
+            # The key's run can start leaves left of the insert position.
+            if self._find_live(key)[0] is not None:
+                raise KeyError(f"duplicate live key in index: {key!r}")
             leaf, path = self._find_leaf_path(key)
             i = bisect_left(leaf.keys, key)
-            j = i
-            while j < len(leaf.keys) and leaf.keys[j] == key:
-                if leaf.entries[j].live:
-                    raise KeyError(f"duplicate live key in index: {key!r}")
-                j += 1
         leaf.keys.insert(i, key)
         leaf.entries.insert(i, _Entry(key, tid))
         self._live += 1

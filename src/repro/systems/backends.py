@@ -650,13 +650,11 @@ class LsmBackend(StorageBackend):
         namespace: str = "",
     ) -> None:
         super().__init__()
-        self._row_bytes = row_bytes
         self.engine = (
             engine
             if engine is not None
             else LSMEngine(
                 cost,
-                payload_bytes=row_bytes,
                 memtable_capacity=memtable_capacity,
                 tier_threshold=tier_threshold,
                 block_cache_capacity=block_cache_capacity,

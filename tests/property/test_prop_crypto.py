@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.fastcipher import FastStreamCipher
-from repro.crypto.kdf import pbkdf2_sha256
+from repro.crypto.sectors import SECTOR, SectorGroup, derive_subkey
 
 payloads = st.binary(min_size=0, max_size=300)
 
@@ -41,7 +41,7 @@ class ReferenceStreamCipher:
 def reference_pbkdf2_sha256(
     passphrase: bytes, salt: bytes, iterations: int, dklen: int = 32
 ) -> bytes:
-    """The own HMAC loop ``pbkdf2_sha256`` used before it delegated to
+    """The own HMAC loop the subkey derivation ran before it delegated to
     ``hashlib.pbkdf2_hmac``, kept verbatim as the reference."""
     blocks = []
     block_index = 1
@@ -82,25 +82,89 @@ def test_fastcipher_roundtrip_and_offset(key, nonce, data, offset):
 @example(key=b"k", nonce=b"n", data=b"", offset=45)
 @example(key=b"k", nonce=b"n", data=b"0123456789", offset=28)
 @example(key=b"k", nonce=b"n", data=bytes(512), offset=31)
+@example(key=b"k", nonce=b"n", data=bytes(100), offset=63 * 32 + 5)
+@example(key=b"k", nonce=b"n", data=bytes(40), offset=5000)
 @settings(max_examples=200, deadline=None)
 def test_fastcipher_bytes_equal_the_per_byte_reference(key, nonce, data, offset):
-    """Byte identity, not just a round trip: empty data and offsets that
-    start inside a 32-byte block and cross into the next one included."""
+    """Byte identity, not just a round trip: empty data, offsets that start
+    inside a 32-byte block and cross into the next one, and ranges that
+    run past the table of precomputed block counters included."""
     ours, ref = FastStreamCipher(key, nonce), ReferenceStreamCipher(key, nonce)
     assert ours.apply(data, offset) == ref.apply(data, offset)
     assert ours.keystream(len(data), offset) == ref.keystream(len(data), offset)
 
 
 @given(
-    passphrase=st.binary(min_size=1, max_size=32),
-    salt=st.binary(min_size=1, max_size=32),
-    iterations=st.integers(min_value=1, max_value=50),
-    dklen=st.integers(min_value=1, max_value=80),
+    master=st.binary(min_size=0, max_size=80),
+    group_id=st.integers(min_value=0, max_value=10**6),
+    slot=st.integers(min_value=0, max_value=4096),
 )
-@settings(max_examples=30, deadline=None)
-def test_pbkdf2_matches_stdlib(passphrase, salt, iterations, dklen):
-    """``pbkdf2_sha256`` *is* ``hashlib.pbkdf2_hmac`` now, so the reference
-    is the HMAC loop it replaced."""
-    ours = pbkdf2_sha256(passphrase, salt, iterations, dklen)
-    theirs = reference_pbkdf2_sha256(passphrase, salt, iterations, dklen)
-    assert ours == theirs
+@settings(max_examples=50, deadline=None)
+def test_derive_subkey_matches_the_hmac_loop_reference(master, group_id, slot):
+    """The subkey is PBKDF2-HMAC-SHA256 at one iteration and 32 bytes over
+    the placement salt, computed as one HMAC; the reference is the loop."""
+    salt = b"sector-group/%d/%d" % (group_id, slot)
+    assert derive_subkey(master, group_id, slot) == reference_pbkdf2_sha256(
+        master, salt, 1
+    )
+
+
+def reference_sectors(subkey, base, blob):
+    """The slot's sectors as the first sector writer sealed them: each
+    chunk zero-padded to a full sector, then XORed byte by byte with the
+    reference keystream under the per-sector nonce."""
+    sealed = {}
+    for i in range(SectorGroup.sectors_needed(len(blob))):
+        sector_no = base + i
+        nonce = hashlib.sha256(subkey + sector_no.to_bytes(8, "big")).digest()[:16]
+        chunk = blob[i * SECTOR:(i + 1) * SECTOR].ljust(SECTOR, b"\x00")
+        sealed[sector_no] = ReferenceStreamCipher(subkey, nonce).apply(chunk)
+    return sealed
+
+
+SLOTS = 3
+
+rewrites = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=SLOTS - 1),
+        st.integers(min_value=0, max_value=4096),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@given(master=st.binary(min_size=32, max_size=32), steps=rewrites)
+@example(  # one slot grown, shrunk, and rewritten across 512-byte boundaries
+    master=bytes(32),
+    steps=[(0, 0), (0, 511), (0, 513), (0, 4096), (1, 700), (0, 1500),
+           (0, 512), (0, 1), (1, 4095), (1, 0)],
+)
+@settings(max_examples=40, deadline=None)
+def test_sector_group_bytes_equal_the_reference_writer(master, steps):
+    """Every sector at rest equals the zero-pad-then-XOR reference, byte
+    for byte, through writes and rewrites of random sizes; reads round-trip
+    and a shrinking rewrite leaves no stale tail sector behind."""
+    group = SectorGroup(5, capacity=SLOTS)
+    subkeys = [derive_subkey(master, 5, group.alloc_slot()) for _ in range(SLOTS)]
+    live = {}
+    for step, (slot, nbytes) in enumerate(steps):
+        seed = master + bytes([step, slot])
+        live[slot] = hashlib.shake_256(seed).digest(nbytes)
+        assert group.write(slot, subkeys[slot], live[slot]) == (
+            SectorGroup.sectors_needed(nbytes)
+        )
+        expected = {}
+        for s, blob in live.items():
+            sealed = reference_sectors(subkeys[s], group.sector_number(s, 0), blob)
+            assert group.slot_sector_numbers(s) == sorted(sealed)
+            sectors = len(sealed)
+            assert group.read(s, subkeys[s], sectors, len(blob)) == blob
+            for index in range(sectors):
+                chunk = blob[index * SECTOR:(index + 1) * SECTOR]
+                assert group.read_sector(s, subkeys[s], index) == chunk.ljust(
+                    SECTOR, b"\x00"
+                )
+            expected.update(sealed)
+        assert {n: group.raw_sector(n) for n in expected} == expected
+        assert group.sector_count == len(expected)

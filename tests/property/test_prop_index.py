@@ -109,11 +109,16 @@ class BTreeMachine(RuleBasedStateMachine):
         start = max_key(self.index) + 1 + gap
         for key in range(start, start + count):
             self._insert(key)
-        # A live key is still refused: the right edge itself takes the
-        # general descent, as does the run's first key.
-        for key in (start + count - 1, start):
-            with pytest.raises(KeyError):
-                self.index.insert(key, (key, -1))
+        self._live_keys_refused()
+
+    def _live_keys_refused(self):
+        """Every live key is refused on both trees, wherever its run of
+        dead versions starts: the right edge itself and the keys behind it
+        take the general descent."""
+        for key in self.model:
+            for tree in (self.index, self.twin):
+                with pytest.raises(KeyError):
+                    tree.insert(key, (key, -1))
 
     @rule(key=KEYS)
     def mark_dead(self, key):
@@ -128,6 +133,7 @@ class BTreeMachine(RuleBasedStateMachine):
         for _ in range(times):
             self._mark_dead(key)
             self._insert(key)
+        self._live_keys_refused()
 
     @rule()
     def cleanup(self):
@@ -190,6 +196,28 @@ class BTreeMachine(RuleBasedStateMachine):
             self.index.live_entries, self.index.dead_entries
         )
         assert len(self.index) == len(self.model)
+
+
+def test_live_key_behind_a_split_run_of_dead_versions_is_refused():
+    """Two dead versions of key 0 and its live one, then keys 1 and 2,
+    split the leaf so that the run of 0 starts a leaf left of where an
+    insert of 0 lands: the duplicate guard must still see the live 0."""
+    order, index_module.ORDER = index_module.ORDER, 4
+    try:
+        index = BTreeIndex()
+        index.insert(0, (0, 0))
+        for version in (1, 2):
+            index.mark_dead(0)
+            index.insert(0, (0, version))
+        index.insert(1, (1, 0))
+        index.insert(2, (2, 0))
+        assert index.depth == 2
+        with pytest.raises(KeyError, match="duplicate live key"):
+            index.insert(0, (0, 9))
+        assert len(index) == 3
+        assert index.get(0) == (0, 2)
+    finally:
+        index_module.ORDER = order
 
 
 TestBTreeMachine = BTreeMachine.TestCase

@@ -20,7 +20,6 @@ def make_engine(memtable_capacity=8, tier_threshold=3):
     cost = CostModel(SimClock(), CostBook())
     return LSMEngine(
         cost,
-        payload_bytes=16,
         memtable_capacity=memtable_capacity,
         tier_threshold=tier_threshold,
     )

@@ -138,7 +138,7 @@ class TestMemtable:
 class TestSSTable:
     def _run(self, entries=None):
         entries = entries or [("a", 1, "va"), ("b", 2, TOMBSTONE), ("c", 3, "vc")]
-        return SSTable(entries, payload_bytes=70, created_at=0)
+        return SSTable(entries, created_at=0)
 
     def test_get(self):
         run = self._run()
@@ -157,8 +157,8 @@ class TestSSTable:
         assert run.value_count == 2
 
     def test_size_bytes_tombstones_cheaper(self):
-        values = SSTable([("a", 1, "v"), ("b", 2, "v")], 70, 0)
-        tombs = SSTable([("a", 1, TOMBSTONE), ("b", 2, TOMBSTONE)], 70, 0)
+        values = SSTable([("a", 1, "v"), ("b", 2, "v")], 0)
+        tombs = SSTable([("a", 1, TOMBSTONE), ("b", 2, TOMBSTONE)], 0)
         assert tombs.size_bytes < values.size_bytes
 
     def test_range(self):
@@ -186,7 +186,7 @@ class TestSSTable:
         run = self._run(entries)
         out, dropped, tombstones = run.without_keys(drop)
         kept = [e for e in entries if e[0] not in drop]
-        rebuilt = self._run(kept) if kept else SSTable([], 70, 0)
+        rebuilt = self._run(kept) if kept else SSTable([], 0)
         assert dropped == sorted(set(drop) & set("abcde"))
         assert tombstones == ("b" in drop)
         assert list(out.entries()) == kept
