@@ -3,6 +3,7 @@
 import hashlib
 import hmac
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -92,6 +93,41 @@ def test_fastcipher_bytes_equal_the_per_byte_reference(key, nonce, data, offset)
     ours, ref = FastStreamCipher(key, nonce), ReferenceStreamCipher(key, nonce)
     assert ours.apply(data, offset) == ref.apply(data, offset)
     assert ours.keystream(len(data), offset) == ref.keystream(len(data), offset)
+
+
+@pytest.mark.parametrize(
+    "passphrase, salt, iterations, dklen, expected",
+    [
+        (b"password", b"salt", 1, 32,
+         "120fb6cffcf8b32c43e7225256c4f837a86548c92ccc35480805987cb70be17b"),
+        (b"password", b"salt", 2, 32,
+         "ae4d0c95af6b46d32d0adff928f06dd02a303f8ef3c251dfd6e2d85a95474c43"),
+        (b"password", b"salt", 4096, 32,
+         "c5e478d59288c841aa530db6845c4c8d962893a001ce4e11a4963873aa98134a"),
+        (b"passwordPASSWORDpassword",
+         b"saltSALTsaltSALTsaltSALTsaltSALTsalt", 4096, 40,
+         "348c89dbcbd32b2f32d814b8116e84cf2b17347ebc1800181c4e2a1fb8dd53e1"
+         "c635518c7dac47e9"),
+        (b"pass\x00word", b"sa\x00lt", 4096, 16,
+         "89b69d0516f829893c696226650a8687"),
+        (b"passwd", b"salt", 1, 64,  # RFC 7914 §11
+         "55ac046e56e3089fec1691c22544b605f94185216dde0465e68b9d57c20dacbc"
+         "49ca9cccf179b645991664b39d77ef317c71b845b1e30bd509112041d3a19783"),
+    ],
+)
+def test_reference_pbkdf2_known_answer_vectors(
+    passphrase, salt, iterations, dklen, expected
+):
+    """Published PBKDF2-HMAC-SHA256 vectors: the loop the subkey property
+    test trusts is itself right, at several iteration counts and at
+    lengths that end inside, on and past one 32-byte block."""
+    ours = reference_pbkdf2_sha256(passphrase, salt, iterations, dklen)
+    assert ours.hex() == expected
+
+
+def test_reference_pbkdf2_matches_hashlib_for_many_iterations():
+    ours = reference_pbkdf2_sha256(b"pass", b"NaCl", 80, 40)
+    assert ours == hashlib.pbkdf2_hmac("sha256", b"pass", b"NaCl", 80, 40)
 
 
 @given(
