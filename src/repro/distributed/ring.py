@@ -26,8 +26,8 @@ rings coexist until every move is grounded and the store commits ring-new.
 
 from __future__ import annotations
 
-import bisect
 import hashlib
+from bisect import bisect_right
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 #: Virtual nodes per unit of shard weight.  More vnodes → smoother key
@@ -95,8 +95,10 @@ class HashRing:
             for v in range(self.vnode_count(node))
         ]
         points.sort()
-        self._points = points
         self._positions = [position for position, _node in points]
+        # Point owners plus a wrap slot: a hash past the top point bisects
+        # to ``len(points)`` and belongs to the first point's node.
+        self._owners = [node for _p, node in points] + [points[0][1]]
 
     # ------------------------------------------------------------- topology
     @property
@@ -152,10 +154,7 @@ class HashRing:
     # -------------------------------------------------------------- routing
     def owner(self, key: Any) -> int:
         """The shard id owning ``key`` (first vnode at/after its hash)."""
-        index = bisect.bisect_right(self._positions, stable_hash(key))
-        if index == len(self._points):
-            index = 0  # wrap past the top of the ring
-        return self._points[index][1]
+        return self._owners[bisect_right(self._positions, stable_hash(key))]
 
     def moved_keys(self, keys: Sequence[Any], new: "HashRing") -> List[Any]:
         """Keys whose owner differs between this ring and ``new`` — the

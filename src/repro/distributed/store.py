@@ -374,7 +374,7 @@ class _Shard:
         return [node for node in self.replicas if not node.down]
 
     def _append_log(self, op: _OpType, key: Any, value: Any) -> None:
-        self._log.append(op, key, value, self._now + self._lag)
+        self._log.append(op, key, value, self._cost.clock.now + self._lag)
         self._cost.charge_log_append()
 
     def _apply_backlog(
@@ -1566,21 +1566,27 @@ class ReplicatedStore:
 
     # ----------------------------------------------------------------- writes
     def put(self, key: Any, value: Any) -> None:
-        sid = self.shard_of(key)
-        self._check_reachable(sid)
+        sid = (self._ring.owner(key) if self._rebalance is None
+               else self._rebalance.route_write(key))
+        if self._fault_injector is not None:
+            self._check_reachable(sid)
         self._shards[sid].put(key, value)
 
     def update(self, key: Any, value: Any) -> None:
-        sid = self.shard_of(key)
-        self._check_reachable(sid)
+        sid = (self._ring.owner(key) if self._rebalance is None
+               else self._rebalance.route_write(key))
+        if self._fault_injector is not None:
+            self._check_reachable(sid)
         self._shards[sid].update(key, value)
 
     def naive_delete(self, key: Any) -> None:
         """The under-specified erase: DELETE at the owning shard's primary,
         replication does the rest *eventually* — replicas and caches keep
         serving and holding the value until lag/TTL/reclamation catch up."""
-        sid = self.shard_of(key)
-        self._check_reachable(sid)
+        sid = (self._ring.owner(key) if self._rebalance is None
+               else self._rebalance.route_write(key))
+        if self._fault_injector is not None:
+            self._check_reachable(sid)
         self._shards[sid].naive_delete(key)
 
     # ------------------------------------------------------------------ reads

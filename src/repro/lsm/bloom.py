@@ -17,19 +17,23 @@ so the bytes depend on incidental aliasing.  The 64-bit hash is the
 interpreter's bytes hash — stable within a process, which is the only
 lifetime these in-memory filters have.
 
-Because every SSTable rewrite during compaction used to re-digest every
-key, the base-hash pair for a key is exposed as a first-class value:
-:class:`BloomHashCache` memoizes ``key -> (h1, h2)`` across rebuilds and
-probes, and the batch entry points (:meth:`BloomFilter.from_keys`,
-:meth:`BloomFilter.add_many`, :meth:`BloomFilter.probe_many`,
-:meth:`BloomFilter.contains_pair`) accept or share those pairs so the hot
-loops stay free of per-key digest work.
+Every flush and compaction rewrite builds a filter.  :class:`BloomHashCache`
+memoizes ``key -> (h1, h2)`` across those rebuilds and probes, and the batch
+entry points (:meth:`BloomFilter.from_keys`, :meth:`BloomFilter.add_many`,
+:meth:`BloomFilter.probe_many`) share the pairs, so no hot loop digests a
+key.  Every batch build (``from_keys``, ``add_many``, a resize's replay) is
+one kernel: it sets one *byte* per bit, ``flags[pos] = 1``, with no shift or
+mask per probe, then packs them in one pass — reversed and translated to
+ASCII ``0``/``1`` they are one base-2 integer whose little-endian bytes are
+the bit array.  Positions are listed ``_BUILD_CHUNK`` keys at a time: a
+whole 4 096-key flush at once holds ~28 000 ints and raises peak RSS.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
+from itertools import islice
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.codec import encode_stable as _encode
@@ -43,6 +47,11 @@ _LN2 = math.log(2.0)
 # An incrementally-filled filter that exceeds its expected size by this
 # factor is resized (re-sized filters replay their retained pairs).
 _RESIZE_FACTOR = 2
+
+# Keys whose probe positions the build kernel lists at once.
+_BUILD_CHUNK = 1024
+# Byte-per-bit flags -> the ASCII digits of one base-2 integer.
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def hash_pair(key: Any) -> HashPair:
@@ -177,16 +186,26 @@ class BloomFilter:
                 cache.pairs_of(keys) if cache is not None
                 else [hash_pair(key) for key in keys]
             )
+            bloom._count = len(keys)
         return bloom
 
-    def _add_pairs(self, pairs: List[HashPair]) -> None:
-        arr = self._array
+    def _add_pairs(self, pairs: Iterable[HashPair]) -> None:
+        """Set every probe bit of ``pairs`` (the count is the caller's)."""
         bits = self._bits
         rng = range(self._hashes)
-        for h1, h2 in pairs:
-            for pos in [(h1 + i * h2) % bits for i in rng]:
-                arr[pos >> 3] |= 1 << (pos & 7)
-        self._count += len(pairs)
+        flags = bytearray(bits)
+        pairs = iter(pairs)
+        while positions := [
+            (h1 + i * h2) % bits
+            for h1, h2 in islice(pairs, _BUILD_CHUNK)
+            for i in rng
+        ]:
+            for pos in positions:
+                flags[pos] = 1
+        packed = int(flags[::-1].translate(_BIT_DIGITS), 2)
+        if self._count:
+            packed |= int.from_bytes(self._array, "little")
+        self._array = bytearray(packed.to_bytes(len(self._array), "little"))
 
     # -------------------------------------------------------------- mutation
     def add(self, key: Any, pair: Optional[HashPair] = None) -> None:
@@ -215,6 +234,7 @@ class BloomFilter:
             else [hash_pair(key) for key in keys]
         )
         self._add_pairs(pairs)
+        self._count += len(pairs)
         if self._pairs is not None:
             for h1, h2 in pairs:
                 self._pairs.append(h1)
@@ -228,15 +248,8 @@ class BloomFilter:
         self._expected = self._count * _RESIZE_FACTOR
         self._bits, self._hashes = _sizing(self._expected, self._fp_rate)
         self._array = bytearray((self._bits + 7) // 8)
-        arr = self._array
-        bits = self._bits
-        rng = range(self._hashes)
-        pairs = self._pairs
-        for j in range(0, len(pairs), 2):
-            h1 = pairs[j]
-            h2 = pairs[j + 1]
-            for pos in [(h1 + i * h2) % bits for i in rng]:
-                arr[pos >> 3] |= 1 << (pos & 7)
+        flat = iter(self._pairs)
+        self._add_pairs(zip(flat, flat))
 
     # --------------------------------------------------------------- probing
     def contains_pair(self, pair: HashPair) -> bool:
@@ -262,20 +275,7 @@ class BloomFilter:
             cache.pairs_of(keys) if cache is not None
             else [hash_pair(key) for key in keys]
         )
-        arr = self._array
-        bits = self._bits
-        rng = range(self._hashes)
-        out: List[bool] = []
-        append = out.append
-        for h1, h2 in pairs:
-            hit = True
-            for i in rng:
-                pos = (h1 + i * h2) % bits
-                if not arr[pos >> 3] & (1 << (pos & 7)):
-                    hit = False
-                    break
-            append(hit)
-        return out
+        return [self.contains_pair(pair) for pair in pairs]
 
     # ------------------------------------------------------------ inspection
     @property

@@ -89,7 +89,8 @@ class SharedBlockCache:
 
     def invalidate(self, token: int, key: Any) -> None:
         """Drop the entry for a written/deleted/erased key, if cached."""
-        self._cache.pop((token, key), None)
+        if self._cache:
+            self._cache.pop((token, key), None)
 
     # ------------------------------------------------------------ forensics
     def holds_value(self, token: int, key: Any) -> bool:

@@ -179,12 +179,13 @@ class LSMEngine:
         the blob from the source engine's export lands unchanged."""
         self._seqno += 1
         self._cost.charge_memtable_op()
-        self._memtable.put_encoded(key, blob, self._seqno)
+        full = self._memtable.put_encoded(key, blob, self._seqno)
         self._block_cache.invalidate(self._cache_token, key)
-        # A re-insert after deletion ends that key's retention question.
-        self._retention.pop(key, None)
-        self._unreclaimed.discard(key)
-        if self._memtable.is_full:
+        # A re-insert after deletion ends that key's retention question
+        # (only a key with a retention record can be unreclaimed).
+        if self._retention.pop(key, None) is not None:
+            self._unreclaimed.discard(key)
+        if full:
             self.flush()
 
     def delete(self, key: Any) -> None:
@@ -196,11 +197,11 @@ class LSMEngine:
         """
         self._seqno += 1
         self._cost.charge_memtable_op()
-        self._memtable.put_encoded(key, TOMBSTONE_BLOB, self._seqno)
+        full = self._memtable.put_encoded(key, TOMBSTONE_BLOB, self._seqno)
         self._block_cache.invalidate(self._cache_token, key)
         self._retention[key] = RetentionRecord(key, self._now())
         self._unreclaimed.add(key)
-        if self._memtable.is_full:
+        if full:
             self.flush()
 
     def put_many(self, items: Iterable[Tuple[Any, Any]]) -> int:

@@ -54,13 +54,15 @@ class Memtable:
     def put(self, key: Any, value: Any, seqno: int) -> None:
         self.put_encoded(key, codec.encode(value), seqno)
 
-    def put_encoded(self, key: Any, blob: bytes, seqno: int) -> None:
-        """Store an already-encoded value (the import/migration path)."""
+    def put_encoded(self, key: Any, blob: bytes, seqno: int) -> bool:
+        """Store an already-encoded value (the import/migration path);
+        returns whether the buffer is now full (the engine then flushes)."""
         old = self._data.get(key)
         if old is not None:
             self._encoded_bytes -= len(old[1])
         self._data[key] = (seqno, blob)
         self._encoded_bytes += len(blob)
+        return len(self._data) >= self._capacity
 
     def drop(self, key: Any) -> Optional[bytes]:
         """Forget ``key``'s entry; returns the blob it held, if any."""
@@ -79,10 +81,6 @@ class Memtable:
     def get_encoded(self, key: Any) -> Optional[Tuple[int, bytes]]:
         """``(seqno, blob)`` without decoding; None if absent."""
         return self._data.get(key)
-
-    @property
-    def is_full(self) -> bool:
-        return len(self._data) >= self._capacity
 
     @property
     def encoded_bytes(self) -> int:

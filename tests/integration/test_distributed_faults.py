@@ -152,6 +152,41 @@ def test_erase_many_checks_every_involved_shard_before_mutating():
     assert store.erase_many(victims).verified_clean
 
 
+@pytest.mark.parametrize("backend", ["psql", "lsm", "crypto-shred"])
+def test_writes_routed_at_a_partitioned_shard_fail_before_mutating(backend):
+    """put, update and naive_delete of a key the partitioned shard owns
+    raise, and leave its primary, its replication log and every copy of
+    the key as they were."""
+    store, _cost = make_store(shards=3, n_replicas=1, backend=backend)
+    for i in range(30):
+        store.put(f"u{i:06d}", (i, "payload"))
+    held = "u000007"
+    sid = store.shard_of(held)
+    fresh = next(
+        key for key in (f"n{i:06d}" for i in range(1000))
+        if store.shard_of(key) == sid
+    )
+    shard = store._shards[sid]
+
+    def state():
+        primary = dict(shard.primary.backend.export_range(lambda _k: True))
+        log = list(shard._log.replay(0))
+        return primary, log, store.copies_of(held), store.copies_of(fresh)
+
+    before = state()
+    assert held in before[0] and fresh not in before[0]
+    FaultInjector(store).partition_shard(sid)
+    writes = (
+        lambda: store.put(fresh, (1, "new")),
+        lambda: store.update(held, (2, "changed")),
+        lambda: store.naive_delete(held),
+    )
+    for write in writes:
+        with pytest.raises(ShardUnavailableError):
+            write()
+        assert state() == before
+
+
 def test_antientropy_heals_divergence_without_quorum_reads():
     """Divergence injected directly on a replica backend is invisible to
     the read path (no quorum read ever issued) yet the digest sweep finds

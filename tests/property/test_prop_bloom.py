@@ -12,6 +12,7 @@ Two subjects from the raw-speed round-three PR:
 """
 
 import math
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -138,6 +139,94 @@ def test_saturated_filter_resizes_instead_of_degrading(n):
     empty_sd = math.sqrt(bits * q1 + bits * (bits - 1) * q2 - (bits * q1) ** 2)
     fill = 1 - q1 + 4 * empty_sd / bits
     assert _binomial_tail(len(absent), fill**bloom.hash_count, fp) > FOUR_SIGMA_TAIL
+
+
+# ------------------------------------------------------------ bit identity
+def _reference_bits(bits, hashes, pairs):
+    """The per-bit writer the batch kernel replaced: each probe ORs its own
+    bit into a byte.  Every filter array must equal its output."""
+    arr = bytearray((bits + 7) // 8)
+    rng = range(hashes)
+    for h1, h2 in pairs:
+        for pos in [(h1 + i * h2) % bits for i in rng]:
+            arr[pos >> 3] |= 1 << (pos & 7)
+    return arr
+
+
+def _mixed_keys(n, seed):
+    rnd = random.Random(seed)
+    shapes = (
+        lambda i: rnd.randrange(-(10**9), 10**9),
+        lambda i: f"u{rnd.randrange(10**6):06d}",
+        lambda i: rnd.randbytes(rnd.randrange(24)),
+        lambda i: (i, str(rnd.random())),
+    )
+    return [rnd.choice(shapes)(i) for i in range(n)]
+
+
+# Sizes either side of the kernel's 1 024-key chunk, plus anything to 3 000.
+SIZES = st.one_of(
+    st.sampled_from([0, 1, 1023, 1024, 1025, 2047, 2048, 2049, 3000]),
+    st.integers(min_value=0, max_value=3000),
+)
+
+
+@given(n=SIZES, seed=st.integers(min_value=0, max_value=2**32 - 1),
+       cached=st.booleans(), fp_rate=st.sampled_from([0.01, 0.05, 0.3]))
+@settings(max_examples=40, deadline=None)
+def test_from_keys_bits_equal_the_reference_writer(n, seed, cached, fp_rate):
+    keys = _mixed_keys(n, seed)
+    cache = BloomHashCache() if cached else None
+    bloom = BloomFilter.from_keys(keys, fp_rate=fp_rate, cache=cache)
+    expected = _reference_bits(
+        bloom.bit_size, bloom.hash_count, [hash_pair(key) for key in keys]
+    )
+    assert bloom._array == expected
+    assert len(bloom) == n
+
+
+@given(n=SIZES, split=st.integers(min_value=0, max_value=3000),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_add_then_add_many_bits_equal_the_reference_writer(n, split, seed):
+    """Per-key adds first, then one batch ORed over them; sized for the
+    whole population, so no resize runs."""
+    keys = _mixed_keys(n, seed)
+    split = min(split, n)
+    bloom = BloomFilter(max(1, n))
+    bits = bloom.bit_size
+    for key in keys[:split]:
+        bloom.add(key)
+    bloom.add_many(keys[split:])
+    assert bloom.bit_size == bits
+    assert bloom._array == _reference_bits(
+        bits, bloom.hash_count, [hash_pair(key) for key in keys]
+    )
+    assert len(bloom) == n
+
+
+@given(n=st.integers(min_value=3, max_value=3000),
+       expected=st.integers(min_value=1, max_value=400),
+       batches=st.integers(min_value=1, max_value=5),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_grown_filter_bits_equal_the_reference_writer(n, expected, batches,
+                                                       seed):
+    """A filter fed past its resize point replays every retained pair at
+    the new size; adds after the resize land on top of the replay."""
+    keys = _mixed_keys(n, seed)
+    expected = min(expected, n // 3)
+    bloom = BloomFilter(expected)
+    bits = bloom.bit_size
+    cut = len(keys) // (batches + 1)
+    for key in keys[:cut]:
+        bloom.add(key)
+    for start in range(cut, n, max(1, cut)):
+        bloom.add_many(keys[start:start + max(1, cut)])
+    assert bloom.bit_size > bits  # at least one resize ran
+    assert bloom._array == _reference_bits(
+        bloom.bit_size, bloom.hash_count, [hash_pair(key) for key in keys]
+    )
 
 
 class BloomMachine(RuleBasedStateMachine):

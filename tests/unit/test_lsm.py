@@ -95,12 +95,11 @@ class TestMemtable:
         assert mt.get("a") == (5, 2)
         assert len(mt) == 1
 
-    def test_is_full(self):
+    def test_put_encoded_reports_full(self):
         mt = Memtable(2)
-        mt.put("a", 1, 1)
-        assert not mt.is_full
-        mt.put("b", 2, 2)
-        assert mt.is_full
+        assert not mt.put_encoded("a", b"\x01", 1)
+        assert mt.put_encoded("b", b"\x02", 2)
+        assert mt.put_encoded("b", b"\x03", 3)  # an overwrite stays full
 
     def test_sorted_entries_encoded_is_flush_order(self):
         mt = Memtable(8)

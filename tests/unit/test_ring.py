@@ -1,5 +1,7 @@
 """Unit tests for the consistent-hash ring — the elastic-routing seam."""
 
+import bisect
+
 import pytest
 
 from repro.distributed.ring import DEFAULT_VNODES, HashRing, stable_hash
@@ -50,6 +52,39 @@ class TestRouting:
         assert stable_hash("u00000") == stable_hash("u00000")
         assert stable_hash("a") != stable_hash("b")
         assert stable_hash(("k", 1)) != stable_hash(("k", 2))
+
+    def test_hash_past_the_top_point_wraps_to_the_first_point(self):
+        """A key hashing above every vnode belongs to the lowest point's
+        shard.  On shards 1–3 the top point is shard 2's and the lowest
+        shard 3's, so routing to the top point's shard would fail here."""
+        ring = HashRing([1, 2, 3])
+        points = _points(ring)
+        assert stable_hash("wrap-72") > points[-1][0]
+        assert points[-1][1] != points[0][1] == 3
+        assert ring.owner("wrap-72") == 3
+
+    @pytest.mark.parametrize("weights", [None, {1: 2.0, 3: 0.5, 4: 0.001}])
+    def test_owner_is_the_bisect_and_wrap_rule(self, weights):
+        ring = HashRing([1, 2, 3, 4], weights=weights)
+        points = _points(ring)
+        positions = [position for position, _node in points]
+        for i in range(10_000):
+            key = f"k{i}"
+            index = bisect.bisect_right(positions, stable_hash(key))
+            if index == len(points):
+                index = 0
+            assert ring.owner(key) == points[index][1], key
+
+
+def _points(ring):
+    """The ring's sorted ``(position, shard)`` vnode points, rebuilt from
+    the documented rule: ``vnode_count`` points per shard at
+    ``stable_hash(f"vnode/{shard}/{v}")``."""
+    return sorted(
+        (stable_hash(f"vnode/{node}/{v}"), node)
+        for node in ring.nodes
+        for v in range(ring.vnode_count(node))
+    )
 
 
 class TestWeights:
